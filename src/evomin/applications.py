@@ -68,6 +68,10 @@ _ZERO_MAP = PointwiseMap(lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
 
 
 # -- 1D grid pieces ---------------------------------------------------------
+#
+# The operators of the 1D families are written in row form, M @ x as
+# x @ M.T, so that their eval, dderiv and dderiv_adjoint take one state or an
+# (M, dim) stack of rows alike; they are built with stacked=True.
 
 def _difference_matrix(n: int) -> np.ndarray:
     """(n+1) x n forward differences of interior values with zero boundary."""
@@ -100,6 +104,7 @@ def build_scalar_decay(t1: float = 1.0, u0: float = 1.0) -> ProblemSpec:
         dderiv_adjoint=lambda t, x, v: v.copy(),
         jacobian=lambda t, x: np.eye(1),
         kind_tag="linear",
+        stacked=True,
     )
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
@@ -121,6 +126,7 @@ def build_anticoercive_fixture(t1: float = 1.0) -> ProblemSpec:
         dderiv_adjoint=lambda t, x, v: -3.0 * x**2 * v,
         jacobian=lambda t, x: np.diag(-3.0 * x**2),
         kind_tag="semilinear",
+        stacked=True,
     )
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
@@ -168,19 +174,19 @@ def build_parabolic_divergence(
     potential = Potential.composed_power(g_mat, q=q, scale=h, modulation=modulation)
 
     def lam_eval(t, x):
-        return h * (g_mat.T @ gamma.value(g_mat @ x)
-                    + g_mat.T @ xi.value(avg @ x)
+        return h * (gamma.value(x @ g_mat.T) @ g_mat
+                    + xi.value(x @ avg.T) @ g_mat
                     - theta.value(x))
 
     def lam_dderiv(t, x, hh):
-        return h * (g_mat.T @ (gamma.deriv(g_mat @ x) * (g_mat @ hh))
-                    + g_mat.T @ (xi.deriv(avg @ x) * (avg @ hh))
+        return h * ((gamma.deriv(x @ g_mat.T) * (hh @ g_mat.T)) @ g_mat
+                    + (xi.deriv(x @ avg.T) * (hh @ avg.T)) @ g_mat
                     - theta.deriv(x) * hh)
 
     def lam_adjoint(t, x, v):
-        gv = g_mat @ v
-        return h * (g_mat.T @ (gamma.deriv(g_mat @ x) * gv)
-                    + avg.T @ (xi.deriv(avg @ x) * gv)
+        gv = v @ g_mat.T
+        return h * ((gamma.deriv(x @ g_mat.T) * gv) @ g_mat
+                    + (xi.deriv(x @ avg.T) * gv) @ avg
                     - theta.deriv(x) * v)
 
     def lam_jac(t, x):
@@ -191,7 +197,8 @@ def build_parabolic_divergence(
     kind = "linear" if (theta is _ZERO_MAP and xi is _ZERO_MAP and gamma is _ZERO_MAP) \
         else "quasilinear"
     lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind)
+                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind,
+                            stacked=True)
     u0 = (initial or _default_bump)(x_nodes)
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
@@ -223,7 +230,8 @@ def build_parabolic_nondivergence(
     inner product) and the potential acts on Delta_h u, giving a
     biharmonic-type flow for q = 2 and no lower-order terms.  gamma is a
     monotone map of Delta_h u; theta(slope, value) is a Lipschitz map of
-    (u', u) with partial derivatives theta_derivs.
+    (u', u) with partial derivatives theta_derivs, all three applied
+    componentwise to arrays of any shape.
     """
     if n < 3:
         raise ValueError("need at least 3 interior points for a 3-point Laplacian")
@@ -251,18 +259,18 @@ def build_parabolic_nondivergence(
         dth_s, dth_v = theta_derivs
 
     def lam_eval(t, x):
-        return h * (lap.T @ (gamma.value(lap @ x) + theta_fn(cen @ x, x)))
+        return h * ((gamma.value(x @ lap.T) + theta_fn(x @ cen.T, x)) @ lap)
 
     def lam_dderiv(t, x, hh):
-        s = cen @ x
-        return h * (lap.T @ (gamma.deriv(lap @ x) * (lap @ hh)
-                             + dth_s(s, x) * (cen @ hh) + dth_v(s, x) * hh))
+        s = x @ cen.T
+        return h * ((gamma.deriv(x @ lap.T) * (hh @ lap.T)
+                     + dth_s(s, x) * (hh @ cen.T) + dth_v(s, x) * hh) @ lap)
 
     def lam_adjoint(t, x, v):
-        s = cen @ x
-        lv = lap @ v
-        return h * (lap.T @ (gamma.deriv(lap @ x) * lv)
-                    + cen.T @ (dth_s(s, x) * lv) + dth_v(s, x) * lv)
+        s = x @ cen.T
+        lv = v @ lap.T
+        return h * ((gamma.deriv(x @ lap.T) * lv) @ lap
+                    + (dth_s(s, x) * lv) @ cen + dth_v(s, x) * lv)
 
     def lam_jac(t, x):
         s = cen @ x
@@ -272,7 +280,8 @@ def build_parabolic_nondivergence(
 
     kind = "linear" if (gamma is _ZERO_MAP and theta is None) else "quasilinear"
     lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind)
+                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind,
+                            stacked=True)
     u0 = (initial or _default_bump)(x_nodes)
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
@@ -320,29 +329,29 @@ def build_hyperbolic(
     potential = Potential.quadratic(psi_weight * mass)
 
     def split(z):
-        return z[:n], z[n:]
+        return z[..., :n], z[..., n:]
 
     def lam_eval(t, z):
         u, v = split(z)
-        out = np.empty(dim)
-        out[:n] = stiff @ (v + damping * u)
-        out[n:] = h * (lap @ u - theta.value(u))
+        out = np.empty_like(z)
+        out[..., :n] = (v + damping * u) @ stiff.T
+        out[..., n:] = h * (u @ lap.T - theta.value(u))
         return out
 
     def lam_dderiv(t, z, hh):
         u, _ = split(z)
         hu, hv = split(hh)
-        out = np.empty(dim)
-        out[:n] = stiff @ (hv + damping * hu)
-        out[n:] = h * (lap @ hu - theta.deriv(u) * hu)
+        out = np.empty_like(hh)
+        out[..., :n] = (hv + damping * hu) @ stiff.T
+        out[..., n:] = h * (hu @ lap.T - theta.deriv(u) * hu)
         return out
 
     def lam_adjoint(t, z, w):
         u, _ = split(z)
         wu, wv = split(w)
-        out = np.empty(dim)
-        out[:n] = damping * (stiff @ wu) + h * (lap.T @ wv - theta.deriv(u) * wv)
-        out[n:] = stiff @ wu
+        out = np.empty_like(w)
+        out[..., :n] = damping * (wu @ stiff.T) + h * (wv @ lap - theta.deriv(u) * wv)
+        out[..., n:] = wu @ stiff.T
         return out
 
     def lam_jac(t, z):
@@ -355,7 +364,8 @@ def build_hyperbolic(
 
     tag = "skew" if (damping == 0.0 and nonlinearity == 0.0) else "semilinear"
     lam_op = OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=tag)
+                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=tag,
+                            stacked=True)
     u0 = (initial_u or _default_bump)(x_nodes)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
     return ProblemSpec(
@@ -404,29 +414,29 @@ def build_schrodinger(
     potential = Potential.quadratic(psi_weight * mass)
 
     def split(z):
-        return z[:n], z[n:]
+        return z[..., :n], z[..., n:]
 
     def lam_eval(t, z):
         u, v = split(z)
-        out = np.empty(dim)
-        out[:n] = w_mat @ (-(lap @ v) + theta.value(u))
-        out[n:] = w_mat @ ((lap @ u) + xi.value(v))
+        out = np.empty_like(z)
+        out[..., :n] = (-(v @ lap.T) + theta.value(u)) @ w_mat.T
+        out[..., n:] = ((u @ lap.T) + xi.value(v)) @ w_mat.T
         return out
 
     def lam_dderiv(t, z, hh):
         u, v = split(z)
         hu, hv = split(hh)
-        out = np.empty(dim)
-        out[:n] = w_mat @ (-(lap @ hv) + theta.deriv(u) * hu)
-        out[n:] = w_mat @ ((lap @ hu) + xi.deriv(v) * hv)
+        out = np.empty_like(hh)
+        out[..., :n] = (-(hv @ lap.T) + theta.deriv(u) * hu) @ w_mat.T
+        out[..., n:] = ((hu @ lap.T) + xi.deriv(v) * hv) @ w_mat.T
         return out
 
     def lam_adjoint(t, z, w):
         u, v = split(z)
         wu, wv = split(w)
-        out = np.empty(dim)
-        out[:n] = theta.deriv(u) * (w_mat @ wu) + lap.T @ (w_mat @ wv)
-        out[n:] = -(lap.T @ (w_mat @ wu)) + xi.deriv(v) * (w_mat @ wv)
+        out = np.empty_like(w)
+        out[..., :n] = theta.deriv(u) * (wu @ w_mat.T) + (wv @ w_mat.T) @ lap
+        out[..., n:] = -((wu @ w_mat.T) @ lap) + xi.deriv(v) * (wv @ w_mat.T)
         return out
 
     def lam_jac(t, z):
@@ -440,7 +450,8 @@ def build_schrodinger(
 
     tag = "skew" if couplings == (0.0, 0.0) else "semilinear"
     lam_op = OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=tag)
+                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=tag,
+                            stacked=True)
     u0 = (initial_u or _default_bump)(x_nodes)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
     return ProblemSpec(
@@ -768,11 +779,12 @@ def build_heat_core(n: int, t1: float = 0.1,
     stiffness = h * (g_mat.T @ g_mat)
     lam_op = OperatorLambda(
         dim=n,
-        eval=lambda t, x: stiffness @ x,
-        dderiv=lambda t, x, hh: stiffness @ hh,
-        dderiv_adjoint=lambda t, x, v: stiffness @ v,
+        eval=lambda t, x: x @ stiffness.T,
+        dderiv=lambda t, x, hh: hh @ stiffness.T,
+        dderiv_adjoint=lambda t, x, v: v @ stiffness,
         jacobian=lambda t, x: stiffness,
         kind_tag="linear",
+        stacked=True,
     )
     u0 = (initial or _default_bump)(x_nodes)
     return ProblemSpec(

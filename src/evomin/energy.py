@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .problem import ProblemSpec
-from .trajectory import Trajectory, reraise_with_step, time_derivative
+from .trajectory import Trajectory, named_steps, time_derivative
 from .triple import EvolutionTriple, pairing
 
 __all__ = [
@@ -35,50 +36,44 @@ __all__ = [
 
 @dataclass
 class EnergyBreakdown:
-    """Per-step (psi, star, pairing) triples and the total energy."""
+    """Per-step (psi, star, pairing) triples and the total energy.
+
+    residuals and argmax keep, per step, the tilde-residual
+    R_k = D_k + Lambda(u_k) and the Legendre maximizer z*_k at -R_k, so the
+    gradient of the same trajectory needs no second pass.
+    """
 
     psi_terms: np.ndarray
     star_terms: np.ndarray
     pairing_terms: np.ndarray
     dt: float
     times: np.ndarray          # collocation times t_1..t_M
+    residuals: np.ndarray      # (M, n) rows R_k
+    argmax: np.ndarray         # (M, n) rows z*_k
 
     @property
     def total(self) -> float:
         return float(self.dt * np.sum(self.psi_terms + self.star_terms + self.pairing_terms))
 
 
-def _collocation_terms(problem: ProblemSpec, traj: Trajectory):
-    """Times, states and tilde-residuals D_k + Lambda(u_k) at the collocation points."""
-    traj.validate_initial(problem.triple)
-    derivs = time_derivative(problem.triple, traj)
-    times = traj.times[1:]
-    rtilde = np.empty_like(derivs)
-    for k in range(traj.steps):
-        try:
-            rtilde[k] = derivs[k] + problem.lambda_op(times[k], traj.states[k + 1])
-        except Exception as exc:
-            reraise_with_step(exc, k + 1)
-    return times, rtilde
-
-
 def energy_breakdown(problem: ProblemSpec, traj: Trajectory) -> EnergyBreakdown:
-    times, rtilde = _collocation_terms(problem, traj)
+    """All M per-step terms in one pass over the (M, n) stack of u_1..u_M."""
+    traj.validate_initial(problem.triple)
     lam = problem.lambda_flag
+    pot = problem.potential
+    times, states = traj.times[1:], traj.states[1:]
     m = traj.steps
-    psi_terms = np.zeros(m)
-    star_terms = np.empty(m)
-    pair_terms = np.zeros(m)
-    for k in range(m):
-        t, u = times[k], traj.states[k + 1]
-        try:
-            star_terms[k] = problem.potential.conjugate(t, -rtilde[k])
-            if lam:
-                psi_terms[k] = problem.potential.psi(t, lam * u)
-                pair_terms[k] = lam * pairing(u, rtilde[k])
-        except Exception as exc:
-            reraise_with_step(exc, k + 1)
-    return EnergyBreakdown(psi_terms, star_terms, pair_terms, traj.dt, times)
+    with named_steps():
+        rtilde = time_derivative(problem.triple, traj) + problem.lambda_op(times, states)
+        zstars = pot.conjugate_argmax(times, -rtilde)
+        star_terms = pot.conjugate_value(times, -rtilde, zstars)
+        if lam:
+            psi_terms = pot.psi(times, lam * states)
+            pair_terms = lam * np.einsum("ij,ij->i", states, rtilde)
+        else:
+            psi_terms = np.zeros(m)
+            pair_terms = np.zeros(m)
+    return EnergyBreakdown(psi_terms, star_terms, pair_terms, traj.dt, times, rtilde, zstars)
 
 
 def energy(problem: ProblemSpec, traj: Trajectory) -> float:
@@ -86,38 +81,33 @@ def energy(problem: ProblemSpec, traj: Trajectory) -> float:
     return energy_breakdown(problem, traj).total
 
 
-def energy_gradient(problem: ProblemSpec, traj: Trajectory) -> np.ndarray:
+def energy_gradient(problem: ProblemSpec, traj: Trajectory,
+                    breakdown: Optional[EnergyBreakdown] = None) -> np.ndarray:
     """Exact gradient of the energy with respect to the free states u_1..u_M.
 
     Uses the envelope theorem: the derivative of the conjugate term is the
     Legendre maximizer z*_k at -(D_k + Lambda(u_k)), so no numerical sup is
-    ever differentiated.  u_0 is data, not a decision variable.
+    ever differentiated.  u_0 is data, not a decision variable.  breakdown,
+    when given, must be energy_breakdown(problem, traj); its residuals and
+    maximizers are reused.
     """
-    times, rtilde = _collocation_terms(problem, traj)
-    tri = problem.triple
+    bd = energy_breakdown(problem, traj) if breakdown is None else breakdown
     lam = problem.lambda_flag
     dt = traj.dt
-    m = traj.steps
-    inc = tri.inclusion_matrix
-    zstars = np.empty((m, traj.dim))
-    for k in range(m):
-        try:
-            zstars[k] = problem.potential.conjugate_argmax(times[k], -rtilde[k])
-        except Exception as exc:
-            reraise_with_step(exc, k + 1)
-    grad = np.empty((m, traj.dim))
-    for k in range(m):
-        t, u = times[k], traj.states[k + 1]
-        g = -(inc @ zstars[k])
-        g += dt * problem.lambda_op.dlambda_adjoint(t, u, lam * u - zstars[k])
+    inc_t = problem.triple.inclusion_matrix.T
+    states = traj.states[1:]
+    zstars = bd.argmax
+    iz = zstars @ inc_t                        # row k: I z*_k
+    with named_steps():
+        grad = dt * problem.lambda_op.dlambda_adjoint(bd.times, states, lam * states - zstars)
         if lam:
-            g += dt * problem.potential.grad(t, lam * u)
-            g += dt * rtilde[k] + inc @ u
-        if k + 1 < m:
-            g += inc @ zstars[k + 1]
-            if lam:
-                g -= inc @ traj.states[k + 2]
-        grad[k] = g
+            grad += dt * problem.potential.grad(bd.times, lam * states)
+    grad -= iz
+    grad[:-1] += iz[1:]
+    if lam:
+        iu = states @ inc_t
+        grad += dt * bd.residuals + iu
+        grad[:-1] -= iu[1:]
     return grad
 
 
@@ -133,20 +123,15 @@ def energy_balance_audit(problem: ProblemSpec, traj: Trajectory) -> np.ndarray:
     """
     tri = problem.triple
     lam = problem.lambda_flag
-    times = traj.times
-    dt = traj.dt
+    times, states = traj.times[1:], traj.states[1:]
     h0 = 0.5 * tri.h_inner(traj.w0, traj.w0)
-    acc = 0.0
-    out = np.empty(traj.steps)
-    for k in range(1, traj.steps + 1):
-        t, u = times[k], traj.states[k]
-        diss = problem.lambda_op(t, u)
+    with named_steps():
+        diss = problem.lambda_op(times, states)
         if lam:
-            diss = diss + problem.potential.grad(t, lam * u)
-        acc += dt * pairing(u, diss)
-        tu = tri.apply_t(u)
-        out[k - 1] = 0.5 * tri.h_inner(tu, tu) + acc - h0
-    return out
+            diss = diss + problem.potential.grad(times, lam * states)
+    acc = np.cumsum(traj.dt * np.einsum("ij,ij->i", states, diss))
+    tu = states @ tri.t_map.T
+    return 0.5 * np.einsum("ij,ij->i", tu @ tri.mass, tu) + acc - h0
 
 
 def summation_by_parts_gap(triple: EvolutionTriple, traj: Trajectory) -> float:

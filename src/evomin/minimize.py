@@ -17,6 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .energy import energy_breakdown, energy_gradient
+from .operator import OperatorEvaluationError
+from .potential import ConjugateFailure
 from .problem import ProblemSpec
 from .trajectory import Trajectory, constant_trajectory, residual
 
@@ -90,9 +92,8 @@ def minimize(
 
     def f_and_g(z):
         t = unpack(z)
-        j = energy_breakdown(problem, t).total
-        g = energy_gradient(problem, t).ravel()
-        return j, g
+        bd = energy_breakdown(problem, t)
+        return bd.total, energy_gradient(problem, t, bd).ravel()
 
     z = traj.states[1:].ravel().copy()
     result = SolveResult(trajectory=traj)
@@ -146,9 +147,14 @@ def minimize(
         accepted = False
         for _ in range(opts.max_backtracks):
             z_new = z + alpha * direction
+            if not np.all(np.isfinite(z_new)):
+                alpha *= 0.5
+                continue
             try:
                 j_new, g_new = f_and_g(z_new)
-            except Exception:
+            except (ConjugateFailure, OperatorEvaluationError):
+                # the conjugate has no maximizer or the operator blew up at
+                # this trial point: a rejected trial, not an error
                 alpha *= 0.5
                 continue
             if j_new <= j + opts.armijo_c1 * alpha * dg:
@@ -243,11 +249,11 @@ def verify_equivalence(
 
     report: dict = {}
     for tag, traj in (("minimizer", result_traj), ("oracle", oracle_traj)):
-        j = energy_breakdown(problem, traj).total
-        g = energy_gradient(problem, traj)
+        bd = energy_breakdown(problem, traj)
+        g = energy_gradient(problem, traj, bd)
         r = residual(problem, traj)
         report[tag] = {
-            "J": j,
+            "J": bd.total,
             "grad_norm": float(np.max(np.abs(g))),
             "max_residual": float(np.max(np.abs(r))),
         }

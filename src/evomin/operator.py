@@ -31,7 +31,19 @@ RADIUS_RANGE = (1e-2, 1e2)
 
 
 class OperatorEvaluationError(RuntimeError):
-    """Operator returned a non-finite value (blow-up state)."""
+    """Operator returned a non-finite value (blow-up state).
+
+    row is the first failing row when the failure comes from a stacked call.
+    """
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
+
+
+def row_times(t, rows: int) -> np.ndarray:
+    """One time per row: a shared scalar time is broadcast over the rows."""
+    return np.broadcast_to(np.asarray(t, dtype=float), (rows,))
 
 
 @dataclass
@@ -44,6 +56,14 @@ class OperatorLambda:
                            column by column when missing
     jacobian            -> optional (t, x) -> dense matrix of DLambda_t(x)
     kind_tag            -- label used by reports only
+    stacked             -- True when eval and dderiv_adjoint also take a stack:
+                           times of shape (M,) and rows x, v of shape (M, dim),
+                           returning the (M, dim) rows of the single-state
+                           results
+
+    Calling the operator or its adjoint on an (M, dim) stack works for every
+    operator: a stacked one gets the whole stack in one call, any other one
+    is evaluated row by row here.
     """
 
     dim: int
@@ -52,12 +72,27 @@ class OperatorLambda:
     kind_tag: str = "custom"
     dderiv_adjoint: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    stacked: bool = False
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.eval(t, x), dtype=float)
-        if not np.all(np.isfinite(out)):
+    def __call__(self, t, x: np.ndarray) -> np.ndarray:
+        if np.ndim(x) != 2:
+            out = np.asarray(self.eval(t, x), dtype=float)
+            if not np.all(np.isfinite(out)):
+                raise OperatorEvaluationError(
+                    f"operator '{self.kind_tag}' returned a non-finite value at t={t}"
+                )
+            return out
+        ts = row_times(t, len(x))
+        if self.stacked:
+            out = self._rows_result(self.eval(ts, x), x)
+        else:
+            out = self._rows_result([self.eval(tk, xk) for tk, xk in zip(ts, x)], x)
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
             raise OperatorEvaluationError(
-                f"operator '{self.kind_tag}' returned a non-finite value at t={t}"
+                f"operator '{self.kind_tag}' returned a non-finite value at t={ts[row]}",
+                row=row,
             )
         return out
 
@@ -69,10 +104,25 @@ class OperatorLambda:
             )
         return out
 
-    def dlambda_adjoint(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def dlambda_adjoint(self, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if np.ndim(x) != 2:
+            return self._adjoint(t, x, v)
+        ts = row_times(t, len(x))
+        if self.stacked and self.dderiv_adjoint is not None:
+            return self._rows_result(self.dderiv_adjoint(ts, x, v), x)
+        return self._rows_result([self._adjoint(tk, xk, vk) for tk, xk, vk in zip(ts, x, v)], x)
+
+    def _adjoint(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.dderiv_adjoint is not None:
             return np.asarray(self.dderiv_adjoint(t, x, v), dtype=float)
         return self.jacobian_matrix(t, x).T @ v
+
+    def _rows_result(self, out, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        if out.shape != np.shape(x):
+            raise ValueError(f"operator '{self.kind_tag}' returned shape {out.shape} "
+                             f"for rows of shape {np.shape(x)}")
+        return out
 
     def jacobian_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.jacobian is not None:
@@ -84,27 +134,16 @@ class OperatorLambda:
         return cols
 
 
-def zero_operator(dim: int) -> OperatorLambda:
-    zero = np.zeros(dim)
-    return OperatorLambda(
-        dim=dim,
-        eval=lambda t, x: zero,
-        dderiv=lambda t, x, h: zero,
-        dderiv_adjoint=lambda t, x, v: zero,
-        jacobian=lambda t, x: np.zeros((dim, dim)),
-        kind_tag="linear",
-    )
-
-
 def linear_operator(matrix: np.ndarray, kind_tag: str = "linear") -> OperatorLambda:
     matrix = np.asarray(matrix, dtype=float)
     return OperatorLambda(
         dim=matrix.shape[0],
-        eval=lambda t, x: matrix @ x,
-        dderiv=lambda t, x, h: matrix @ h,
-        dderiv_adjoint=lambda t, x, v: matrix.T @ v,
+        eval=lambda t, x: x @ matrix.T,
+        dderiv=lambda t, x, h: h @ matrix.T,
+        dderiv_adjoint=lambda t, x, v: v @ matrix,
         jacobian=lambda t, x: matrix,
         kind_tag=kind_tag,
+        stacked=True,
     )
 
 

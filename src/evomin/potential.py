@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .operator import ConditionReport, map_samples, sample_states
+from .operator import ConditionReport, map_samples, row_times, sample_states
 from .triple import pairing
 
 __all__ = ["Potential", "ConjugateFailure", "check_growth"]
@@ -26,11 +26,15 @@ HESS_REGULARIZATION = 1e-14
 
 
 class ConjugateFailure(RuntimeError):
-    """Newton solve of DPsi(z) = y did not converge."""
+    """Newton solve of DPsi(z) = y did not converge.
 
-    def __init__(self, message: str, residual: float):
+    row is the first failing row when the failure comes from a stacked call.
+    """
+
+    def __init__(self, message: str, residual: float, row: Optional[int] = None):
         super().__init__(message)
         self.residual = residual
+        self.row = row
 
 
 class Potential:
@@ -38,6 +42,10 @@ class Potential:
 
     Construct through the classmethods: quadratic, pointwise_power,
     composed_power, custom.
+
+    psi, grad, conjugate and conjugate_argmax take one state or an (M, dim)
+    stack of rows; on a stack, t is one time per row (or one shared time)
+    and the rows are evaluated at once where the kind allows it.
     """
 
     def __init__(self, kind, dim, modulation=None, **params):
@@ -109,11 +117,21 @@ class Potential:
             raise ValueError(f"time modulation must be positive and finite, got {a} at t={t}")
         return a
 
-    def psi(self, t: float, x: np.ndarray) -> float:
+    def _a_rows(self, t, rows: int) -> np.ndarray:
+        """a(t_k) for each of `rows` rows, t one time per row or one shared time."""
+        if self.modulation is None:
+            return np.ones(rows)
+        return np.array([self._a(tk) for tk in row_times(t, rows)])
+
+    def psi(self, t, x: np.ndarray):
+        if np.ndim(x) == 2:
+            return self.psi_batch(t, x)
         x = self._vec(x)
         return self._a(t) * self._psi_base(x)
 
-    def grad(self, t: float, x: np.ndarray) -> np.ndarray:
+    def grad(self, t, x: np.ndarray) -> np.ndarray:
+        if np.ndim(x) == 2:
+            return self.grad_batch(t, x)
         x = self._vec(x)
         return self._a(t) * self._grad_base(x)
 
@@ -143,49 +161,59 @@ class Potential:
 
     # -- Legendre transform --------------------------------------------------
 
-    def conjugate(self, t: float, y: np.ndarray) -> float:
+    def conjugate(self, t, y: np.ndarray):
         """Psi*_t(y) = sup_z <z,y> - Psi_t(z)."""
-        y = self._vec(y)
-        a = self._a(t)
-        if self.kind == "quadratic":
-            return float(y @ cho_solve(self._chol, y)) / (2.0 * a)
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            qs = q / (q - 1.0)
-            return float(np.sum((a * w) ** (1.0 - qs) * np.abs(y) ** qs) / qs)
-        if self.kind == "composed_power" and self.params["q"] == 2.0:
-            if self._chol is None:
-                raise ConjugateFailure("composed quadratic has singular G^T G", np.inf)
-            return float(y @ cho_solve(self._chol, y)) / (2.0 * a)
-        z = self._newton_argmax(t, y)
-        return pairing(z, y) - self.psi(t, z)
+        return self.conjugate_value(t, y, self.conjugate_argmax(t, y))
 
-    def conjugate_argmax(self, t: float, y: np.ndarray) -> np.ndarray:
+    def conjugate_value(self, t, y: np.ndarray, z: np.ndarray):
+        """Psi*_t(y) from its maximizer z = DPsi*_t(y), without a second solve.
+
+        Closed forms where the kind has one (1/2 <z,y> for the quadratic
+        kinds, <z,y>/q* for powers), else <z,y> - Psi_t(z).  One value per
+        row on a stack.
+        """
+        pair = np.einsum("...i,...i->...", z, y)
+        if self.kind == "quadratic" or (self.kind == "composed_power"
+                                        and self.params["q"] == 2.0):
+            return 0.5 * pair
+        if self.kind == "pointwise_power":
+            q = self.params["q"]
+            return pair / (q / (q - 1.0))
+        return pair - self.psi(t, z)
+
+    def conjugate_argmax(self, t, y: np.ndarray) -> np.ndarray:
         """The maximizer z* with DPsi_t(z*) = y; equals DPsi*_t(y)."""
-        y = self._vec(y)
-        a = self._a(t)
+        rows = np.ndim(y) == 2
+        if rows:
+            y = self._mat(y)
+            a = self._a_rows(t, len(y))[:, None]
+        else:
+            y = self._vec(y)
+            a = self._a(t)
         if self.kind == "quadratic":
-            return cho_solve(self._chol, y) / a
+            return cho_solve(self._chol, y.T).T / a
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
             return np.sign(y) * (np.abs(y) / (a * w)) ** (1.0 / (q - 1.0))
         if self.kind == "composed_power" and self.params["q"] == 2.0:
             if self._chol is None:
-                raise ConjugateFailure("composed quadratic has singular G^T G", np.inf)
-            return cho_solve(self._chol, y) / a
-        return self._newton_argmax(t, y)
+                raise ConjugateFailure("composed quadratic has singular G^T G", np.inf, row=0)
+            return cho_solve(self._chol, y.T).T / a
+        if rows:
+            return self._newton_argmax_batch(t, y)
+        return self._newton_argmax_batch(t, y[None])[0]
 
     def duality_gap(self, t: float, x: np.ndarray, y: np.ndarray) -> float:
         """Psi_t(x) + Psi*_t(y) - <x,y>; nonnegative, zero iff y = DPsi_t(x)."""
         return self.psi(t, x) + self.conjugate(t, y) - pairing(self._vec(x), self._vec(y))
 
-    # -- batched evaluation (rows of states at a shared time) -------------------
+    # -- batched evaluation (rows of states, one time per row or a shared time) --
 
-    def psi_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
+    def psi_batch(self, t, xs: np.ndarray) -> np.ndarray:
         xs = self._mat(xs)
-        a = self._a(t)
+        a = self._a_rows(t, len(xs))
         if self.kind == "quadratic":
-            return 0.5 * a * np.einsum("ij,jk,ik->i", xs, self.params["matrix"], xs)
+            return 0.5 * a * np.einsum("ij,ij->i", xs @ self.params["matrix"], xs)
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
             return a * np.sum(w * np.abs(xs) ** q, axis=1) / q
@@ -193,119 +221,86 @@ class Potential:
             q = self.params["q"]
             gx = xs @ self.params["matrix"].T
             return a * self.params["scale"] * np.sum(np.abs(gx) ** q, axis=1) / q
-        return np.array([self.psi(t, x) for x in xs])
+        return a * np.array([self._psi_base(x) for x in xs])
 
-    def grad_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
+    def grad_batch(self, t, xs: np.ndarray) -> np.ndarray:
         xs = self._mat(xs)
-        a = self._a(t)
+        return self._grad_rows(self._a_rows(t, len(xs))[:, None], xs)
+
+    def _grad_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """a * DPsi_base on checked rows, a the column of per-row modulations."""
         if self.kind == "quadratic":
             return a * (xs @ self.params["matrix"].T)
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
-            return a * w * np.abs(xs) ** (q - 1.0) * np.sign(xs)
+            return a * (w * np.abs(xs) ** (q - 1.0) * np.sign(xs))
         if self.kind == "composed_power":
             q, g = self.params["q"], self.params["matrix"]
             gx = xs @ g.T
-            return a * self.params["scale"] * ((np.abs(gx) ** (q - 1.0) * np.sign(gx)) @ g)
-        return np.array([self.grad(t, x) for x in xs])
+            return a * (self.params["scale"] * ((np.abs(gx) ** (q - 1.0) * np.sign(gx)) @ g))
+        return a * np.array([self._grad_base(x) for x in xs])
 
-    def conjugate_batch(self, t: float, ys: np.ndarray) -> np.ndarray:
-        ys = self._mat(ys)
-        a = self._a(t)
-        if self.kind == "quadratic" or (self.kind == "composed_power"
-                                        and self.params["q"] == 2.0):
-            if self._chol is None:
-                raise ConjugateFailure("composed quadratic has singular G^T G", np.inf)
-            sols = cho_solve(self._chol, ys.T).T
-            return np.einsum("ij,ij->i", ys, sols) / (2.0 * a)
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            qs = q / (q - 1.0)
-            return np.sum((a * w) ** (1.0 - qs) * np.abs(ys) ** qs, axis=1) / qs
-        if self.kind == "composed_power":
-            zs = self._newton_argmax_batch(t, ys)
-            return np.einsum("ij,ij->i", zs, ys) - self.psi_batch(t, zs)
-        return np.array([self.conjugate(t, y) for y in ys])
+    def _newton_argmax_batch(self, t, ys: np.ndarray) -> np.ndarray:
+        """Damped Newton for DPsi_t(z) = y on all rows at once.
 
-    def _newton_argmax_batch(self, t: float, ys: np.ndarray) -> np.ndarray:
-        """Damped Newton on all rows at once (composed-power kind only)."""
-        a = self._a(t)
-        q, g = self.params["q"], self.params["matrix"]
-        scale = self.params["scale"]
+        Each row backtracks on its own until its residual decreases; a
+        failure names the first failing row.
+        """
+        ts = row_times(t, len(ys))
+        a = self._a_rows(ts, len(ys))[:, None]
         zs = ys.copy()
-        res = self.grad_batch(t, zs) - ys
+        res = self._grad_rows(a, zs) - ys
         rnorm = np.max(np.abs(res), axis=1)
         for _ in range(NEWTON_MAX_ITER):
-            active = rnorm >= NEWTON_TOL
-            if not active.any():
+            active = np.flatnonzero(rnorm >= NEWTON_TOL)
+            if not active.size:
                 return zs
-            za, ra = zs[active], res[active]
-            gz = za @ g.T
-            d = (q - 1.0) * np.abs(gz) ** (q - 2.0) + HESS_REGULARIZATION
-            hess = a * scale * np.einsum("mp,pi,pj->mij", d, g, g)
-            step = np.linalg.solve(hess, -ra[:, :, None])[:, :, 0]
-            alpha = np.ones(len(za))
+            za, ya, aa = zs[active], ys[active], a[active]
+            if self.kind == "composed_power":
+                q, g = self.params["q"], self.params["matrix"]
+                d = (q - 1.0) * np.abs(za @ g.T) ** (q - 2.0) + HESS_REGULARIZATION
+                hess = ((aa * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g
+            else:
+                hess = np.array([self.hess_matrix(tk, z) for tk, z in zip(ts[active], za)])
+            try:
+                step = np.linalg.solve(hess, -res[active][:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                raise ConjugateFailure("singular Hessian in conjugate Newton",
+                                       float(rnorm[active[0]]), row=int(active[0]))
+            alpha = np.ones(len(active))
             best = za.copy()
-            improved = np.zeros(len(za), dtype=bool)
             rbest = rnorm[active].copy()
+            improved = np.zeros(len(active), dtype=bool)
             for _ in range(NEWTON_MAX_HALVINGS):
                 trial = za + alpha[:, None] * step
-                rn = np.max(np.abs(self.grad_batch(t, trial) - ys[active]), axis=1)
-                gain = rn < rbest
+                rn = np.max(np.abs(self._grad_rows(aa, trial) - ya), axis=1)
+                gain = ~improved & (rn < rbest)
                 best[gain] = trial[gain]
                 rbest[gain] = rn[gain]
                 improved |= gain
                 if improved.all():
                     break
                 alpha[~improved] *= 0.5
-            if not improved.any():
+            else:
+                row = int(active[np.argmin(improved)])
                 raise ConjugateFailure("conjugate Newton line search stalled",
-                                       float(np.max(rbest)))
+                                       float(rnorm[row]), row=row)
             zs[active] = best
-            res[active] = self.grad_batch(t, best) - ys[active]
+            res[active] = self._grad_rows(aa, best) - ya
             rnorm[active] = np.max(np.abs(res[active]), axis=1)
         if np.max(rnorm) < NEWTON_TOL:
             return zs
+        row = int(np.argmax(rnorm >= NEWTON_TOL))
         raise ConjugateFailure(
             f"conjugate Newton did not reach {NEWTON_TOL} in {NEWTON_MAX_ITER} iterations",
-            float(np.max(rnorm)),
+            float(rnorm[row]), row=row,
         )
 
-    def duality_gap_batch(self, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def duality_gap_batch(self, t, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = self._mat(xs)
         ys = self._mat(ys)
-        return (self.psi_batch(t, xs) + self.conjugate_batch(t, ys)
+        return (self.psi_batch(t, xs) + self.conjugate(t, ys)
                 - np.einsum("ij,ij->i", xs, ys))
-
-    def _newton_argmax(self, t: float, y: np.ndarray) -> np.ndarray:
-        z = y.copy()
-        res = self.grad(t, z) - y
-        rnorm = float(np.max(np.abs(res)))
-        for _ in range(NEWTON_MAX_ITER):
-            if rnorm < NEWTON_TOL:
-                return z
-            hess = self.hess_matrix(t, z)
-            try:
-                step = np.linalg.solve(hess, -res)
-            except np.linalg.LinAlgError:
-                raise ConjugateFailure("singular Hessian in conjugate Newton", rnorm)
-            alpha = 1.0
-            for _ in range(NEWTON_MAX_HALVINGS):
-                z_new = z + alpha * step
-                res_new = self.grad(t, z_new) - y
-                rnorm_new = float(np.max(np.abs(res_new)))
-                if rnorm_new < rnorm:
-                    break
-                alpha *= 0.5
-            else:
-                raise ConjugateFailure("conjugate Newton line search stalled", rnorm)
-            z, res, rnorm = z_new, res_new, rnorm_new
-        if rnorm < NEWTON_TOL:
-            return z
-        raise ConjugateFailure(
-            f"conjugate Newton did not reach {NEWTON_TOL} in {NEWTON_MAX_ITER} iterations",
-            rnorm,
-        )
 
     # -- second derivative ----------------------------------------------------
 

@@ -10,6 +10,7 @@ set.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,23 @@ __all__ = [
 ]
 
 
-def reraise_with_step(exc: Exception, k: int):
-    """Attach the failing step index without losing the exception type."""
-    if isinstance(exc, ConjugateFailure):
-        raise ConjugateFailure(f"step {k}: {exc}", exc.residual) from exc
-    if isinstance(exc, OperatorEvaluationError):
-        raise OperatorEvaluationError(f"step {k}: {exc}") from exc
-    raise exc
+@contextmanager
+def named_steps():
+    """Name the first failing step of stacked calls on the rows u_1..u_M.
+
+    Row k of the stack is step k + 1; the exception type is kept.
+    """
+    try:
+        yield
+    except ConjugateFailure as exc:
+        if exc.row is None:
+            raise
+        raise ConjugateFailure(f"step {exc.row + 1}: {exc}", exc.residual) from exc
+    except OperatorEvaluationError as exc:
+        if exc.row is None:
+            raise
+        raise OperatorEvaluationError(f"step {exc.row + 1}: {exc}") from exc
+
 
 INITIAL_DATUM_TOL = 1e-12
 
@@ -103,20 +114,13 @@ def time_derivative(triple: EvolutionTriple, traj: Trajectory) -> np.ndarray:
 
 def residual(problem: ProblemSpec, traj: Trajectory) -> np.ndarray:
     """Per-step dual residuals r_k = D_k + Lambda_{t_k}(u_k) + DPsi_{t_k}(lam u_k)."""
-    derivs = time_derivative(problem.triple, traj)
     lam = problem.lambda_flag
-    times = traj.times
-    out = np.empty_like(derivs)
-    for k in range(1, traj.steps + 1):
-        t, u = times[k], traj.states[k]
-        try:
-            r = derivs[k - 1] + problem.lambda_op(t, u)
-            if lam:
-                r = r + problem.potential.grad(t, lam * u)
-        except Exception as exc:
-            reraise_with_step(exc, k)
-        out[k - 1] = r
-    return out
+    times, states = traj.times[1:], traj.states[1:]
+    with named_steps():
+        r = time_derivative(problem.triple, traj) + problem.lambda_op(times, states)
+        if lam:
+            r = r + problem.potential.grad(times, lam * states)
+    return r
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -233,6 +233,25 @@ def test_conjugate_failure_carries_step_index():
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("stacked", [True, False])
+def test_operator_failure_carries_step_index(stacked):
+    from evomin import OperatorLambda, Potential, ProblemSpec
+    from evomin.operator import OperatorEvaluationError
+    from evomin.triple import EvolutionTriple
+    # blows up on states above 1.5: only step 2 of the trajectory below
+    op = OperatorLambda(dim=1, eval=lambda t, x: np.where(x > 1.5, np.inf, x),
+                        dderiv=lambda t, x, h: h, dderiv_adjoint=lambda t, x, v: v,
+                        kind_tag="custom", stacked=stacked)
+    p = ProblemSpec(triple=EvolutionTriple(dim=1, mass=np.eye(1)),
+                    potential=Potential.quadratic(np.eye(1)), lambda_op=op, lambda_flag=1,
+                    horizon=(0.0, 1.0), initial=np.array([0.0]))
+    traj = Trajectory(np.array([[0.0], [1.0], [2.0], [3.0]]), 0.0, 1.0, np.zeros(1))
+    for evaluate in (energy, energy_gradient, residual, energy_balance_audit):
+        with pytest.raises(OperatorEvaluationError) as err:
+            evaluate(p, traj)
+        assert str(err.value).startswith("step 2:")
+
+
 def test_p_laplacian_energy_and_gradient(rng):
     # q = 4 potential: the conjugate inside the energy goes through Newton
     p = build_parabolic_divergence(6, q=4.0, t1=0.05)

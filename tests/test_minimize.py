@@ -146,3 +146,44 @@ def test_conjugate_failure_propagates_from_init():
     bad_init = Trajectory(np.array([[0.0], [5.0]]), 0.0, 1.0, np.zeros(1))
     with pytest.raises(ConjugateFailure):
         minimize(p, init=bad_init)
+
+
+def test_programming_error_in_a_trial_point_propagates():
+    # the start point (u = 1 everywhere) evaluates; every trial point moves a
+    # state and raises TypeError, which the line search must not swallow
+    from evomin import OperatorLambda
+
+    def eval_(t, x):
+        if np.any(x != 1.0):
+            raise TypeError("broken operator")
+        return x.copy()
+
+    p = scalar_problem()
+    op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
+                        dderiv_adjoint=lambda t, x, v: v.copy(), kind_tag="linear")
+    p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
+                horizon=p.horizon, initial=p.initial)
+    with pytest.raises(TypeError, match="broken operator"):
+        minimize(p, steps=3)
+
+
+def test_operator_blow_up_in_a_trial_point_is_a_rejected_trial():
+    # the first trial point blows up the operator: the line search halves the
+    # step and goes on instead of failing
+    from evomin import OperatorLambda
+
+    calls = []
+
+    def eval_(t, x):
+        calls.append(1)
+        return np.full_like(x, np.inf) if len(calls) == 2 else x.copy()
+
+    p = scalar_problem()
+    op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
+                        dderiv_adjoint=lambda t, x, v: v.copy(), kind_tag="linear",
+                        stacked=True)
+    p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
+                horizon=p.horizon, initial=p.initial)
+    res = minimize(p, steps=3)
+    assert res.converged
+    assert res.step_sizes[0] <= 0.5
