@@ -64,9 +64,6 @@ class PointwiseMap:
         return cls(lambda v: c * np.arctan(v), lambda v: c / (1.0 + v**2))
 
 
-_ZERO_MAP = PointwiseMap(lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
-
-
 # -- 1D grid pieces ---------------------------------------------------------
 #
 # The operators of the 1D families are written in row form, M @ x as
@@ -159,9 +156,6 @@ def build_parabolic_divergence(
         raise ValueError("need at least 3 interior points")
     if q < 2.0:
         raise ValueError("q must be >= 2")
-    theta = theta or _ZERO_MAP
-    xi = xi or _ZERO_MAP
-    gamma = gamma or _ZERO_MAP
     h, x_nodes = _grid(n)
     g_mat = _difference_matrix(n) / h
     avg = np.abs(_difference_matrix(n)) / 2.0        # node values -> cell midpoints
@@ -173,29 +167,50 @@ def build_parabolic_divergence(
     modulation = None if time_scale is None else (lambda t, c=time_scale: 1.0 + c * t)
     potential = Potential.composed_power(g_mat, q=q, scale=h, modulation=modulation)
 
+    # Absent terms are skipped, not evaluated as zeros: on heat, Lambda = 0.
     def lam_eval(t, x):
-        return h * (gamma.value(x @ g_mat.T) @ g_mat
-                    + xi.value(x @ avg.T) @ g_mat
-                    - theta.value(x))
+        out = np.zeros_like(x)
+        if gamma is not None:
+            out += gamma.value(x @ g_mat.T) @ g_mat
+        if xi is not None:
+            out += xi.value(x @ avg.T) @ g_mat
+        if theta is not None:
+            out -= theta.value(x)
+        return h * out
 
     def lam_dderiv(t, x, hh):
-        return h * ((gamma.deriv(x @ g_mat.T) * (hh @ g_mat.T)) @ g_mat
-                    + (xi.deriv(x @ avg.T) * (hh @ avg.T)) @ g_mat
-                    - theta.deriv(x) * hh)
+        out = np.zeros_like(hh)
+        if gamma is not None:
+            out += (gamma.deriv(x @ g_mat.T) * (hh @ g_mat.T)) @ g_mat
+        if xi is not None:
+            out += (xi.deriv(x @ avg.T) * (hh @ avg.T)) @ g_mat
+        if theta is not None:
+            out -= theta.deriv(x) * hh
+        return h * out
 
     def lam_adjoint(t, x, v):
-        gv = v @ g_mat.T
-        return h * ((gamma.deriv(x @ g_mat.T) * gv) @ g_mat
-                    + (xi.deriv(x @ avg.T) * gv) @ avg
-                    - theta.deriv(x) * v)
+        out = np.zeros_like(v)
+        if gamma is not None or xi is not None:
+            gv = v @ g_mat.T
+        if gamma is not None:
+            out += (gamma.deriv(x @ g_mat.T) * gv) @ g_mat
+        if xi is not None:
+            out += (xi.deriv(x @ avg.T) * gv) @ avg
+        if theta is not None:
+            out -= theta.deriv(x) * v
+        return h * out
 
     def lam_jac(t, x):
-        return h * (g_mat.T @ (gamma.deriv(g_mat @ x)[:, None] * g_mat)
-                    + g_mat.T @ (xi.deriv(avg @ x)[:, None] * avg)
-                    - np.diag(theta.deriv(x)))
+        jac = np.zeros((n, n))
+        if gamma is not None:
+            jac += g_mat.T @ (gamma.deriv(g_mat @ x)[:, None] * g_mat)
+        if xi is not None:
+            jac += g_mat.T @ (xi.deriv(avg @ x)[:, None] * avg)
+        if theta is not None:
+            jac -= np.diag(theta.deriv(x))
+        return h * jac
 
-    kind = "linear" if (theta is _ZERO_MAP and xi is _ZERO_MAP and gamma is _ZERO_MAP) \
-        else "quasilinear"
+    kind = "linear" if (theta is None and xi is None and gamma is None) else "quasilinear"
     lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
                             dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind,
                             stacked=True)
@@ -235,7 +250,6 @@ def build_parabolic_nondivergence(
     """
     if n < 3:
         raise ValueError("need at least 3 interior points for a 3-point Laplacian")
-    gamma = gamma or _ZERO_MAP
     h, x_nodes = _grid(n)
     g_mat = _difference_matrix(n) / h
     lap = -(g_mat.T @ g_mat)                      # 3-point Dirichlet Laplacian
@@ -249,36 +263,50 @@ def build_parabolic_nondivergence(
         xnorm=XNorm(kind="power", matrix=h ** (1.0 / q) * lap, q=q),
     )
     potential = Potential.composed_power(lap, q=q, scale=h)
-
-    if theta is None:
-        theta_fn = lambda s, v: np.zeros_like(v)
-        dth_s = lambda s, v: np.zeros_like(v)
-        dth_v = lambda s, v: np.zeros_like(v)
-    else:
-        theta_fn = theta
+    if theta is not None:
         dth_s, dth_v = theta_derivs
 
+    # Absent terms are skipped, not evaluated as zeros.
     def lam_eval(t, x):
-        return h * ((gamma.value(x @ lap.T) + theta_fn(x @ cen.T, x)) @ lap)
+        out = np.zeros_like(x)
+        if gamma is not None:
+            out += gamma.value(x @ lap.T)
+        if theta is not None:
+            out += theta(x @ cen.T, x)
+        return h * (out @ lap)
 
     def lam_dderiv(t, x, hh):
-        s = x @ cen.T
-        return h * ((gamma.deriv(x @ lap.T) * (hh @ lap.T)
-                     + dth_s(s, x) * (hh @ cen.T) + dth_v(s, x) * hh) @ lap)
+        out = np.zeros_like(hh)
+        if gamma is not None:
+            out += gamma.deriv(x @ lap.T) * (hh @ lap.T)
+        if theta is not None:
+            s = x @ cen.T
+            out += dth_s(s, x) * (hh @ cen.T)
+            out += dth_v(s, x) * hh
+        return h * (out @ lap)
 
     def lam_adjoint(t, x, v):
-        s = x @ cen.T
+        out = np.zeros_like(v)
         lv = v @ lap.T
-        return h * ((gamma.deriv(x @ lap.T) * lv) @ lap
-                    + (dth_s(s, x) * lv) @ cen + dth_v(s, x) * lv)
+        if gamma is not None:
+            out += (gamma.deriv(x @ lap.T) * lv) @ lap
+        if theta is not None:
+            s = x @ cen.T
+            out += (dth_s(s, x) * lv) @ cen
+            out += dth_v(s, x) * lv
+        return h * out
 
     def lam_jac(t, x):
-        s = cen @ x
-        return h * (lap.T @ (gamma.deriv(lap @ x)[:, None] * lap)
-                    + lap.T @ (dth_s(s, x)[:, None] * cen)
-                    + lap.T @ np.diag(dth_v(s, x)))
+        jac = np.zeros((n, n))
+        if gamma is not None:
+            jac += lap.T @ (gamma.deriv(lap @ x)[:, None] * lap)
+        if theta is not None:
+            s = cen @ x
+            jac += lap.T @ (dth_s(s, x)[:, None] * cen)
+            jac += lap.T @ np.diag(dth_v(s, x))
+        return h * jac
 
-    kind = "linear" if (gamma is _ZERO_MAP and theta is None) else "quasilinear"
+    kind = "linear" if (gamma is None and theta is None) else "quasilinear"
     lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
                             dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind,
                             stacked=True)

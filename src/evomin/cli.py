@@ -107,13 +107,6 @@ class RunConfig:
         directory = override or env or self.output.get("directory", "out")
         return Path(directory)
 
-    @property
-    def workers(self) -> int:
-        env = os.environ.get("EVOMIN_WORKERS")
-        if env is not None:
-            return max(1, int(env))
-        return max(1, int(self.output.get("workers", 1)))
-
 
 def build_problem(cfg: RunConfig):
     """Instantiate the configured ProblemSpec."""
@@ -297,19 +290,17 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
     samples = int(cfg.checks.get("samples", 1000))
     which = cfg.checks.get("run", ["growth", "monotonicity", "coercivity"])
     rng = np.random.default_rng(cfg.seed)
-    workers = cfg.workers
     reports = []
     for name in which:
         if name == "growth":
             q = problem.triple.xnorm.q if problem.triple.xnorm.kind == "power" else 2.0
             rep = check_growth(problem.potential, problem.triple, problem.horizon,
                                samples, c0=float(cfg.checks.get("c0", 10.0)),
-                               q=float(cfg.checks.get("q", q)), rng=rng, workers=workers)
+                               q=float(cfg.checks.get("q", q)), rng=rng)
         elif name == "monotonicity":
-            rep = check_monotonicity(problem, problem.lambda_flag, samples, rng=rng,
-                                     workers=workers)
+            rep = check_monotonicity(problem, problem.lambda_flag, samples, rng=rng)
         elif name == "coercivity":
-            rep = check_coercivity(problem, samples, rng=rng, workers=workers)
+            rep = check_coercivity(problem, samples, rng=rng)
         else:
             raise ConfigError(f"unknown check {name!r}")
         reports.append(rep)

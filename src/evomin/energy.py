@@ -130,8 +130,7 @@ def energy_balance_audit(problem: ProblemSpec, traj: Trajectory) -> np.ndarray:
         if lam:
             diss = diss + problem.potential.grad(times, lam * states)
     acc = np.cumsum(traj.dt * np.einsum("ij,ij->i", states, diss))
-    tu = states @ tri.t_map.T
-    return 0.5 * np.einsum("ij,ij->i", tu @ tri.mass, tu) + acc - h0
+    return 0.5 * tri.t_norm_sq(states) + acc - h0
 
 
 def summation_by_parts_gap(triple: EvolutionTriple, traj: Trajectory) -> float:

@@ -14,8 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .triple import pairing
-
 __all__ = [
     "OperatorLambda",
     "OperatorEvaluationError",
@@ -28,6 +26,12 @@ __all__ = [
 # Sampling: growth conditions live at large radii, so radii are drawn
 # log-uniformly over four decades instead of from a uniform box.
 RADIUS_RANGE = (1e-2, 1e2)
+
+# The checkers evaluate their samples in blocks of about this many entries
+# (rows x dim), one stacked call per layer and block.  One call on all
+# samples at once would hold every temporary of every layer for all of
+# them and raise the peak memory; blocks keep it at the per-sample level.
+CHECK_BLOCK_ENTRIES = 32768
 
 
 class OperatorEvaluationError(RuntimeError):
@@ -56,14 +60,14 @@ class OperatorLambda:
                            column by column when missing
     jacobian            -> optional (t, x) -> dense matrix of DLambda_t(x)
     kind_tag            -- label used by reports only
-    stacked             -- True when eval and dderiv_adjoint also take a stack:
-                           times of shape (M,) and rows x, v of shape (M, dim),
-                           returning the (M, dim) rows of the single-state
-                           results
+    stacked             -- True when eval, dderiv and dderiv_adjoint also take a
+                           stack: times of shape (M,) and rows x, h, v of shape
+                           (M, dim), returning the (M, dim) rows of the
+                           single-state results
 
-    Calling the operator or its adjoint on an (M, dim) stack works for every
-    operator: a stacked one gets the whole stack in one call, any other one
-    is evaluated row by row here.
+    Calling the operator, dlambda or dlambda_adjoint on an (M, dim) stack
+    works for every operator: a stacked one gets the whole stack in one call,
+    any other one is evaluated row by row here.
     """
 
     dim: int
@@ -75,32 +79,32 @@ class OperatorLambda:
     stacked: bool = False
 
     def __call__(self, t, x: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.eval, "", t, x)
+
+    def dlambda(self, t, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.dderiv, " derivative", t, x, h)
+
+    def _evaluate(self, fn, what: str, t, x: np.ndarray, *args) -> np.ndarray:
+        """fn(t, x, *args) on one state or an (M, dim) stack, checked finite row by row."""
         if np.ndim(x) != 2:
-            out = np.asarray(self.eval(t, x), dtype=float)
+            out = np.asarray(fn(t, x, *args), dtype=float)
             if not np.all(np.isfinite(out)):
                 raise OperatorEvaluationError(
-                    f"operator '{self.kind_tag}' returned a non-finite value at t={t}"
+                    f"operator '{self.kind_tag}'{what} returned a non-finite value at t={t}"
                 )
             return out
         ts = row_times(t, len(x))
         if self.stacked:
-            out = self._rows_result(self.eval(ts, x), x)
+            out = fn(ts, x, *args)
         else:
-            out = self._rows_result([self.eval(tk, xk) for tk, xk in zip(ts, x)], x)
+            out = [fn(tk, xk, *rest) for tk, xk, *rest in zip(ts, x, *args)]
+        out = self._rows_result(out, x)
         bad = ~np.isfinite(out).all(axis=1)
         if bad.any():
             row = int(np.argmax(bad))
             raise OperatorEvaluationError(
-                f"operator '{self.kind_tag}' returned a non-finite value at t={ts[row]}",
+                f"operator '{self.kind_tag}'{what} returned a non-finite value at t={ts[row]}",
                 row=row,
-            )
-        return out
-
-    def dlambda(self, t: float, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.dderiv(t, x, h), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise OperatorEvaluationError(
-                f"operator '{self.kind_tag}' derivative returned a non-finite value at t={t}"
             )
         return out
 
@@ -185,18 +189,10 @@ def sample_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     return r * xi
 
 
-def map_samples(fn, count: int, workers: int = 1) -> list:
-    """Evaluate fn(i) for i in range(count), optionally on a thread pool.
-
-    Samples are generated before dispatch and results are merged in index
-    order, so the outcome is identical at any worker count.
-    """
-    if workers <= 1 or count < 2:
-        return [fn(i) for i in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def sample_blocks(count: int, dim: int) -> list:
+    """Slices of range(count), each at most max(1, CHECK_BLOCK_ENTRIES // dim) rows long."""
+    size = max(1, CHECK_BLOCK_ENTRIES // dim)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _sample_times(rng: np.random.Generator, horizon: tuple[float, float], count: int) -> np.ndarray:
@@ -210,7 +206,6 @@ def check_monotonicity(
     samples: int,
     rng: Optional[np.random.Generator] = None,
     big: float = 1e6,
-    workers: int = 1,
 ) -> ConditionReport:
     """Sample the joint monotonicity condition on the potential and operator.
 
@@ -233,24 +228,24 @@ def check_monotonicity(
     hs = sample_states(rng, tri.dim, samples)
     ts = _sample_times(rng, problem.horizon, samples)
 
-    def one(i):
-        t, x, h = ts[i], xs[i], hs[i]
+    lhs, th2, xq = np.empty(samples), np.empty(samples), np.empty(samples)
+    for blk in sample_blocks(samples, tri.dim):
+        t, x, h = ts[blk], xs[blk], hs[blk]
         term = problem.lambda_op.dlambda(t, x, h)
         if lam:
             term = term + (
                 problem.potential.grad(t, lam * x + h) - problem.potential.grad(t, lam * x)
             )
-        lhs = pairing(h, term)
-        th2 = tri.h_inner(tri.apply_t(h), tri.apply_t(h))
-        return lhs, th2, tri.x_norm(x) ** q
+        lhs[blk] = np.einsum("ij,ij->i", h, term)
+        th2[blk] = tri.t_norm_sq(h)
+        xq[blk] = tri.x_norm(x) ** q
 
-    ghat = 0.0
-    for i, (lhs, th2, xq) in enumerate(map_samples(one, samples, workers)):
-        if lhs < -big * th2:
-            report.violations.append((ts[i], xs[i], hs[i], lhs, -big * th2))
-        elif lhs < 0.0 and th2 > 0.0:
-            ghat = max(ghat, -lhs / (th2 * (xq + 1.0)))
-    report.fitted_constants["ghat"] = ghat
+    bound = -big * th2
+    bad = lhs < bound
+    fit = ~bad & (lhs < 0.0) & (th2 > 0.0)
+    report.violations = [(ts[i], xs[i], hs[i], lhs[i], bound[i]) for i in np.flatnonzero(bad)]
+    report.fitted_constants["ghat"] = float(
+        np.max(-lhs[fit] / (th2[fit] * (xq[fit] + 1.0)), initial=0.0))
     report.fitted_constants["mu_hat"] = 1.0
     return report
 
@@ -261,7 +256,6 @@ def check_coercivity(
     rng: Optional[np.random.Generator] = None,
     safety: float = 10.0,
     alpha_floor: float = 1e-8,
-    workers: int = 1,
 ) -> ConditionReport:
     """Sample the positivity condition Psi + <x, Lambda x> >= a/Ctilde - mu*(...).
 
@@ -279,17 +273,14 @@ def check_coercivity(
     xs = sample_states(rng, tri.dim, samples)
     ts = _sample_times(rng, problem.horizon, samples)
 
-    def one(i):
-        t, x = ts[i], xs[i]
-        tx = tri.apply_t(x)
-        return (problem.potential.psi(t, x) + pairing(x, problem.lambda_op(t, x)),
-                tri.x_norm(x) ** q,
-                tri.h_inner(tx, tx) + 1.0)
+    lhs, a, b = np.empty(samples), np.empty(samples), np.empty(samples)
+    for blk in sample_blocks(samples, tri.dim):
+        t, x = ts[blk], xs[blk]
+        lhs[blk] = (problem.potential.psi(t, x)
+                    + np.einsum("ij,ij->i", x, problem.lambda_op(t, x)))
+        a[blk] = tri.x_norm(x) ** q
+        b[blk] = tri.t_norm_sq(x) + 1.0
 
-    rows = map_samples(one, samples, workers)
-    lhs = np.array([r[0] for r in rows])
-    a = np.array([r[1] for r in rows])
-    b = np.array([r[2] for r in rows])
     order = np.argsort(a)
     train = order[: max(1, samples // 2)]
     mu_hat = float(max(0.0, np.max(-lhs[train] / b[train])))
@@ -297,9 +288,10 @@ def check_coercivity(
     ratios = (lhs[train][good] + mu_hat * b[train][good]) / a[train][good]
     alpha_hat = float(max(0.0, np.min(ratios))) if ratios.size else 0.0
     bound = alpha_hat * a / safety - safety * mu_hat * b - 1e-12 * (1.0 + a + b)
-    for i in range(samples):
-        if lhs[i] < bound[i] or (alpha_hat <= alpha_floor and a[i] > np.median(a)):
-            report.violations.append((ts[i], xs[i], None, lhs[i], bound[i]))
+    bad = lhs < bound
+    if alpha_hat <= alpha_floor:
+        bad |= a > np.median(a)
+    report.violations = [(ts[i], xs[i], None, lhs[i], bound[i]) for i in np.flatnonzero(bad)]
     report.fitted_constants["alpha"] = alpha_hat
     report.fitted_constants["ctilde"] = (1.0 / alpha_hat) if alpha_hat > 0 else np.inf
     report.fitted_constants["mu_bar"] = mu_hat

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .operator import ConditionReport, map_samples, row_times, sample_states
+from .operator import ConditionReport, row_times, sample_blocks, sample_states
 from .triple import pairing
 
 __all__ = ["Potential", "ConjugateFailure", "check_growth"]
@@ -373,7 +373,6 @@ def check_growth(
     c0: float,
     q: float,
     rng: Optional[np.random.Generator] = None,
-    workers: int = 1,
 ) -> ConditionReport:
     """Sample the growth envelope of the potential against C0 and q.
 
@@ -390,25 +389,26 @@ def check_growth(
     xs = sample_states(rng, triple.dim, samples)
     ts = rng.uniform(horizon[0], horizon[1], size=samples)
 
-    def one(i):
-        t, x = ts[i], xs[i]
-        p = potential.psi(t, x)
-        nx = triple.x_norm(x)
-        gn = float(np.linalg.norm(potential.grad(t, x)))
-        return p, nx, gn
+    p, nx, gn = np.empty(samples), np.empty(samples), np.empty(samples)
+    for blk in sample_blocks(samples, triple.dim):
+        t, x = ts[blk], xs[blk]
+        p[blk] = potential.psi(t, x)
+        nx[blk] = triple.x_norm(x)
+        gn[blk] = np.linalg.norm(potential.grad(t, x), axis=1)
 
-    c_needed = 0.0
-    cbar = 0.0
-    for i, (p, nx, gn) in enumerate(map_samples(one, samples, workers)):
-        nxq = nx**q
-        upper = c0 * nxq + c0
-        if p > upper * (1.0 + 1e-12):
-            report.violations.append((ts[i], xs[i], None, p, upper))
-        # smallest C satisfying both (1/C)a - C <= p and p <= C a + C
-        c_low = 0.5 * (-p + np.sqrt(p * p + 4.0 * nxq))
-        c_up = p / (nxq + 1.0)
-        c_needed = max(c_needed, c_low, c_up)
-        cbar = max(cbar, gn / (nx ** (q - 1.0) + 1.0))
-    report.fitted_constants["c0_min"] = c_needed
-    report.fitted_constants["grad_bound"] = cbar
+    nxq = nx**q
+    upper = c0 * nxq + c0
+    bad = p > upper * (1.0 + 1e-12)
+    report.violations = [(ts[i], xs[i], None, p[i], upper[i]) for i in np.flatnonzero(bad)]
+    # smallest C satisfying both (1/C)a - C <= p and p <= C a + C; the root
+    # (-p + sqrt(p^2 + 4a)) / 2 is taken as 2a / (p + sqrt(p^2 + 4a)) for p > 0,
+    # which does not cancel at large p
+    root = np.sqrt(p * p + 4.0 * nxq)
+    c_low = 0.5 * (root - p)
+    pos = p > 0.0
+    c_low[pos] = 2.0 * nxq[pos] / (p[pos] + root[pos])
+    c_up = p / (nxq + 1.0)
+    report.fitted_constants["c0_min"] = float(np.max(np.maximum(c_low, c_up), initial=0.0))
+    report.fitted_constants["grad_bound"] = float(
+        np.max(gn / (nx ** (q - 1.0) + 1.0), initial=0.0))
     return report

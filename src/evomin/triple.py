@@ -137,18 +137,33 @@ class EvolutionTriple:
 
     # -- norms -------------------------------------------------------------
 
-    def x_norm(self, x: np.ndarray) -> float:
-        x = self._vec(x)
+    def x_norm(self, x: np.ndarray):
+        """||x||_X of one state, or one norm per row of an (M, dim) stack."""
+        x = self._vec_or_rows(x)
         if self.xnorm.kind == "euclidean":
-            return float(np.linalg.norm(x))
-        gx = self.xnorm.matrix @ x
-        q = self.xnorm.q
-        return float(np.sum(np.abs(gx) ** q) ** (1.0 / q))
+            out = np.linalg.norm(x, axis=-1)
+        else:
+            q = self.xnorm.q
+            out = np.sum(np.abs(x @ self.xnorm.matrix.T) ** q, axis=-1) ** (1.0 / q)
+        return float(out) if x.ndim == 1 else out
+
+    def t_norm_sq(self, x: np.ndarray):
+        """|T x|_H^2 of one state, or one value per row of an (M, dim) stack."""
+        tx = self._vec_or_rows(x) @ self.t_map.T
+        out = np.einsum("...i,...i->...", tx @ self.mass, tx)
+        return float(out) if tx.ndim == 1 else out
 
     def _vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got shape {v.shape}")
+        return v
+
+    def _vec_or_rows(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise ValueError(f"expected a vector or rows of length {self.dim}, "
+                             f"got shape {v.shape}")
         return v
 
 

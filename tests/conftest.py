@@ -8,7 +8,9 @@ from evomin import (
     ProblemSpec,
     Trajectory,
     XNorm,
+    pairing,
 )
+from evomin.operator import sample_states
 
 
 @pytest.fixture
@@ -72,3 +74,74 @@ def random_trajectory(problem, steps, rng, scale=0.5):
     states[1:] += scale * rng.standard_normal((steps, problem.dim))
     return Trajectory(states, problem.horizon[0], problem.horizon[1],
                       problem.initial.copy())
+
+
+# -- per-sample references for the hypothesis checkers ---------------------------
+#
+# Each draws the same samples in the same order as its checker and evaluates
+# them one at a time through the single-state calls.  Each returns the sample
+# times, the indices of the violating samples and the fitted constants.
+
+def reference_growth(potential, triple, horizon, samples, c0, q, rng):
+    xs = sample_states(rng, triple.dim, samples)
+    ts = rng.uniform(horizon[0], horizon[1], size=samples)
+    bad, c_needed, cbar = [], 0.0, 0.0
+    for i in range(samples):
+        t, x = ts[i], xs[i]
+        p = potential.psi(t, x)
+        nx = triple.x_norm(x)
+        gn = float(np.linalg.norm(potential.grad(t, x)))
+        nxq = nx**q
+        if p > (c0 * nxq + c0) * (1.0 + 1e-12):
+            bad.append(i)
+        root = np.sqrt(p * p + 4.0 * nxq)
+        c_low = 2.0 * nxq / (p + root) if p > 0.0 else 0.5 * (root - p)
+        c_needed = max(c_needed, c_low, p / (nxq + 1.0))
+        cbar = max(cbar, gn / (nx ** (q - 1.0) + 1.0))
+    return ts, bad, {"c0_min": c_needed, "grad_bound": cbar}
+
+
+def reference_monotonicity(problem, lambda_flag, samples, rng, big=1e6):
+    tri, lam = problem.triple, int(lambda_flag)
+    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+    xs = sample_states(rng, tri.dim, samples)
+    hs = sample_states(rng, tri.dim, samples)
+    ts = rng.uniform(problem.horizon[0], problem.horizon[1], size=samples)
+    bad, ghat = [], 0.0
+    for i in range(samples):
+        t, x, h = ts[i], xs[i], hs[i]
+        term = problem.lambda_op.dlambda(t, x, h)
+        if lam:
+            term = term + (problem.potential.grad(t, lam * x + h)
+                           - problem.potential.grad(t, lam * x))
+        lhs = pairing(h, term)
+        th2 = tri.h_inner(tri.apply_t(h), tri.apply_t(h))
+        if lhs < -big * th2:
+            bad.append(i)
+        elif lhs < 0.0 and th2 > 0.0:
+            ghat = max(ghat, -lhs / (th2 * (tri.x_norm(x) ** q + 1.0)))
+    return ts, bad, {"ghat": ghat, "mu_hat": 1.0}
+
+
+def reference_coercivity(problem, samples, rng, safety=10.0, alpha_floor=1e-8):
+    tri = problem.triple
+    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+    xs = sample_states(rng, tri.dim, samples)
+    ts = rng.uniform(problem.horizon[0], problem.horizon[1], size=samples)
+    lhs, a, b = np.empty(samples), np.empty(samples), np.empty(samples)
+    for i in range(samples):
+        t, x = ts[i], xs[i]
+        lhs[i] = problem.potential.psi(t, x) + pairing(x, problem.lambda_op(t, x))
+        a[i] = tri.x_norm(x) ** q
+        b[i] = tri.h_inner(tri.apply_t(x), tri.apply_t(x)) + 1.0
+    train = np.argsort(a)[: max(1, samples // 2)]
+    mu_hat = max(0.0, float(np.max(-lhs[train] / b[train])))
+    ratios = [(lhs[i] + mu_hat * b[i]) / a[i] for i in train if a[i] > 1e-300]
+    alpha_hat = max(0.0, min(ratios)) if ratios else 0.0
+    bad = []
+    for i in range(samples):
+        bound = alpha_hat * a[i] / safety - safety * mu_hat * b[i] - 1e-12 * (1.0 + a[i] + b[i])
+        if lhs[i] < bound or (alpha_hat <= alpha_floor and a[i] > np.median(a)):
+            bad.append(i)
+    return ts, bad, {"alpha": alpha_hat, "ctilde": 1.0 / alpha_hat if alpha_hat > 0 else np.inf,
+                 "mu_bar": mu_hat}

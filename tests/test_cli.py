@@ -217,3 +217,18 @@ def test_timing_flag_fills_runtime(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["runtime_ms"] > 0
+
+
+def test_check_reproducibility_byte_identical(tmp_path):
+    # the worker count that older configs carry is ignored
+    cfg = write_config(tmp_path, output={"timing": False, "workers": 4},
+                       checks={"run": ["growth", "monotonicity", "coercivity"],
+                               "samples": 2000})
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["check", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    first, second = ((out / "check.json").read_bytes() for out in outs)
+    assert first == second
+    report = json.loads(first)
+    jsonschema.validate(report, schema("check"))
+    assert [r["samples"] for r in report["reports"]] == [2000, 2000, 2000]

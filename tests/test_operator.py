@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import rotation_problem, scalar_problem
-from evomin import OperatorLambda, check_coercivity, check_monotonicity
+from conftest import reference_monotonicity, rotation_problem, scalar_problem
+from evomin import (
+    EvolutionTriple,
+    OperatorLambda,
+    Potential,
+    ProblemSpec,
+    check_coercivity,
+    check_monotonicity,
+)
 from evomin.applications import build_anticoercive_fixture, build_heat
 from evomin.operator import OperatorEvaluationError, linear_operator, sample_states
 from evomin.triple import pairing
@@ -155,9 +162,28 @@ def test_zero_samples_pass(rng):
     assert check_coercivity(p, 0, rng=rng).passed
 
 
-def test_checkers_deterministic_across_worker_counts():
-    p = build_heat(8)
-    rep1 = check_coercivity(p, 200, rng=np.random.default_rng(3), workers=1)
-    rep4 = check_coercivity(p, 200, rng=np.random.default_rng(3), workers=4)
-    assert rep1.fitted_constants == rep4.fitted_constants
-    assert len(rep1.violations) == len(rep4.violations)
+def _linear_problem(matrix):
+    """lambda_flag 0, identity geometry, Lambda = matrix."""
+    dim = len(matrix)
+    return ProblemSpec(triple=EvolutionTriple(dim=dim, mass=np.eye(dim)),
+                       potential=Potential.quadratic(np.eye(dim)),
+                       lambda_op=linear_operator(matrix), lambda_flag=0,
+                       horizon=(0.0, 1.0), initial=np.zeros(dim))
+
+
+def test_monotonicity_antimonotone_fixture_fails_on_every_sample(rng):
+    # Lambda = -c I with c = 1e7 above big = 1e6: lhs = -c |h|^2 < -big |T h|_H^2
+    p = _linear_problem(-1e7 * np.eye(3))
+    rep = check_monotonicity(p, 0, 250, rng=rng)
+    assert not rep.passed
+    assert len(rep.violations) == 250
+
+
+def test_monotonicity_mixed_fixture_violations_match_per_sample_reference():
+    # Lambda = -c e0 e0^T: a sample violates iff c h_0^2 > big |h|^2, i.e. h_0^2 > 0.1 |h|^2
+    p = _linear_problem(np.diag([-1e7, 0.0, 0.0]))
+    rep = check_monotonicity(p, 0, 400, rng=np.random.default_rng(11))
+    ts, bad, constants = reference_monotonicity(p, 0, 400, np.random.default_rng(11))
+    assert 0 < len(bad) < 400
+    assert [v[0] for v in rep.violations] == list(ts[bad])
+    assert rep.fitted_constants["ghat"] == pytest.approx(constants["ghat"], rel=1e-12)

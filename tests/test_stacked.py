@@ -2,14 +2,30 @@
 
 Every stacked call must reproduce, row by row, the single-state call at that
 row's time; the energy and its gradient must reproduce a per-step reference
-written here from the public single-state calls only.
+written here from the public single-state calls only, and the hypothesis
+checkers the per-sample references in conftest.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_trajectory
-from evomin import energy_balance_audit, energy_breakdown, energy_gradient, residual
+import evomin.operator as operator_module
+from conftest import (
+    random_trajectory,
+    reference_coercivity,
+    reference_growth,
+    reference_monotonicity,
+)
+from evomin import (
+    OperatorLambda,
+    check_coercivity,
+    check_growth,
+    check_monotonicity,
+    energy_balance_audit,
+    energy_breakdown,
+    energy_gradient,
+    residual,
+)
 from evomin.applications import (
     PointwiseMap,
     build_anticoercive_fixture,
@@ -22,6 +38,7 @@ from evomin.applications import (
     build_scalar_decay,
     build_schrodinger,
 )
+from evomin.operator import OperatorEvaluationError
 from evomin.trajectory import time_derivative
 
 ROWS = 5
@@ -30,6 +47,9 @@ RTOL = 1e-13
 
 def _theta(s, v):
     return 0.2 * np.sin(s) - 0.3 * v
+
+
+_THETA_DERIVS = (lambda s, v: 0.2 * np.cos(s), lambda s, v: np.full_like(v, -0.3))
 
 
 BUILDERS = {
@@ -43,9 +63,13 @@ BUILDERS = {
     "parabolic_divergence_q4_time_scale": lambda: build_parabolic_divergence(
         6, q=4.0, theta=PointwiseMap.linear(-0.7), xi=PointwiseMap.saturated_cubic(0.3),
         gamma=PointwiseMap.arctan(0.5), time_scale=2.0),
+    "parabolic_divergence_xi_only": lambda: build_parabolic_divergence(
+        8, xi=PointwiseMap.saturated_cubic(0.3)),
     "parabolic_nondivergence": lambda: build_parabolic_nondivergence(
         8, gamma=PointwiseMap.arctan(0.4), theta=_theta,
-        theta_derivs=(lambda s, v: 0.2 * np.cos(s), lambda s, v: np.full_like(v, -0.3))),
+        theta_derivs=_THETA_DERIVS),
+    "parabolic_nondivergence_theta_only": lambda: build_parabolic_nondivergence(
+        8, theta=_theta, theta_derivs=_THETA_DERIVS),
     "hyperbolic": lambda: build_hyperbolic(6, damping=0.3, nonlinearity=0.5),
     "schrodinger": lambda: build_schrodinger(6, couplings=(0.4, 0.2)),
     "navier_stokes_k8": lambda: build_navier_stokes_2d(8, initial="random", seed=1),
@@ -81,6 +105,132 @@ def test_stacked_calls_match_single_state_calls(name, rng):
                        [pot.conjugate_argmax(t, y) for t, _, _, y in single])
     _assert_rows_match(pot.conjugate(times, ys),
                        [pot.conjugate(t, y) for t, _, _, y in single])
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_stacked_dlambda_matches_single_state_calls(name, rng):
+    problem = BUILDERS[name]()
+    op = problem.lambda_op
+    times = np.sort(rng.uniform(*problem.horizon, ROWS))
+    xs = rng.standard_normal((ROWS, problem.dim))
+    hs = rng.standard_normal((ROWS, problem.dim))
+    _assert_rows_match(op.dlambda(times, xs, hs),
+                       [op.dlambda(t, x, h) for t, x, h in zip(times, xs, hs)])
+    _assert_rows_match(op.dlambda(times[0], xs, hs),
+                       [op.dlambda(times[0], x, h) for x, h in zip(xs, hs)])
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_derivative_callables_agree_with_jacobian(name, rng):
+    problem = BUILDERS[name]()
+    op = problem.lambda_op
+    t = problem.horizon[1] / 2
+    x, h, v = rng.standard_normal((3, problem.dim))
+    jac = op.jacobian_matrix(t, x)
+    dd = op.dlambda(t, x, h)
+    for got, want in ((dd, jac @ h), (op.dlambda_adjoint(t, x, v), jac.T @ v)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+    s = 1e-6
+    fd = (op(t, x + s * h) - op(t, x - s * h)) / (2 * s)
+    assert np.max(np.abs(fd - dd)) <= 1e-6 * max(np.max(np.abs(dd)), 1.0)
+
+
+def test_dlambda_loops_a_single_state_operator(rng):
+    mat = rng.standard_normal((3, 3))
+
+    def dderiv(t, x, h):
+        assert np.ndim(t) == 0 and np.ndim(x) == 1 and np.ndim(h) == 1
+        return (1.0 + t) * (mat @ h) + x * h
+
+    op = OperatorLambda(dim=3, eval=lambda t, x: mat @ x, dderiv=dderiv)
+    times = rng.uniform(0.0, 1.0, ROWS)
+    xs = rng.standard_normal((ROWS, 3))
+    hs = rng.standard_normal((ROWS, 3))
+    _assert_rows_match(op.dlambda(times, xs, hs),
+                       [dderiv(t, x, h) for t, x, h in zip(times, xs, hs)])
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_dlambda_names_the_first_nonfinite_row(stacked):
+    op = OperatorLambda(dim=2, eval=lambda t, x: x.copy(),
+                        dderiv=lambda t, x, h: np.where(x > 1.0, np.inf, 1.0) * h,
+                        stacked=stacked)
+    xs = np.zeros((ROWS, 2))
+    xs[3, 1] = xs[4, 0] = 2.0
+    with pytest.raises(OperatorEvaluationError, match="derivative") as err:
+        op.dlambda(np.linspace(0.0, 1.0, ROWS), xs, np.ones((ROWS, 2)))
+    assert err.value.row == 3
+    with pytest.raises(OperatorEvaluationError) as err:
+        op.dlambda(0.5, xs[3], np.ones(2))
+    assert err.value.row is None
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_row_norms_match_single_state_calls(name, rng):
+    tri = BUILDERS[name]().triple
+    xs = rng.standard_normal((ROWS, tri.dim))
+    _assert_rows_match(tri.x_norm(xs), [tri.x_norm(x) for x in xs])
+    _assert_rows_match(tri.t_norm_sq(xs),
+                       [tri.h_inner(tri.apply_t(x), tri.apply_t(x)) for x in xs])
+    assert tri.t_norm_sq(xs[0]) == pytest.approx(
+        tri.h_inner(tri.apply_t(xs[0]), tri.apply_t(xs[0])), rel=RTOL)
+
+
+ZERO_LAMBDA = {
+    "heat": lambda: build_heat(8),
+    "parabolic_nondivergence_linear": lambda: build_parabolic_nondivergence(8),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_LAMBDA))
+def test_absent_terms_give_exact_zeros(name, rng):
+    problem = ZERO_LAMBDA[name]()
+    op, n = problem.lambda_op, problem.dim
+    assert op.kind_tag == "linear"
+    times = rng.uniform(*problem.horizon, ROWS)
+    xs = rng.standard_normal((ROWS, n))
+    hs = rng.standard_normal((ROWS, n))
+    outs = [(op(times, xs), (ROWS, n)),
+            (op.dlambda(times, xs, hs), (ROWS, n)),
+            (op.dlambda_adjoint(times, xs, hs), (ROWS, n))]
+    for t, x, h in zip(times, xs, hs):
+        outs += [(op(t, x), (n,)), (op.dlambda(t, x, h), (n,)),
+                 (op.dlambda_adjoint(t, x, h), (n,)), (op.jacobian_matrix(t, x), (n, n))]
+    for out, shape in outs:
+        assert out.shape == shape
+        assert not np.any(out)
+
+
+CHECK_SAMPLES = 300
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_checkers_match_per_sample_reference(name, monkeypatch):
+    # small blocks, so every checker runs several of them and an uneven last one
+    monkeypatch.setattr(operator_module, "CHECK_BLOCK_ENTRIES", 400)
+    problem = BUILDERS[name]()
+    tri = problem.triple
+    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+
+    def rng():
+        return np.random.default_rng(7)
+
+    runs = (
+        (check_growth(problem.potential, tri, problem.horizon, CHECK_SAMPLES, c0=10.0, q=q,
+                      rng=rng()),
+         reference_growth(problem.potential, tri, problem.horizon, CHECK_SAMPLES, 10.0, q,
+                          rng())),
+        (check_monotonicity(problem, problem.lambda_flag, CHECK_SAMPLES, rng=rng()),
+         reference_monotonicity(problem, problem.lambda_flag, CHECK_SAMPLES, rng())),
+        (check_coercivity(problem, CHECK_SAMPLES, rng=rng()),
+         reference_coercivity(problem, CHECK_SAMPLES, rng())),
+    )
+    for rep, (ts, bad, constants) in runs:
+        assert [v[0] for v in rep.violations] == list(ts[bad]), rep.name
+        assert rep.fitted_constants.keys() == constants.keys()
+        for key, want in constants.items():
+            got = rep.fitted_constants[key]
+            assert got == want or abs(got - want) <= 1e-12 * abs(want), (rep.name, key)
 
 
 def test_shared_time_is_broadcast_over_rows(rng):
