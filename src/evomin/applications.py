@@ -528,6 +528,7 @@ class StreamFunctionBasis:
         self.mass_diag = np.concatenate([self.msq, self.msq]) * area / 2.0
         self.stiff_diag = np.concatenate([self.msq**2, self.msq**2]) * area / 2.0
         self._kernel_cache = None
+        self._last_fields = None
 
     # spectral plumbing ------------------------------------------------------
 
@@ -576,15 +577,30 @@ class StreamFunctionBasis:
         du2 = (self._field(-1j * self.wx * zx), self._field(-1j * self.wy * zx))
         return (u1, u2), (du1, du2)
 
+    def _state_fields(self, x: np.ndarray):
+        """_velocity_and_grad of a state, kept for the last state seen.
+
+        The oracle's Newton-Krylov step linearizes at the state whose
+        residual it has just evaluated, once per GMRES iteration; with this
+        one-entry memo each of those products transforms only h.  The key is
+        a copy of the state, so a state changed in place is a new state.
+        """
+        last = self._last_fields
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
+        fields = self._velocity_and_grad(x)
+        self._last_fields = (np.array(x, dtype=float), fields)
+        return fields
+
     def convection_dual(self, x: np.ndarray) -> np.ndarray:
         """Dual coefficients of (u . grad) u, dealiased exactly by padding."""
-        (u1, u2), (du1, du2) = self._velocity_and_grad(x)
+        (u1, u2), (du1, du2) = self._state_fields(x)
         w1 = u1 * du1[0] + u2 * du1[1]
         w2 = u1 * du2[0] + u2 * du2[1]
         return self.project_dual(w1, w2)
 
     def convection_dual_linearized(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        (u1, u2), (du1, du2) = self._velocity_and_grad(x)
+        (u1, u2), (du1, du2) = self._state_fields(x)
         (h1, h2), (dh1, dh2) = self._velocity_and_grad(h)
         w1 = u1 * dh1[0] + u2 * dh1[1] + h1 * du1[0] + h2 * du1[1]
         w2 = u1 * dh2[0] + u2 * dh2[1] + h1 * du2[0] + h2 * du2[1]
@@ -636,41 +652,6 @@ class StreamFunctionBasis:
         jac[self.nmodes:, : self.nmodes] = -da.imag
         jac[: self.nmodes, self.nmodes:] = db.real
         jac[self.nmodes:, self.nmodes:] = -db.imag
-        return jac
-
-    def convection_jacobian_fft(self, x: np.ndarray, chunk: int = 64) -> np.ndarray:
-        """FFT route to the same Jacobian, column batches; kept as a cross-check."""
-        (u1, u2), (du1, du2) = self._velocity_and_grad(x)
-        p = self.pad
-        area = (2.0 * np.pi) ** 2
-        jac = np.empty((self.dim, self.dim))
-        m1 = self.modes[:, 0]
-        m2 = self.modes[:, 1]
-        for start in range(0, self.dim, chunk):
-            cols = range(start, min(start + chunk, self.dim))
-            zs = np.zeros((len(cols), p, p), dtype=complex)
-            for row, j in enumerate(cols):
-                mode = j % self.nmodes
-                amp = 0.5 if j < self.nmodes else -0.5j
-                zs[row, self._ix[mode], self._iy[mode]] = amp
-                zs[row, self._ix_neg[mode], self._iy_neg[mode]] = np.conj(amp)
-            zx = 1j * self.wx * zs
-            zy = 1j * self.wy * zs
-            h1 = np.real(np.fft.ifft2(zy)) * p**2
-            h2 = np.real(np.fft.ifft2(-zx)) * p**2
-            dh1x = np.real(np.fft.ifft2(1j * self.wx * zy)) * p**2
-            dh1y = np.real(np.fft.ifft2(1j * self.wy * zy)) * p**2
-            dh2x = np.real(np.fft.ifft2(-1j * self.wx * zx)) * p**2
-            dh2y = np.real(np.fft.ifft2(-1j * self.wy * zx)) * p**2
-            w1 = u1 * dh1x + u2 * dh1y + h1 * du1[0] + h2 * du1[1]
-            w2 = u1 * dh2x + u2 * dh2y + h1 * du2[0] + h2 * du2[1]
-            f1 = np.fft.fft2(w1) / p**2
-            f2 = np.fft.fft2(w2) / p**2
-            sel1 = f1[:, self._ix, self._iy]
-            sel2 = f2[:, self._ix, self._iy]
-            a = area * (m2 * sel1.imag - m1 * sel2.imag)
-            b = area * (m2 * sel1.real - m1 * sel2.real)
-            jac[:, list(cols)] = np.concatenate([a, b], axis=1).T
         return jac
 
     def divergence_max(self, x: np.ndarray) -> float:

@@ -88,7 +88,10 @@ class EvolutionTriple:
         object.__setattr__(self, "mass", mass)
         t_map = self.t_map
         if t_map is None:
+            # the identity inclusion: I = mass exactly, without the two products
+            # (and T x = w is solved by x = w, see x_representative)
             t_map = np.eye(self.dim)
+            inclusion = mass
         else:
             t_map = np.asarray(t_map, dtype=float)
             if t_map.shape != (self.dim, self.dim):
@@ -96,8 +99,10 @@ class EvolutionTriple:
             s = np.linalg.svd(t_map, compute_uv=False)
             if s[-1] <= 1e-12 * max(1.0, s[0]):
                 raise ValueError("t_map must be injective")
+            inclusion = t_map.T @ mass @ t_map
+        object.__setattr__(self, "_identity_t", self.t_map is None)
         object.__setattr__(self, "t_map", t_map)
-        object.__setattr__(self, "_inclusion", np.ascontiguousarray(t_map.T @ mass @ t_map))
+        object.__setattr__(self, "_inclusion", np.ascontiguousarray(inclusion))
 
     # -- inner products and inclusions ------------------------------------
 
@@ -133,6 +138,8 @@ class EvolutionTriple:
 
     def x_representative(self, w: np.ndarray) -> np.ndarray:
         """Solve T x = w for the coefficient vector x."""
+        if self._identity_t:
+            return self._vec(w).copy()
         return np.linalg.solve(self.t_map, self._vec(w))
 
     # -- norms -------------------------------------------------------------

@@ -180,15 +180,66 @@ def test_ns_convection_skew_and_divergence_free(rng):
         assert basis.divergence_max(x) < 1e-10
 
 
+def convection_jacobian_fft(basis, x, chunk=64):
+    """FFT route to the convection Jacobian, one basis column per padded field."""
+    (u1, u2), (du1, du2) = basis._velocity_and_grad(x)
+    p = basis.pad
+    area = (2.0 * np.pi) ** 2
+    jac = np.empty((basis.dim, basis.dim))
+    m1 = basis.modes[:, 0]
+    m2 = basis.modes[:, 1]
+    for start in range(0, basis.dim, chunk):
+        cols = range(start, min(start + chunk, basis.dim))
+        zs = np.zeros((len(cols), p, p), dtype=complex)
+        for row, j in enumerate(cols):
+            mode = j % basis.nmodes
+            amp = 0.5 if j < basis.nmodes else -0.5j
+            zs[row, basis._ix[mode], basis._iy[mode]] = amp
+            zs[row, basis._ix_neg[mode], basis._iy_neg[mode]] = np.conj(amp)
+        zx = 1j * basis.wx * zs
+        zy = 1j * basis.wy * zs
+        h1 = np.real(np.fft.ifft2(zy)) * p**2
+        h2 = np.real(np.fft.ifft2(-zx)) * p**2
+        dh1x = np.real(np.fft.ifft2(1j * basis.wx * zy)) * p**2
+        dh1y = np.real(np.fft.ifft2(1j * basis.wy * zy)) * p**2
+        dh2x = np.real(np.fft.ifft2(-1j * basis.wx * zx)) * p**2
+        dh2y = np.real(np.fft.ifft2(-1j * basis.wy * zx)) * p**2
+        w1 = u1 * dh1x + u2 * dh1y + h1 * du1[0] + h2 * du1[1]
+        w2 = u1 * dh2x + u2 * dh2y + h1 * du2[0] + h2 * du2[1]
+        f1 = np.fft.fft2(w1) / p**2
+        f2 = np.fft.fft2(w2) / p**2
+        sel1 = f1[:, basis._ix, basis._iy]
+        sel2 = f2[:, basis._ix, basis._iy]
+        a = area * (m2 * sel1.imag - m1 * sel2.imag)
+        b = area * (m2 * sel1.real - m1 * sel2.real)
+        jac[:, list(cols)] = np.concatenate([a, b], axis=1).T
+    return jac
+
+
 def test_ns_jacobian_routes_agree(rng):
     basis = StreamFunctionBasis(8)
     x = rng.standard_normal(basis.dim)
     jk = basis.convection_jacobian(x)
-    jf = basis.convection_jacobian_fft(x)
+    jf = convection_jacobian_fft(basis, x)
     assert np.max(np.abs(jk - jf)) < 1e-9 * max(1.0, np.max(np.abs(jk)))
     h = rng.standard_normal(basis.dim)
     dd = basis.convection_dual_linearized(x, h)
     assert np.max(np.abs(jk @ h - dd)) < 1e-9 * max(1.0, np.max(np.abs(dd)))
+
+
+def test_ns_state_memo_follows_in_place_changes(rng):
+    basis = StreamFunctionBasis(8)
+    x, h = rng.standard_normal(basis.dim), rng.standard_normal(basis.dim)
+    first = basis.convection_dual_linearized(x, h)
+    assert np.array_equal(first, StreamFunctionBasis(8).convection_dual_linearized(x, h))
+    x[:5] += 1.0
+    for fresh in (StreamFunctionBasis(8), StreamFunctionBasis(8)):
+        assert np.array_equal(basis.convection_dual_linearized(x, h),
+                              fresh.convection_dual_linearized(x, h))
+        assert np.array_equal(basis.convection_dual(x), fresh.convection_dual(x))
+    assert not np.array_equal(basis.convection_dual_linearized(x, h), first)
+    x *= -2.0
+    assert np.array_equal(basis.convection_dual(x), StreamFunctionBasis(8).convection_dual(x))
 
 
 def test_ns_energy_decay_zero_forcing():

@@ -173,6 +173,20 @@ def test_reproducibility_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_navier_stokes_euler_byte_identical(tmp_path):
+    # the oracle's Newton-Krylov path (GMRES, the basis memo) is deterministic;
+    # k = 24 is 528 unknowns, above the oracle's KRYLOV_MIN_DIM
+    cfg = write_config(tmp_path,
+                       problem={"kind": "navier_stokes", "viscosity": 0.1, "initial": "random"},
+                       grid={"k": 24}, time={"t0": 0.0, "t1": 0.2, "steps": 2},
+                       solver={"method": "euler"}, output={"timing": False})
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    for name in ("trajectory.csv", "convergence.csv", "breakdown.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_out_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     target = tmp_path / "env_out"

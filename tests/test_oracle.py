@@ -11,9 +11,16 @@ from evomin import (
     energy,
     implicit_euler_solve,
     newton_solve_step,
+    oracle,
+    residual,
 )
-from evomin.applications import build_heat, build_hyperbolic, exact_heat_solution
-from evomin.oracle import StepFailure
+from evomin.applications import (
+    build_heat,
+    build_hyperbolic,
+    build_navier_stokes_2d,
+    exact_heat_solution,
+)
+from evomin.oracle import DEFAULT_NEWTON_TOL, StepFailure
 
 
 def test_scalar_decay_closed_form():
@@ -115,3 +122,131 @@ def test_oracle_csv_format():
     traj = implicit_euler_solve(p, 2)
     text = trajectory_to_csv(traj)
     assert text.splitlines()[0] == "t,x_0"
+
+
+# -- Newton-Krylov path (problems of KRYLOV_MIN_DIM unknowns and more) ------
+
+@pytest.fixture
+def krylov_everywhere(monkeypatch):
+    """Send every problem, however small, down the Newton-Krylov path."""
+    monkeypatch.setattr(oracle, "KRYLOV_MIN_DIM", 1)
+
+
+def _oracle_scale(p, traj):
+    """Per step, the term scale newton_solve_step measures its residual against."""
+    prev, times = traj.states[:-1], traj.times[1:]
+    iu_prev = prev @ p.triple.inclusion_matrix.T
+    terms = p.lambda_op(times, prev) + p.potential.grad(times, p.lambda_flag * prev)
+    return np.maximum(1.0, np.maximum(np.max(np.abs(iu_prev), axis=1) / traj.dt,
+                                      np.max(np.abs(terms), axis=1)))
+
+
+@pytest.mark.parametrize("k,seed", [(8, 3), (16, 4)])
+def test_krylov_path_matches_lu_path(k, seed, monkeypatch):
+    steps = 6
+    p = build_navier_stokes_2d(k, viscosity=0.1, initial="random", seed=seed, t1=0.6)
+    assert p.dim < oracle.KRYLOV_MIN_DIM
+    lu_count, krylov_count = {}, {}
+    lu = implicit_euler_solve(p, steps, counter=lu_count)
+    monkeypatch.setattr(oracle, "KRYLOV_MIN_DIM", 1)
+    krylov = implicit_euler_solve(p, steps, counter=krylov_count)
+    assert "krylov_iters" not in lu_count
+    assert krylov_count["krylov_iters"] > 0 and krylov_count["krylov_fallbacks"] == 0
+    # both solve every step to newton_tol relative; the gap can build up over the steps
+    scale = max(1.0, float(np.max(np.abs(lu.states))))
+    assert np.max(np.abs(krylov.states - lu.states)) < steps * DEFAULT_NEWTON_TOL * scale
+    for traj in (krylov, lu):
+        r = np.max(np.abs(residual(p, traj)), axis=1)
+        assert np.all(r < DEFAULT_NEWTON_TOL * _oracle_scale(p, traj))
+
+
+def test_krylov_iterations_counted_only_on_krylov_path():
+    large = build_navier_stokes_2d(24, initial="random", seed=1, t1=0.2)
+    assert large.dim >= oracle.KRYLOV_MIN_DIM
+    counter = {}
+    implicit_euler_solve(large, 2, counter=counter)
+    assert counter["krylov_iters"] > 0
+    assert len(counter["krylov_per_step"]) == 2
+    assert sum(counter["krylov_per_step"]) == counter["krylov_iters"]
+    assert counter["krylov_fallbacks"] == 0
+    assert all(n > 0 for n in counter["per_step"])
+    for small in (build_navier_stokes_2d(8, initial="random", seed=1, t1=0.3), build_heat(8)):
+        dense = {}
+        implicit_euler_solve(small, 3, counter=dense)
+        assert dense["newton_iters"] > 0
+        assert not any(key.startswith("krylov") for key in dense)
+
+
+def test_coupled_linear_part_keeps_the_lu_path(monkeypatch):
+    # heat couples neighbours in I + dt D^2Psi, so Jacobi cannot invert it:
+    # above the size threshold every step goes straight to the dense LU and
+    # gives the bits of the LU path
+    p = build_heat(oracle.KRYLOV_MIN_DIM)
+    counter = {}
+    traj = implicit_euler_solve(p, 2, counter=counter)
+    assert counter["krylov_iters"] == 0 and counter["krylov_fallbacks"] == 2
+    monkeypatch.setattr(oracle, "KRYLOV_MIN_DIM", p.dim + 1)
+    assert np.array_equal(traj.states, implicit_euler_solve(p, 2).states)
+
+
+def test_krylov_path_falls_back_to_lu_on_stiff_operator():
+    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian and no Jacobian:
+    # Jacobi-preconditioned GMRES(30) cannot reach the forcing term at this
+    # stiffness, and the dense LU solves the linear step in one iteration
+    n = oracle.KRYLOV_MIN_DIM
+    lap = (n + 1) ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    tri = EvolutionTriple(dim=n, mass=np.eye(n))
+    op = OperatorLambda(dim=n, eval=lambda t, x: lap @ x, dderiv=lambda t, x, h: lap @ h,
+                        kind_tag="linear")
+    x = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(n)), lambda_op=op,
+                    lambda_flag=0, horizon=(0.0, 1.0), initial=np.sin(np.pi * x) + x)
+    counter = {}
+    u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
+    assert counter["krylov_fallbacks"] == 1
+    assert counter["krylov_iters"] == oracle.KRYLOV_RESTART * oracle.KRYLOV_MAXITER
+    assert counter["newton_iters"] == 1
+    exact = np.linalg.solve(np.eye(n) + lap, p.initial)
+    assert np.max(np.abs(u - exact)) < 1e-10 * np.max(np.abs(exact))
+
+
+def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
+    # dderiv is the negated derivative of Lambda = 3 x: the GMRES direction
+    # points uphill, so the damped line search must give up
+    tri = EvolutionTriple(dim=4, mass=np.eye(4))
+    op = OperatorLambda(dim=4, eval=lambda t, x: 3.0 * x,
+                        dderiv=lambda t, x, h: -3.0 * h, kind_tag="custom")
+    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(4)), lambda_op=op,
+                    lambda_flag=0, horizon=(0.0, 1.0), initial=np.array([1.0, -2.0, 0.5, 3.0]))
+    with pytest.raises(StepFailure, match="line search stalled") as err:
+        implicit_euler_solve(p, 1)
+    assert err.value.step == 1
+
+
+def test_krylov_path_solves_custom_operator(krylov_everywhere):
+    # u + dt (u^3 + u) = u_prev componentwise
+    tri = EvolutionTriple(dim=3, mass=np.eye(3))
+    op = OperatorLambda(dim=3, eval=lambda t, x: x**3,
+                        dderiv=lambda t, x, h: 3 * x**2 * h, kind_tag="semilinear")
+    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(3)), lambda_op=op,
+                    lambda_flag=1, horizon=(0.0, 0.5), initial=np.array([1.0, -0.5, 2.0]))
+    counter = {}
+    u = newton_solve_step(p, p.initial, t=0.5, dt=0.5, counter=counter)
+    # certificate: |F|_inf < dt * newton_tol * scale, scale = |u_prev^3 + u_prev|_inf = 10
+    assert np.max(np.abs(u + 0.5 * (u**3 + u) - p.initial)) < 0.5 * DEFAULT_NEWTON_TOL * 10.0
+    assert counter["krylov_iters"] > 0 and counter["krylov_fallbacks"] == 0
+
+
+def test_krylov_path_zero_preconditioner_diagonal(krylov_everywhere):
+    # a concave Psi with dt D^2Psi = -I zeroes the diagonal of I + dt D^2Psi;
+    # the step (1 + 3 dt - dt) u = u_prev is still solvable, as on the LU path
+    tri = EvolutionTriple(dim=2, mass=np.eye(2))
+    op = OperatorLambda(dim=2, eval=lambda t, x: 3.0 * x, dderiv=lambda t, x, h: 3.0 * h)
+    pot = Potential.custom(psi=lambda x: -0.5 * x @ x, grad=lambda x: -x, dim=2,
+                           hess_action=lambda x, h: -h)
+    p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=1,
+                    horizon=(0.0, 1.0), initial=np.array([1.0, -2.0]))
+    counter = {}
+    u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
+    assert np.max(np.abs(u - p.initial / 3.0)) < 1e-12
+    assert counter["krylov_iters"] > 0

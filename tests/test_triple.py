@@ -99,3 +99,23 @@ def test_x_representative_inverts_t(rng):
     tri = EvolutionTriple(dim=n, mass=np.eye(n), t_map=t_map)
     w = rng.standard_normal(n)
     assert np.allclose(tri.apply_t(tri.x_representative(w)), w)
+
+
+def test_omitted_t_map_is_bit_identical_to_identity(rng):
+    # an omitted t_map skips the dense products and solve; the results must be
+    # the bits an explicit identity inclusion gives
+    n = 12
+    a = rng.standard_normal((n, n))
+    for mass in (a @ a.T + n * np.eye(n), np.diag(rng.uniform(1.0, 50.0, n)), 0.1 * np.eye(n)):
+        tri = EvolutionTriple(dim=n, mass=mass)
+        explicit = EvolutionTriple(dim=n, mass=mass, t_map=np.eye(n))
+        assert np.array_equal(tri.inclusion_matrix, explicit.inclusion_matrix)
+        assert np.array_equal(tri.t_map, np.eye(n))
+        for _ in range(20):
+            x = rng.standard_normal(n)
+            assert np.array_equal(tri.inclusion_matrix @ x, tri.apply_i(x))
+            assert np.array_equal(tri.x_representative(x), explicit.x_representative(x))
+        w = rng.standard_normal(n)
+        u = tri.x_representative(w)
+        u[0] += 1.0
+        assert w[0] != u[0]
