@@ -54,7 +54,7 @@ class PointwiseMap:
     def saturated_cubic(cls, c: float) -> "PointwiseMap":
         """c * v^3 / (1 + v^2): cubic near zero, globally Lipschitz."""
         return cls(
-            lambda v: c * v**3 / (1.0 + v**2),
+            lambda v: c * (v * v * v) / (1.0 + v**2),
             lambda v: c * v**2 * (3.0 + v**2) / (1.0 + v**2) ** 2,
         )
 
@@ -501,6 +501,13 @@ class StreamFunctionBasis:
     vanishes by construction; quadratic products are evaluated on a 2k
     zero-padded grid, which makes the projected convection an exact
     Galerkin convolution and its pairing against the state exactly zero.
+
+    The fields are real, so the transforms use the half spectrum m2 >= 0 of
+    the padded grid: a (2k, k + 1) array per field, holding every resolved
+    mode (all have m2 >= 0) plus, on the m2 = 0 column, the conjugate
+    partners (-m1, 0) that make that column Hermitian.  The six fields of
+    velocity and velocity gradient come from one stacked irfft2, and the
+    two dual projections from one stacked rfft2.
     """
 
     def __init__(self, k: int):
@@ -518,12 +525,12 @@ class StreamFunctionBasis:
         self.pad = 2 * k
         p = self.pad
         self._ix = np.mod(self.modes[:, 0], p)
-        self._iy = np.mod(self.modes[:, 1], p)
-        self._ix_neg = np.mod(-self.modes[:, 0], p)
-        self._iy_neg = np.mod(-self.modes[:, 1], p)
-        wave = np.fft.fftfreq(p, d=1.0 / p)
-        self.wx = wave[:, None]                            # m1 varies along axis 0
-        self.wy = wave[None, :]
+        self._iy = self.modes[:, 1]                        # m2 >= 0: inside the half spectrum
+        # the modes (m1, 0), m1 >= 1, and the rows of their partners (-m1, 0)
+        self._m2_zero = np.flatnonzero(self.modes[:, 1] == 0)
+        self._ix_conj = np.mod(-self.modes[self._m2_zero, 0], p)
+        self.wx = np.fft.fftfreq(p, d=1.0 / p)[:, None]    # m1 varies along axis 0
+        self.wy = np.fft.rfftfreq(p, d=1.0 / p)[None, :]
         area = (2.0 * np.pi) ** 2
         self.mass_diag = np.concatenate([self.msq, self.msq]) * area / 2.0
         self.stiff_diag = np.concatenate([self.msq**2, self.msq**2]) * area / 2.0
@@ -533,22 +540,21 @@ class StreamFunctionBasis:
     # spectral plumbing ------------------------------------------------------
 
     def _spectral(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients -> complex stream spectrum on the padded lattice."""
+        """Coefficients -> half stream spectrum (m2 >= 0) on the padded lattice."""
         c = 0.5 * (x[: self.nmodes] - 1j * x[self.nmodes:])
-        z = np.zeros((self.pad, self.pad), dtype=complex)
+        z = np.zeros((self.pad, self.pad // 2 + 1), dtype=complex)
         z[self._ix, self._iy] = c
-        z[self._ix_neg, self._iy_neg] = np.conj(c)
+        z[self._ix_conj, 0] = np.conj(c[self._m2_zero])
         return z
 
     def _field(self, z: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft2(z)) * (self.pad**2)
+        """Real fields on the padded grid from half spectra, stacked on leading axes."""
+        return np.fft.irfft2(z, s=(self.pad, self.pad), norm="forward")
 
     def velocity(self, x: np.ndarray, grid: Optional[int] = None) -> np.ndarray:
         """Velocity components on the padded (or a given) grid."""
         z = self._spectral(x)
-        u1 = self._field(1j * self.wy * z)
-        u2 = self._field(-1j * self.wx * z)
-        vel = np.stack([u1, u2])
+        vel = self._field(np.stack([1j * self.wy * z, -1j * self.wx * z]))
         if grid is not None and grid != self.pad:
             step = self.pad // grid
             if step * grid != self.pad:
@@ -556,26 +562,27 @@ class StreamFunctionBasis:
             vel = vel[:, ::step, ::step]
         return vel
 
-    def project_dual(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """Dual coefficients of a velocity field: integrals against basis fields."""
+    def project_dual(self, w: np.ndarray) -> np.ndarray:
+        """Dual coefficients of a velocity field w, stacked (2, pad, pad):
+        integrals against basis fields."""
         area = (2.0 * np.pi) ** 2
-        f1 = np.fft.fft2(w1) / (self.pad**2)
-        f2 = np.fft.fft2(w2) / (self.pad**2)
+        f = np.fft.rfft2(w, norm="forward")[:, self._ix, self._iy]
         m1 = self.modes[:, 0]
         m2 = self.modes[:, 1]
-        a = area * (m2 * f1[self._ix, self._iy].imag - m1 * f2[self._ix, self._iy].imag)
-        b = area * (m2 * f1[self._ix, self._iy].real - m1 * f2[self._ix, self._iy].real)
+        a = area * (m2 * f[0].imag - m1 * f[1].imag)
+        b = area * (m2 * f[0].real - m1 * f[1].real)
         return np.concatenate([a, b])
 
     def _velocity_and_grad(self, x: np.ndarray):
+        """Velocity u, stacked (2, pad, pad), and its gradient g with
+        g[i, j] = d u_i / d x_j, stacked (2, 2, pad, pad)."""
         z = self._spectral(x)
         zx = 1j * self.wx * z
         zy = 1j * self.wy * z
-        u1 = self._field(zy)
-        u2 = self._field(-zx)
-        du1 = (self._field(1j * self.wx * zy), self._field(1j * self.wy * zy))
-        du2 = (self._field(-1j * self.wx * zx), self._field(-1j * self.wy * zx))
-        return (u1, u2), (du1, du2)
+        f = self._field(np.stack([zy, -zx,
+                                  1j * self.wx * zy, 1j * self.wy * zy,
+                                  -1j * self.wx * zx, -1j * self.wy * zx]))
+        return f[:2], f[2:].reshape(2, 2, self.pad, self.pad)
 
     def _state_fields(self, x: np.ndarray):
         """_velocity_and_grad of a state, kept for the last state seen.
@@ -594,17 +601,14 @@ class StreamFunctionBasis:
 
     def convection_dual(self, x: np.ndarray) -> np.ndarray:
         """Dual coefficients of (u . grad) u, dealiased exactly by padding."""
-        (u1, u2), (du1, du2) = self._state_fields(x)
-        w1 = u1 * du1[0] + u2 * du1[1]
-        w2 = u1 * du2[0] + u2 * du2[1]
-        return self.project_dual(w1, w2)
+        u, du = self._state_fields(x)
+        return self.project_dual(u[0] * du[:, 0] + u[1] * du[:, 1])
 
     def convection_dual_linearized(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        (u1, u2), (du1, du2) = self._state_fields(x)
-        (h1, h2), (dh1, dh2) = self._velocity_and_grad(h)
-        w1 = u1 * dh1[0] + u2 * dh1[1] + h1 * du1[0] + h2 * du1[1]
-        w2 = u1 * dh2[0] + u2 * dh2[1] + h1 * du2[0] + h2 * du2[1]
-        return self.project_dual(w1, w2)
+        u, du = self._state_fields(x)
+        v, dv = self._velocity_and_grad(h)
+        return self.project_dual(u[0] * dv[:, 0] + u[1] * dv[:, 1]
+                                 + v[0] * du[:, 0] + v[1] * du[:, 1])
 
     def convection_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Dense Jacobian of the projected convection via its spectral kernel.
@@ -726,7 +730,7 @@ def build_navier_stokes_2d(
             spec_p = np.zeros((basis.pad, basis.pad), dtype=complex)
             spec_p[np.ix_(sel_p, sel_p)] = spec_k[np.ix_(sel_k, sel_k)]
             w.append(np.real(np.fft.ifft2(spec_p)) * basis.pad**2)
-        f_dual = basis.project_dual(w[0], w[1])
+        f_dual = basis.project_dual(np.stack(w))
     else:
         f_dual = np.zeros(n)
 

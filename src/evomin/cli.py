@@ -6,8 +6,8 @@ under evomin/schemas for the emitted artifacts.  With timing disabled
 (the default) a fixed config and seed reproduce every output file byte
 for byte.
 
-Exit codes: 0 converged / all checks clean, 2 non-convergence or check
-violations, 1 configuration errors.
+Exit codes: 0 converged / all checks clean, 2 non-convergence, check
+violations or a numerical failure during the run, 1 configuration errors.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from . import applications as apps
 from .continuation import continuation_solve, continuation_to_csv, default_schedule
 from .energy import breakdown_to_csv, energy_balance_audit, energy_breakdown
 from .minimize import MinimizeOptions, minimize, trace_to_csv, verify_equivalence
-from .operator import check_coercivity, check_monotonicity
+from .operator import OperatorEvaluationError, check_coercivity, check_monotonicity
 from .oracle import StepFailure, implicit_euler_solve
-from .potential import Potential, check_growth
+from .potential import ConjugateFailure, Potential, check_growth
 from .trajectory import residual, trajectory_to_csv
 
 PROBLEM_KINDS = (
@@ -37,6 +37,15 @@ PROBLEM_KINDS = (
     "schrodinger", "navier_stokes", "scalar_decay", "anticoercive_fixture",
     "heat_core",
 )
+
+
+# options that the commands read as numbers, checked here so that a bad value
+# is a config error and not a failure in the middle of a run
+NUMERIC_OPTIONS = {
+    "solver": ("j_tol", "g_tol", "newton_tol", "max_iterations"),
+    "compare": ("j_tol", "g_tol", "state_tol", "residual_tol", "perturb"),
+    "checks": ("samples", "c0", "q"),
+}
 
 
 class ConfigError(Exception):
@@ -88,11 +97,24 @@ class RunConfig:
         method = self.solver.get("method", "ben")
         if method not in ("ben", "euler", "continuation"):
             raise ConfigError(f"solver.method must be ben|euler|continuation, got {method!r}")
-        for key in ("j_tol", "g_tol", "newton_tol"):
-            if key in self.solver and not (float(self.solver[key]) > 0):
-                raise ConfigError(f"solver.{key} must be positive")
+        for name, keys in NUMERIC_OPTIONS.items():
+            section = getattr(self, name)
+            for key in keys:
+                if key not in section:
+                    continue
+                try:
+                    value = float(section[key])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{name}.{key} must be a number, "
+                                      f"got {section[key]!r}") from None
+                if name == "solver" and key != "max_iterations" and not value > 0:
+                    raise ConfigError(f"solver.{key} must be positive")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
+        oracle_steps = self.compare.get("oracle_steps", steps)
+        if oracle_steps != steps:
+            raise ConfigError(f"compare.oracle_steps ({oracle_steps!r}) must equal "
+                              f"time.steps ({steps}): both solves run on one grid")
 
     @property
     def steps(self) -> int:
@@ -109,7 +131,14 @@ class RunConfig:
 
 
 def build_problem(cfg: RunConfig):
-    """Instantiate the configured ProblemSpec."""
+    """Instantiate the configured ProblemSpec; a builder's ValueError is a ConfigError."""
+    try:
+        return _build(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build(cfg: RunConfig):
     kind = cfg.problem["kind"]
     n = int(cfg.grid.get("n", 32))
     k = int(cfg.grid.get("k", 16))
@@ -260,8 +289,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
         require_gradient=True,
     )
     res = minimize(problem, steps=cfg.steps, opts=opts)
-    oracle_steps = int(cfg.compare.get("oracle_steps", cfg.steps))
-    oracle = implicit_euler_solve(problem, oracle_steps,
+    oracle = implicit_euler_solve(problem, cfg.steps,
                                   newton_tol=float(cfg.solver.get("newton_tol", 1e-12)))
     perturb = float(cfg.compare.get("perturb", 0.0))
     if perturb:
@@ -382,9 +410,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        out_dir = cfg.out_dir(args.out)
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    if args.seed is not None:
+        cfg.seed = args.seed
+    out_dir = cfg.out_dir(args.out)
+    try:
         if args.command == "solve":
             return cmd_solve(cfg, out_dir)
         if args.command == "compare":
@@ -392,9 +424,14 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, out_dir)
         return cmd_convergence(cfg, out_dir, args.refinements)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, StepFailure, ConjugateFailure, OperatorEvaluationError) as exc:
+        # a failure of the run itself: the config parsed, and build_problem
+        # turns its own ValueErrors into ConfigError
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,8 +56,14 @@ class EnergyBreakdown:
         return float(self.dt * np.sum(self.psi_terms + self.star_terms + self.pairing_terms))
 
 
-def energy_breakdown(problem: ProblemSpec, traj: Trajectory) -> EnergyBreakdown:
-    """All M per-step terms in one pass over the (M, n) stack of u_1..u_M."""
+def energy_breakdown(problem: ProblemSpec, traj: Trajectory,
+                     start: Optional[np.ndarray] = None) -> EnergyBreakdown:
+    """All M per-step terms in one pass over the (M, n) stack of u_1..u_M.
+
+    start, an (M, n) stack such as the argmax of a nearby trajectory's
+    breakdown, is where the conjugate's Newton solve begins (see
+    Potential.conjugate_argmax); None starts it from the residual rows.
+    """
     traj.validate_initial(problem.triple)
     lam = problem.lambda_flag
     pot = problem.potential
@@ -65,7 +71,7 @@ def energy_breakdown(problem: ProblemSpec, traj: Trajectory) -> EnergyBreakdown:
     m = traj.steps
     with named_steps():
         rtilde = time_derivative(problem.triple, traj) + problem.lambda_op(times, states)
-        zstars = pot.conjugate_argmax(times, -rtilde)
+        zstars = pot.conjugate_argmax(times, -rtilde, start)
         star_terms = pot.conjugate_value(times, -rtilde, zstars)
         if lam:
             psi_terms = pot.psi(times, lam * states)

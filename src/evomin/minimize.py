@@ -90,16 +90,16 @@ def minimize(
         t.states[1:] = z.reshape(m, n)
         return t
 
-    def f_and_g(z):
+    def f_and_g(z, start=None):
         t = unpack(z)
-        bd = energy_breakdown(problem, t)
-        return bd.total, energy_gradient(problem, t, bd).ravel()
+        bd = energy_breakdown(problem, t, start)
+        return bd.total, energy_gradient(problem, t, bd).ravel(), bd.argmax
 
     z = traj.states[1:].ravel().copy()
     result = SolveResult(trajectory=traj)
     # failures at the start point (conjugate solve, operator blow-up) propagate;
     # only trial points inside the line search may fail recoverably
-    j, g = f_and_g(z)
+    j, g, zstar = f_and_g(z)
 
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
@@ -151,7 +151,9 @@ def minimize(
                 alpha *= 0.5
                 continue
             try:
-                j_new, g_new = f_and_g(z_new)
+                # every trial's conjugate solve starts from the maximizers of
+                # the accepted iterate, never from those of a rejected trial
+                j_new, g_new, zstar_new = f_and_g(z_new, zstar)
             except (ConjugateFailure, OperatorEvaluationError):
                 # the conjugate has no maximizer or the operator blew up at
                 # this trial point: a rejected trial, not an error
@@ -196,7 +198,7 @@ def minimize(
                 s_list.pop(0)
                 y_list.pop(0)
             gamma = sy / float(y @ y)
-        z, j, g = z_new, j_new, g_new
+        z, j, g, zstar = z_new, j_new, g_new, zstar_new
         result.step_sizes.append(alpha)
     else:
         result.status = STATUS_CAP

@@ -5,6 +5,12 @@ forms, componentwise powers, quadratic composed forms); everything else
 falls back to a damped Newton solve of  DPsi_t(z) = y.  Time dependence
 is restricted to a positive scalar modulation a(t) multiplying a fixed
 convex base.
+
+The Newton solve starts from z = y unless the caller passes a `start`,
+typically the maximizers of a nearby trajectory: the minimizer hands each
+trial point the maximizers of its current iterate.  A warm solve that
+fails is repeated from z = y, so a start can change the iteration count
+and the last bits of z*, never whether the solve succeeds.
 """
 
 from __future__ import annotations
@@ -181,8 +187,14 @@ class Potential:
             return pair / (q / (q - 1.0))
         return pair - self.psi(t, z)
 
-    def conjugate_argmax(self, t, y: np.ndarray) -> np.ndarray:
-        """The maximizer z* with DPsi_t(z*) = y; equals DPsi*_t(y)."""
+    def conjugate_argmax(self, t, y: np.ndarray, start=None) -> np.ndarray:
+        """The maximizer z* with DPsi_t(z*) = y; equals DPsi*_t(y).
+
+        start, shaped like y, is where the Newton solve of the kinds without
+        a closed form begins instead of z = y; if that solve raises
+        ConjugateFailure it is rerun from z = y, whose result or failure is
+        returned.  Closed-form kinds ignore start.
+        """
         rows = np.ndim(y) == 2
         if rows:
             y = self._mat(y)
@@ -199,9 +211,16 @@ class Potential:
             if self._chol is None:
                 raise ConjugateFailure("composed quadratic has singular G^T G", np.inf, row=0)
             return cho_solve(self._chol, y.T).T / a
-        if rows:
-            return self._newton_argmax_batch(t, y)
-        return self._newton_argmax_batch(t, y[None])[0]
+        ys = y if rows else y[None]
+        zs = None
+        if start is not None:
+            try:
+                zs = self._newton_argmax_batch(t, ys, self._mat(np.reshape(start, ys.shape)))
+            except ConjugateFailure:
+                pass
+        if zs is None:
+            zs = self._newton_argmax_batch(t, ys)
+        return zs if rows else zs[0]
 
     def duality_gap(self, t: float, x: np.ndarray, y: np.ndarray) -> float:
         """Psi_t(x) + Psi*_t(y) - <x,y>; nonnegative, zero iff y = DPsi_t(x)."""
@@ -240,15 +259,16 @@ class Potential:
             return a * (self.params["scale"] * ((np.abs(gx) ** (q - 1.0) * np.sign(gx)) @ g))
         return a * np.array([self._grad_base(x) for x in xs])
 
-    def _newton_argmax_batch(self, t, ys: np.ndarray) -> np.ndarray:
-        """Damped Newton for DPsi_t(z) = y on all rows at once.
+    def _newton_argmax_batch(self, t, ys: np.ndarray, start=None) -> np.ndarray:
+        """Damped Newton for DPsi_t(z) = y on all rows at once, from z = start
+        (z = y when start is None).
 
         Each row backtracks on its own until its residual decreases; a
         failure names the first failing row.
         """
         ts = row_times(t, len(ys))
         a = self._a_rows(ts, len(ys))[:, None]
-        zs = ys.copy()
+        zs = ys.copy() if start is None else start.copy()
         res = self._grad_rows(a, zs) - ys
         rnorm = np.max(np.abs(res), axis=1)
         for _ in range(NEWTON_MAX_ITER):

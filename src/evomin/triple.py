@@ -80,10 +80,16 @@ class EvolutionTriple:
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (self.dim, self.dim):
             raise ValueError(f"mass must be {self.dim}x{self.dim}, got {mass.shape}")
-        if not np.allclose(mass, mass.T, rtol=0.0, atol=1e-12 * _scale(mass)):
-            raise ValueError("mass matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(mass)
-        if eigs[0] <= _SPD_TOL * max(1.0, eigs[-1]):
+        diag = np.diagonal(mass)
+        if np.count_nonzero(mass) == np.count_nonzero(diag):
+            # a diagonal mass is symmetric, and its eigenvalues are its entries
+            low, high = np.min(diag), np.max(diag)
+        else:
+            if not np.allclose(mass, mass.T, rtol=0.0, atol=1e-12 * _scale(mass)):
+                raise ValueError("mass matrix must be symmetric")
+            eigs = np.linalg.eigvalsh(mass)
+            low, high = eigs[0], eigs[-1]
+        if not low > _SPD_TOL * max(1.0, high):
             raise ValueError("mass matrix must be positive definite")
         object.__setattr__(self, "mass", mass)
         t_map = self.t_map

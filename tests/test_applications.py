@@ -180,40 +180,78 @@ def test_ns_convection_skew_and_divergence_free(rng):
         assert basis.divergence_max(x) < 1e-10
 
 
+# -- complex-FFT reference for the Navier-Stokes transforms -------------------------
+#
+# Full complex spectra on the padded lattice and complex ifft2 / fft2, built
+# from the basis's mode list alone: independent of the half-spectrum layout
+# that StreamFunctionBasis transforms with.
+
+def complex_spectrum(basis, x):
+    """Full Hermitian stream spectrum of x, or of each row of a stack of states."""
+    p = basis.pad
+    m1, m2 = basis.modes[:, 0], basis.modes[:, 1]
+    c = 0.5 * (x[..., : basis.nmodes] - 1j * x[..., basis.nmodes:])
+    z = np.zeros(np.shape(x)[:-1] + (p, p), dtype=complex)
+    z[..., m1 % p, m2 % p] = c
+    z[..., -m1 % p, -m2 % p] = np.conj(c)
+    return z
+
+
+def complex_fields(basis, z):
+    """u1, u2, du1/dx, du1/dy, du2/dx, du2/dy of stream spectra z by complex ifft2."""
+    p = basis.pad
+    wx = np.fft.fftfreq(p, d=1.0 / p)[:, None]
+    wy = np.fft.fftfreq(p, d=1.0 / p)[None, :]
+    zx, zy = 1j * wx * z, 1j * wy * z
+    return [np.real(np.fft.ifft2(s)) * p**2
+            for s in (zy, -zx, 1j * wx * zy, 1j * wy * zy, -1j * wx * zx, -1j * wy * zx)]
+
+
+def complex_project(basis, w1, w2):
+    """Dual coefficients of the velocity field (w1, w2) by complex fft2."""
+    p = basis.pad
+    m1, m2 = basis.modes[:, 0], basis.modes[:, 1]
+    area = (2.0 * np.pi) ** 2
+    sel1 = (np.fft.fft2(w1) / p**2)[..., m1 % p, m2 % p]
+    sel2 = (np.fft.fft2(w2) / p**2)[..., m1 % p, m2 % p]
+    a = area * (m2 * sel1.imag - m1 * sel2.imag)
+    b = area * (m2 * sel1.real - m1 * sel2.real)
+    return np.concatenate([a, b], axis=-1)
+
+
+def linearized_reference(basis, x, h):
+    """Convection linearized at x in the direction(s) h, by the complex reference."""
+    u1, u2, d1x, d1y, d2x, d2y = complex_fields(basis, complex_spectrum(basis, x))
+    h1, h2, e1x, e1y, e2x, e2y = complex_fields(basis, complex_spectrum(basis, h))
+    return complex_project(basis, u1 * e1x + u2 * e1y + h1 * d1x + h2 * d1y,
+                           u1 * e2x + u2 * e2y + h1 * d2x + h2 * d2y)
+
+
 def convection_jacobian_fft(basis, x, chunk=64):
     """FFT route to the convection Jacobian, one basis column per padded field."""
-    (u1, u2), (du1, du2) = basis._velocity_and_grad(x)
-    p = basis.pad
-    area = (2.0 * np.pi) ** 2
-    jac = np.empty((basis.dim, basis.dim))
-    m1 = basis.modes[:, 0]
-    m2 = basis.modes[:, 1]
-    for start in range(0, basis.dim, chunk):
-        cols = range(start, min(start + chunk, basis.dim))
-        zs = np.zeros((len(cols), p, p), dtype=complex)
-        for row, j in enumerate(cols):
-            mode = j % basis.nmodes
-            amp = 0.5 if j < basis.nmodes else -0.5j
-            zs[row, basis._ix[mode], basis._iy[mode]] = amp
-            zs[row, basis._ix_neg[mode], basis._iy_neg[mode]] = np.conj(amp)
-        zx = 1j * basis.wx * zs
-        zy = 1j * basis.wy * zs
-        h1 = np.real(np.fft.ifft2(zy)) * p**2
-        h2 = np.real(np.fft.ifft2(-zx)) * p**2
-        dh1x = np.real(np.fft.ifft2(1j * basis.wx * zy)) * p**2
-        dh1y = np.real(np.fft.ifft2(1j * basis.wy * zy)) * p**2
-        dh2x = np.real(np.fft.ifft2(-1j * basis.wx * zx)) * p**2
-        dh2y = np.real(np.fft.ifft2(-1j * basis.wy * zx)) * p**2
-        w1 = u1 * dh1x + u2 * dh1y + h1 * du1[0] + h2 * du1[1]
-        w2 = u1 * dh2x + u2 * dh2y + h1 * du2[0] + h2 * du2[1]
-        f1 = np.fft.fft2(w1) / p**2
-        f2 = np.fft.fft2(w2) / p**2
-        sel1 = f1[:, basis._ix, basis._iy]
-        sel2 = f2[:, basis._ix, basis._iy]
-        a = area * (m2 * sel1.imag - m1 * sel2.imag)
-        b = area * (m2 * sel1.real - m1 * sel2.real)
-        jac[:, list(cols)] = np.concatenate([a, b], axis=1).T
-    return jac
+    eye = np.eye(basis.dim)
+    cols = [linearized_reference(basis, x, eye[start:start + chunk])
+            for start in range(0, basis.dim, chunk)]
+    return np.concatenate(cols).T
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_ns_real_transforms_match_complex_reference(rng, k):
+    basis = StreamFunctionBasis(k)
+    x, h = rng.standard_normal((2, basis.dim))
+    ref = complex_fields(basis, complex_spectrum(basis, x))
+    u, du = basis._velocity_and_grad(x)
+    for got, want in zip([u[0], u[1], du[0, 0], du[0, 1], du[1, 0], du[1, 1]], ref):
+        assert _rel(got, want) < 1e-13
+    assert _rel(basis.velocity(x), np.stack(ref[:2])) < 1e-13
+    u1, u2, d1x, d1y, d2x, d2y = ref
+    conv = complex_project(basis, u1 * d1x + u2 * d1y, u1 * d2x + u2 * d2y)
+    assert _rel(basis.convection_dual(x), conv) < 1e-13
+    assert _rel(basis.convection_dual_linearized(x, h), linearized_reference(basis, x, h)) < 1e-13
 
 
 def test_ns_jacobian_routes_agree(rng):

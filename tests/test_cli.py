@@ -5,7 +5,10 @@ import jsonschema
 import pytest
 import yaml
 
+from evomin import cli
 from evomin.cli import ConfigError, RunConfig, main
+from evomin.operator import OperatorEvaluationError
+from evomin.potential import ConjugateFailure
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "evomin" / "schemas"
 
@@ -101,6 +104,68 @@ def test_compare_pass(tmp_path):
 def test_compare_grid_mismatch_exits_one(tmp_path):
     cfg = write_config(tmp_path, compare={"oracle_steps": 30})
     assert main(["compare", "--config", str(cfg)]) == 1
+
+
+def test_compare_grid_mismatch_is_found_by_validation():
+    with pytest.raises(ConfigError, match="oracle_steps"):
+        RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"steps": 15},
+                             "compare": {"oracle_steps": 30}})
+    RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"steps": 15},
+                         "compare": {"oracle_steps": 15}})
+
+
+@pytest.mark.parametrize("section,key", [("solver", "max_iterations"), ("compare", "state_tol"),
+                                         ("checks", "samples"), ("solver", "j_tol")])
+def test_non_numeric_option_is_a_config_error(tmp_path, capsys, section, key):
+    cfg = write_config(tmp_path, **{section: {key: "many"}})
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert f"config error: {section}.{key} must be a number" in capsys.readouterr().err
+
+
+def test_builder_value_error_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, problem={"kind": "navier_stokes"}, grid={"k": 7})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_failure_mid_run_exits_two(tmp_path, capsys):
+    # the minimizer converges; the oracle cannot reach an unattainable Newton
+    # tolerance and raises StepFailure, a numerical failure, not a config error
+    cfg = write_config(tmp_path, solver={"method": "ben", "newton_tol": 1e-300})
+    assert main(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "StepFailure" in err
+    assert "config error" not in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad state"), ConjugateFailure("no maximizer", 1.0),
+                                 OperatorEvaluationError("blow-up")])
+def test_numerical_failures_exit_two_and_name_themselves(tmp_path, capsys, monkeypatch, exc):
+    def failing_minimize(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "minimize", failing_minimize)
+    cfg = write_config(tmp_path)
+    assert main(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert type(exc).__name__ in err and str(exc) in err
+    assert "config error" not in err
+
+
+def test_compare_powerlaw_byte_identical(tmp_path):
+    # trial solves start from the accepted iterate's maximizers, so the path
+    # depends on history; it must still repeat exactly
+    cfg = write_config(tmp_path,
+                       problem={"kind": "parabolic_divergence", "q": 4.0, "reaction": -0.9123,
+                                "flux": 0.3154, "gamma": 0.6819},
+                       grid={"n": 8}, time={"t0": 0.0, "t1": 0.1, "steps": 4},
+                       output={"timing": False})
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["compare", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    first, second = ((out / "compare.json").read_bytes() for out in outs)
+    assert first == second
+    assert json.loads(first)["pass"]
 
 
 def test_compare_perturbation_designed_failure(tmp_path):

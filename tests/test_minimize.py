@@ -187,3 +187,38 @@ def test_operator_blow_up_in_a_trial_point_is_a_rejected_trial():
     res = minimize(p, steps=3)
     assert res.converged
     assert res.step_sizes[0] <= 0.5
+
+
+def test_trial_solves_start_from_the_accepted_iterate(monkeypatch):
+    # every trial point's conjugate solve starts from the maximizers of the
+    # current accepted iterate; a rejected trial never seeds the next solve
+    import importlib
+
+    from evomin.applications import PointwiseMap, build_parabolic_divergence
+    from evomin.energy import energy_breakdown
+
+    calls = []                              # (start, argmax) per energy evaluation
+
+    def recording(problem, traj, start=None):
+        bd = energy_breakdown(problem, traj, start)
+        calls.append((start, bd.argmax))
+        return bd
+
+    # the package exports the function minimize under the module's name
+    monkeypatch.setattr(importlib.import_module("evomin.minimize"), "energy_breakdown",
+                        recording)
+    p = build_parabolic_divergence(8, q=4.0, theta=PointwiseMap.linear(-0.9123),
+                                   xi=PointwiseMap.saturated_cubic(0.3154),
+                                   gamma=PointwiseMap.arctan(0.6819), t1=0.1)
+    res = minimize(p, steps=4)
+    assert res.converged
+    assert len(calls) > res.iterations + 1          # some trials were rejected
+    assert calls[0][0] is None                      # the initial iterate starts cold
+    seed, accepted = calls[0][1], 0
+    for i in range(1, len(calls)):
+        start = calls[i][0]
+        if start is not seed:
+            # a new iteration: seeded by the trial just before, the accepted one
+            assert start is calls[i - 1][1]
+            seed, accepted = start, accepted + 1
+    assert accepted == res.iterations - 1

@@ -230,3 +230,82 @@ def test_scaled_potential():
 def _spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+# -- warm-started conjugate Newton --------------------------------------------------
+
+def _quartic_custom(with_hessian):
+    """Psi = sum x^4/4 + x^2/2: a custom kind on the Newton path."""
+    hess = (lambda x, h: (3.0 * x * x + 1.0) * h) if with_hessian else None
+    return Potential.custom(lambda x: float(np.sum(x**4) / 4.0 + np.sum(x**2) / 2.0),
+                            lambda x: x**3 + x, dim=4, hess_action=hess)
+
+
+NEWTON_KINDS = {
+    "composed_power_q4": lambda: Potential.composed_power(
+        np.eye(4) + 0.5 * np.eye(4, k=1), q=4.0, scale=0.7),
+    "custom": lambda: _quartic_custom(False),
+    "custom_hess_action": lambda: _quartic_custom(True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NEWTON_KINDS))
+def test_warm_and_cold_conjugate_argmax_agree(rng, kind):
+    from evomin.potential import NEWTON_TOL
+
+    pot = NEWTON_KINDS[kind]()
+    ts = np.linspace(0.0, 1.0, 6)
+    ys = 2.0 * rng.standard_normal((6, 4))
+    nearby = pot.conjugate_argmax(ts, ys + 0.1 * rng.standard_normal(ys.shape))
+    cold = pot.conjugate_argmax(ts, ys)
+    warm = pot.conjugate_argmax(ts, ys, start=nearby)
+    for z in (cold, warm):
+        assert np.max(np.abs(pot.grad(ts, z) - ys)) < NEWTON_TOL
+    assert np.max(np.abs(warm - cold)) < 1e-10
+    # a start that already solves the equation is returned as it is
+    assert np.array_equal(pot.conjugate_argmax(ts, ys, start=cold), cold)
+    one = pot.conjugate_argmax(0.5, ys[0], start=nearby[0])
+    assert np.max(np.abs(pot.grad(0.5, one) - ys[0])) < NEWTON_TOL
+
+
+@pytest.mark.parametrize("kind", sorted(NEWTON_KINDS))
+def test_failed_warm_start_returns_the_cold_bits(rng, kind):
+    pot = NEWTON_KINDS[kind]()
+    ts = np.linspace(0.0, 1.0, 5)
+    ys = rng.standard_normal((5, 4))
+    far = np.full_like(ys, 1e30)     # about 170 Newton steps away: past NEWTON_MAX_ITER
+    with pytest.raises(ConjugateFailure):
+        pot._newton_argmax_batch(ts, ys, far)
+    cold = pot.conjugate_argmax(ts, ys)
+    assert np.array_equal(pot.conjugate_argmax(ts, ys, start=far), cold)
+    assert np.array_equal(pot.conjugate_argmax(0.0, ys[0], start=far[0]),
+                          pot.conjugate_argmax(0.0, ys[0]))
+
+
+def test_singular_warm_start_falls_back():
+    # DPsi = x^3 has a zero Hessian at a zero start
+    pot = Potential.custom(lambda x: float(np.sum(x**4) / 4.0), lambda x: x**3, dim=2,
+                           hess_action=lambda x, h: 3.0 * x * x * h)
+    y = np.array([[8.0, -1.0]])
+    with pytest.raises(ConjugateFailure):
+        pot._newton_argmax_batch(0.0, y, np.zeros((1, 2)))
+    z = pot.conjugate_argmax(0.0, y, start=np.zeros((1, 2)))
+    assert np.array_equal(z, pot.conjugate_argmax(0.0, y))
+    assert np.allclose(z, [[2.0, -1.0]])
+
+
+def test_cold_failure_still_raises_with_a_start():
+    pot = Potential.custom(lambda x: float(np.sum(np.sqrt(1 + x**2) - 1)),
+                           lambda x: x / np.sqrt(1 + x**2), dim=1)
+    with pytest.raises(ConjugateFailure):
+        pot.conjugate_argmax(0.0, np.array([[2.0]]), start=np.array([[0.5]]))
+
+
+def test_closed_form_kinds_ignore_the_start(rng):
+    ys = rng.standard_normal((3, 2))
+    start = rng.standard_normal((3, 2))
+    for pot in (Potential.quadratic(np.diag([2.0, 3.0])),
+                Potential.pointwise_power(q=4.0, dim=2),
+                Potential.composed_power(np.eye(2), q=2.0)):
+        assert np.array_equal(pot.conjugate_argmax(0.0, ys, start=start),
+                              pot.conjugate_argmax(0.0, ys))

@@ -119,3 +119,28 @@ def test_omitted_t_map_is_bit_identical_to_identity(rng):
         u = tri.x_representative(w)
         u[0] += 1.0
         assert w[0] != u[0]
+
+
+@pytest.mark.parametrize("entries", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0], [1.0, 1e-13, 1.0],
+                                     [np.nan, 1.0, 1.0], [0.0, 0.0, 0.0]])
+def test_diagonal_mass_must_be_positive_definite(entries):
+    with pytest.raises(ValueError, match="positive definite"):
+        EvolutionTriple(dim=3, mass=np.diag(entries))
+
+
+def test_diagonal_and_dense_mass_share_the_definiteness_rule():
+    # the diagonal shortcut and eigvalsh apply one tolerance (1e-12 of the largest)
+    for low, ok in ((2e-12, True), (5e-13, False)):
+        diag = np.diag([1.0, low])
+        rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        for mass in (diag, rot @ diag @ rot.T):
+            if ok:
+                EvolutionTriple(dim=2, mass=mass)
+            else:
+                with pytest.raises(ValueError, match="positive definite"):
+                    EvolutionTriple(dim=2, mass=mass)
+
+
+def test_dense_nonsymmetric_mass_raises():
+    with pytest.raises(ValueError, match="symmetric"):
+        EvolutionTriple(dim=2, mass=np.array([[2.0, 0.5], [0.0, 2.0]]))
