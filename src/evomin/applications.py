@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operator import OperatorLambda
+from .operator import OperatorLambda, Term, linear_operator, term_operator
 from .potential import Potential
 from .problem import ProblemSpec
 from .trajectory import Trajectory
@@ -46,6 +46,14 @@ class PointwiseMap:
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
 
+    def __neg__(self) -> "PointwiseMap":
+        return PointwiseMap(lambda v: -self.value(v), lambda v: -self.deriv(v))
+
+    def term(self, inner: Optional[np.ndarray] = None,
+             outer: Optional[np.ndarray] = None) -> Term:
+        """The one-input operator term outer^T f(inner x); None is the identity."""
+        return Term(self.value, (self.deriv,), (inner,), outer)
+
     @classmethod
     def linear(cls, c: float) -> "PointwiseMap":
         return cls(lambda v: c * v, lambda v: np.full_like(v, c))
@@ -66,9 +74,17 @@ class PointwiseMap:
 
 # -- 1D grid pieces ---------------------------------------------------------
 #
-# The operators of the 1D families are written in row form, M @ x as
-# x @ M.T, so that their eval, dderiv and dderiv_adjoint take one state or an
-# (M, dim) stack of rows alike; they are built with stacked=True.
+# The operators of the 1D families are term operators (operator.term_operator):
+# each is described once, as a linear part plus terms A^T f(B x), and its
+# derivative, adjoint and Jacobian follow from that description.
+
+def _terms(*specs) -> list:
+    """Terms of the (map, inner, outer) specs whose map is present.
+
+    Absent maps are skipped, not evaluated as zeros: on heat, Lambda = 0.
+    """
+    return [f.term(inner, outer) for f, inner, outer in specs if f is not None]
+
 
 def _difference_matrix(n: int) -> np.ndarray:
     """(n+1) x n forward differences of interior values with zero boundary."""
@@ -94,18 +110,9 @@ def build_scalar_decay(t1: float = 1.0, u0: float = 1.0) -> ProblemSpec:
     """du/dt + u + u = 0 in disguise: Lambda(u) = u, Psi = u^2/2, lambda = 1."""
     triple = EvolutionTriple(dim=1, mass=np.eye(1))
     potential = Potential.quadratic(np.eye(1))
-    lam_op = OperatorLambda(
-        dim=1,
-        eval=lambda t, x: x.copy(),
-        dderiv=lambda t, x, h: h.copy(),
-        dderiv_adjoint=lambda t, x, v: v.copy(),
-        jacobian=lambda t, x: np.eye(1),
-        kind_tag="linear",
-        stacked=True,
-    )
     return ProblemSpec(
-        triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
-        horizon=(0.0, t1), initial=np.array([u0]),
+        triple=triple, potential=potential, lambda_op=linear_operator(np.eye(1)),
+        lambda_flag=1, horizon=(0.0, t1), initial=np.array([u0]),
         metadata={"name": "scalar_decay", "grid": "scalar", "bc": "none"},
     )
 
@@ -116,15 +123,8 @@ def build_anticoercive_fixture(t1: float = 1.0) -> ProblemSpec:
         dim=1, mass=np.eye(1), xnorm=XNorm(kind="power", matrix=np.eye(1), q=4.0)
     )
     potential = Potential.pointwise_power(q=4.0, dim=1)
-    lam_op = OperatorLambda(
-        dim=1,
-        eval=lambda t, x: -x**3,
-        dderiv=lambda t, x, h: -3.0 * x**2 * h,
-        dderiv_adjoint=lambda t, x, v: -3.0 * x**2 * v,
-        jacobian=lambda t, x: np.diag(-3.0 * x**2),
-        kind_tag="semilinear",
-        stacked=True,
-    )
+    minus_cube = PointwiseMap(lambda v: -v**3, lambda v: -3.0 * v**2)
+    lam_op = term_operator(1, [minus_cube.term()], kind_tag="semilinear")
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
         horizon=(0.0, t1), initial=np.array([1.0]),
@@ -167,53 +167,10 @@ def build_parabolic_divergence(
     modulation = None if time_scale is None else (lambda t, c=time_scale: 1.0 + c * t)
     potential = Potential.composed_power(g_mat, q=q, scale=h, modulation=modulation)
 
-    # Absent terms are skipped, not evaluated as zeros: on heat, Lambda = 0.
-    def lam_eval(t, x):
-        out = np.zeros_like(x)
-        if gamma is not None:
-            out += gamma.value(x @ g_mat.T) @ g_mat
-        if xi is not None:
-            out += xi.value(x @ avg.T) @ g_mat
-        if theta is not None:
-            out -= theta.value(x)
-        return h * out
-
-    def lam_dderiv(t, x, hh):
-        out = np.zeros_like(hh)
-        if gamma is not None:
-            out += (gamma.deriv(x @ g_mat.T) * (hh @ g_mat.T)) @ g_mat
-        if xi is not None:
-            out += (xi.deriv(x @ avg.T) * (hh @ avg.T)) @ g_mat
-        if theta is not None:
-            out -= theta.deriv(x) * hh
-        return h * out
-
-    def lam_adjoint(t, x, v):
-        out = np.zeros_like(v)
-        if gamma is not None or xi is not None:
-            gv = v @ g_mat.T
-        if gamma is not None:
-            out += (gamma.deriv(x @ g_mat.T) * gv) @ g_mat
-        if xi is not None:
-            out += (xi.deriv(x @ avg.T) * gv) @ avg
-        if theta is not None:
-            out -= theta.deriv(x) * v
-        return h * out
-
-    def lam_jac(t, x):
-        jac = np.zeros((n, n))
-        if gamma is not None:
-            jac += g_mat.T @ (gamma.deriv(g_mat @ x)[:, None] * g_mat)
-        if xi is not None:
-            jac += g_mat.T @ (xi.deriv(avg @ x)[:, None] * avg)
-        if theta is not None:
-            jac -= np.diag(theta.deriv(x))
-        return h * jac
-
-    kind = "linear" if (theta is None and xi is None and gamma is None) else "quasilinear"
-    lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind,
-                            stacked=True)
+    terms = _terms((gamma, g_mat, g_mat), (xi, avg, g_mat),
+                   (None if theta is None else -theta, None, None))
+    lam_op = term_operator(n, terms, scale=h,
+                           kind_tag="quasilinear" if terms else "linear")
     u0 = (initial or _default_bump)(x_nodes)
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
@@ -263,53 +220,11 @@ def build_parabolic_nondivergence(
         xnorm=XNorm(kind="power", matrix=h ** (1.0 / q) * lap, q=q),
     )
     potential = Potential.composed_power(lap, q=q, scale=h)
+    terms = _terms((gamma, lap, lap))
     if theta is not None:
-        dth_s, dth_v = theta_derivs
-
-    # Absent terms are skipped, not evaluated as zeros.
-    def lam_eval(t, x):
-        out = np.zeros_like(x)
-        if gamma is not None:
-            out += gamma.value(x @ lap.T)
-        if theta is not None:
-            out += theta(x @ cen.T, x)
-        return h * (out @ lap)
-
-    def lam_dderiv(t, x, hh):
-        out = np.zeros_like(hh)
-        if gamma is not None:
-            out += gamma.deriv(x @ lap.T) * (hh @ lap.T)
-        if theta is not None:
-            s = x @ cen.T
-            out += dth_s(s, x) * (hh @ cen.T)
-            out += dth_v(s, x) * hh
-        return h * (out @ lap)
-
-    def lam_adjoint(t, x, v):
-        out = np.zeros_like(v)
-        lv = v @ lap.T
-        if gamma is not None:
-            out += (gamma.deriv(x @ lap.T) * lv) @ lap
-        if theta is not None:
-            s = x @ cen.T
-            out += (dth_s(s, x) * lv) @ cen
-            out += dth_v(s, x) * lv
-        return h * out
-
-    def lam_jac(t, x):
-        jac = np.zeros((n, n))
-        if gamma is not None:
-            jac += lap.T @ (gamma.deriv(lap @ x)[:, None] * lap)
-        if theta is not None:
-            s = cen @ x
-            jac += lap.T @ (dth_s(s, x)[:, None] * cen)
-            jac += lap.T @ np.diag(dth_v(s, x))
-        return h * jac
-
-    kind = "linear" if (gamma is None and theta is None) else "quasilinear"
-    lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=kind,
-                            stacked=True)
+        terms.append(Term(theta, tuple(theta_derivs), inner=(cen, None), outer=lap))
+    lam_op = term_operator(n, terms, scale=h,
+                           kind_tag="quasilinear" if terms else "linear")
     u0 = (initial or _default_bump)(x_nodes)
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
@@ -356,44 +271,14 @@ def build_hyperbolic(
     triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
     potential = Potential.quadratic(psi_weight * mass)
 
-    def split(z):
-        return z[..., :n], z[..., n:]
-
-    def lam_eval(t, z):
-        u, v = split(z)
-        out = np.empty_like(z)
-        out[..., :n] = (v + damping * u) @ stiff.T
-        out[..., n:] = h * (u @ lap.T - theta.value(u))
-        return out
-
-    def lam_dderiv(t, z, hh):
-        u, _ = split(z)
-        hu, hv = split(hh)
-        out = np.empty_like(hh)
-        out[..., :n] = (hv + damping * hu) @ stiff.T
-        out[..., n:] = h * (hu @ lap.T - theta.deriv(u) * hu)
-        return out
-
-    def lam_adjoint(t, z, w):
-        u, _ = split(z)
-        wu, wv = split(w)
-        out = np.empty_like(w)
-        out[..., :n] = damping * (wu @ stiff.T) + h * (wv @ lap - theta.deriv(u) * wv)
-        out[..., n:] = wu @ stiff.T
-        return out
-
-    def lam_jac(t, z):
-        u, _ = split(z)
-        jac = np.zeros((dim, dim))
-        jac[:n, :n] = damping * stiff
-        jac[:n, n:] = stiff
-        jac[n:, :n] = h * (lap - np.diag(theta.deriv(u)))
-        return jac
-
+    # the linear blocks, and h * (-Theta)(u) into the v block through selections
+    linear = np.zeros((dim, dim))
+    linear[:n, :n] = damping * stiff
+    linear[:n, n:] = stiff
+    linear[n:, :n] = h * lap
+    e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
     tag = "skew" if (damping == 0.0 and nonlinearity == 0.0) else "semilinear"
-    lam_op = OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=tag,
-                            stacked=True)
+    lam_op = term_operator(dim, [(-theta).term(e_u, h * e_v)], linear=linear, kind_tag=tag)
     u0 = (initial_u or _default_bump)(x_nodes)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
     return ProblemSpec(
@@ -441,45 +326,14 @@ def build_schrodinger(
     triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
     potential = Potential.quadratic(psi_weight * mass)
 
-    def split(z):
-        return z[..., :n], z[..., n:]
-
-    def lam_eval(t, z):
-        u, v = split(z)
-        out = np.empty_like(z)
-        out[..., :n] = (-(v @ lap.T) + theta.value(u)) @ w_mat.T
-        out[..., n:] = ((u @ lap.T) + xi.value(v)) @ w_mat.T
-        return out
-
-    def lam_dderiv(t, z, hh):
-        u, v = split(z)
-        hu, hv = split(hh)
-        out = np.empty_like(hh)
-        out[..., :n] = (-(hv @ lap.T) + theta.deriv(u) * hu) @ w_mat.T
-        out[..., n:] = ((hu @ lap.T) + xi.deriv(v) * hv) @ w_mat.T
-        return out
-
-    def lam_adjoint(t, z, w):
-        u, v = split(z)
-        wu, wv = split(w)
-        out = np.empty_like(w)
-        out[..., :n] = theta.deriv(u) * (wu @ w_mat.T) + (wv @ w_mat.T) @ lap
-        out[..., n:] = -((wu @ w_mat.T) @ lap) + xi.deriv(v) * (wv @ w_mat.T)
-        return out
-
-    def lam_jac(t, z):
-        u, v = split(z)
-        jac = np.zeros((dim, dim))
-        jac[:n, :n] = w_mat @ np.diag(theta.deriv(u))
-        jac[:n, n:] = -(w_mat @ lap)
-        jac[n:, :n] = w_mat @ lap
-        jac[n:, n:] = w_mat @ np.diag(xi.deriv(v))
-        return jac
-
+    # W (-Delta_h v, Delta_h u) as the linear part, W Theta(u) and W Xi(v) as terms
+    linear = np.zeros((dim, dim))
+    linear[:n, n:] = -(w_mat @ lap)
+    linear[n:, :n] = w_mat @ lap
+    e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
+    terms = [theta.term(e_u, w_mat.T @ e_u), xi.term(e_v, w_mat.T @ e_v)]
     tag = "skew" if couplings == (0.0, 0.0) else "semilinear"
-    lam_op = OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
-                            dderiv_adjoint=lam_adjoint, jacobian=lam_jac, kind_tag=tag,
-                            stacked=True)
+    lam_op = term_operator(dim, terms, linear=linear, kind_tag=tag)
     u0 = (initial_u or _default_bump)(x_nodes)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
     return ProblemSpec(
@@ -789,16 +643,7 @@ def build_heat_core(n: int, t1: float = 0.1,
         dim=n, mass=mass,
         xnorm=XNorm(kind="power", matrix=np.sqrt(h) * g_mat, q=2.0),
     )
-    stiffness = h * (g_mat.T @ g_mat)
-    lam_op = OperatorLambda(
-        dim=n,
-        eval=lambda t, x: x @ stiffness.T,
-        dderiv=lambda t, x, hh: hh @ stiffness.T,
-        dderiv_adjoint=lambda t, x, v: v @ stiffness,
-        jacobian=lambda t, x: stiffness,
-        kind_tag="linear",
-        stacked=True,
-    )
+    lam_op = linear_operator(h * (g_mat.T @ g_mat))
     u0 = (initial or _default_bump)(x_nodes)
     return ProblemSpec(
         triple=triple, potential=Potential.quadratic(mass), lambda_op=lam_op,

@@ -32,13 +32,6 @@ from .oracle import StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential, check_growth
 from .trajectory import residual, trajectory_to_csv
 
-PROBLEM_KINDS = (
-    "heat", "parabolic_divergence", "parabolic_nondivergence", "hyperbolic",
-    "schrodinger", "navier_stokes", "scalar_decay", "anticoercive_fixture",
-    "heat_core",
-)
-
-
 # options that the commands read as numbers, checked here so that a bad value
 # is a config error and not a failure in the middle of a run
 NUMERIC_OPTIONS = {
@@ -89,8 +82,8 @@ class RunConfig:
 
     def validate(self) -> None:
         kind = self.problem.get("kind")
-        if kind not in PROBLEM_KINDS:
-            raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {kind!r}")
+        if kind not in BUILDERS:
+            raise ConfigError(f"problem.kind must be one of {tuple(BUILDERS)}, got {kind!r}")
         steps = self.time.get("steps")
         if not isinstance(steps, int) or steps < 1:
             raise ConfigError("time.steps must be an integer >= 1")
@@ -130,49 +123,52 @@ class RunConfig:
         return Path(directory)
 
 
+def _n(cfg: RunConfig) -> int:
+    return int(cfg.grid.get("n", 32))
+
+
+def _map(cfg: RunConfig, key: str, make):
+    """make(problem.key) when the config sets problem.key, else None."""
+    return make(float(cfg.problem[key])) if key in cfg.problem else None
+
+
+def _schrodinger(cfg: RunConfig):
+    c = cfg.problem.get("couplings", [0.0, 0.0])
+    return apps.build_schrodinger(_n(cfg), couplings=(float(c[0]), float(c[1])), t1=cfg.t1)
+
+
+# problem.kind -> builder of its ProblemSpec from the config; validation reads
+# the kinds from here.  The builders are looked up in `apps` on every call.
+BUILDERS = {
+    "heat": lambda cfg: apps.build_heat(_n(cfg), t1=cfg.t1),
+    "parabolic_divergence": lambda cfg: apps.build_parabolic_divergence(
+        _n(cfg), q=float(cfg.problem.get("q", 2.0)),
+        theta=_map(cfg, "reaction", apps.PointwiseMap.linear),
+        xi=_map(cfg, "flux", apps.PointwiseMap.saturated_cubic),
+        gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1),
+    "parabolic_nondivergence": lambda cfg: apps.build_parabolic_nondivergence(
+        _n(cfg), q=float(cfg.problem.get("q", 2.0)),
+        gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1),
+    "hyperbolic": lambda cfg: apps.build_hyperbolic(
+        _n(cfg), damping=float(cfg.problem.get("damping", 0.0)),
+        nonlinearity=float(cfg.problem.get("nonlinearity", 0.0)), t1=cfg.t1),
+    "schrodinger": _schrodinger,
+    "navier_stokes": lambda cfg: apps.build_navier_stokes_2d(
+        int(cfg.grid.get("k", 16)), viscosity=float(cfg.problem.get("viscosity", 0.1)),
+        initial=cfg.problem.get("initial", "taylor-green"), t1=cfg.t1, seed=cfg.seed),
+    "scalar_decay": lambda cfg: apps.build_scalar_decay(t1=float(cfg.time.get("t1", 1.0))),
+    "anticoercive_fixture": lambda cfg: apps.build_anticoercive_fixture(
+        t1=float(cfg.time.get("t1", 1.0))),
+    "heat_core": lambda cfg: apps.build_heat_core(_n(cfg), t1=cfg.t1),
+}
+
+
 def build_problem(cfg: RunConfig):
     """Instantiate the configured ProblemSpec; a builder's ValueError is a ConfigError."""
     try:
-        return _build(cfg)
+        return BUILDERS[cfg.problem["kind"]](cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _build(cfg: RunConfig):
-    kind = cfg.problem["kind"]
-    n = int(cfg.grid.get("n", 32))
-    k = int(cfg.grid.get("k", 16))
-    t1 = cfg.t1
-    p = cfg.problem
-    if kind == "heat":
-        return apps.build_heat(n, t1=t1)
-    if kind == "heat_core":
-        return apps.build_heat_core(n, t1=t1)
-    if kind == "parabolic_divergence":
-        theta = apps.PointwiseMap.linear(float(p["reaction"])) if "reaction" in p else None
-        xi = apps.PointwiseMap.saturated_cubic(float(p["flux"])) if "flux" in p else None
-        gamma = apps.PointwiseMap.arctan(float(p["gamma"])) if "gamma" in p else None
-        return apps.build_parabolic_divergence(
-            n, q=float(p.get("q", 2.0)), theta=theta, xi=xi, gamma=gamma, t1=t1)
-    if kind == "parabolic_nondivergence":
-        gamma = apps.PointwiseMap.arctan(float(p["gamma"])) if "gamma" in p else None
-        return apps.build_parabolic_nondivergence(n, q=float(p.get("q", 2.0)),
-                                                  gamma=gamma, t1=t1)
-    if kind == "hyperbolic":
-        return apps.build_hyperbolic(n, damping=float(p.get("damping", 0.0)),
-                                     nonlinearity=float(p.get("nonlinearity", 0.0)), t1=t1)
-    if kind == "schrodinger":
-        c = p.get("couplings", [0.0, 0.0])
-        return apps.build_schrodinger(n, couplings=(float(c[0]), float(c[1])), t1=t1)
-    if kind == "navier_stokes":
-        return apps.build_navier_stokes_2d(
-            k, viscosity=float(p.get("viscosity", 0.1)),
-            initial=p.get("initial", "taylor-green"), t1=t1, seed=cfg.seed)
-    if kind == "scalar_decay":
-        return apps.build_scalar_decay(t1=float(cfg.time.get("t1", 1.0)))
-    if kind == "anticoercive_fixture":
-        return apps.build_anticoercive_fixture(t1=float(cfg.time.get("t1", 1.0)))
-    raise ConfigError(f"unhandled problem kind {kind!r}")
 
 
 def _eps_schedule(cfg: RunConfig) -> list[float]:

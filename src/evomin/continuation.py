@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy
+from .energy import energy, energy_balance_audit
 from .oracle import StepFailure, implicit_euler_solve
 from .potential import Potential
 from .problem import ProblemSpec
 from .trajectory import Trajectory
-from .triple import pairing
 
 __all__ = [
     "ContinuationResult",
@@ -108,20 +107,11 @@ def energy_inequality_check(problem: ProblemSpec, traj: Trajectory,
 
         s(t_m) = |T u_m|_H^2 / 2 + dt * sum_{k<=m} <u_k, Lambda(u_k)> - |w_0|_H^2 / 2
 
-    On trajectories that approximately solve the discrete equation the
-    defect must be nonpositive up to pass_tol.
+    This is energy_balance_audit without the potential term.  On
+    trajectories that approximately solve the discrete equation the defect
+    must be nonpositive up to pass_tol.
     """
-    tri = problem.triple
-    dt = traj.dt
-    times = traj.times
-    h0 = 0.5 * tri.h_inner(traj.w0, traj.w0)
-    acc = 0.0
-    s = np.empty(traj.steps)
-    for k in range(1, traj.steps + 1):
-        u = traj.states[k]
-        acc += dt * pairing(u, problem.lambda_op(times[k], u))
-        tu = tri.apply_t(u)
-        s[k - 1] = 0.5 * tri.h_inner(tu, tu) + acc - h0
+    s = energy_balance_audit(problem.with_potential(problem.potential, lambda_flag=0), traj)
     return {
         "defect": s,
         "max_defect": float(np.max(s)),

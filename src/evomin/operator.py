@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = [
     "OperatorLambda",
+    "Term",
+    "term_operator",
+    "linear_operator",
     "OperatorEvaluationError",
     "ConditionReport",
     "sample_states",
@@ -68,6 +71,10 @@ class OperatorLambda:
     Calling the operator, dlambda or dlambda_adjoint on an (M, dim) stack
     works for every operator: a stacked one gets the whole stack in one call,
     any other one is evaluated row by row here.
+
+    The callables need not be written by hand: term_operator derives all four,
+    stacked, from one description as a linear part plus pointwise terms (the
+    1D families and linear_operator are built that way).
     """
 
     dim: int
@@ -138,17 +145,91 @@ class OperatorLambda:
         return cols
 
 
+@dataclass(frozen=True)
+class Term:
+    """One term outer^T f(inner_1 x, ..., inner_k x) of a term operator.
+
+    f (value) acts componentwise on the k arrays inner_j x; partials holds
+    its k partial derivatives, functions of the same k arrays.  outer and
+    every inner_j are matrices, or None for the identity.
+    """
+
+    value: Callable[..., np.ndarray]
+    partials: tuple
+    inner: tuple = (None,)
+    outer: Optional[np.ndarray] = None
+
+    def args(self, x: np.ndarray) -> list:
+        """[inner_1 x, ..., inner_k x] in row form."""
+        return [x if b is None else x @ b.T for b in self.inner]
+
+
+def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
+                  scale: float = 1.0, kind_tag: str = "custom") -> OperatorLambda:
+    """Lambda(x) = scale * (L x + sum_i A_i^T f_i(B_i1 x, ..., B_ik x)).
+
+    L (linear) is optional; every term is a Term.  The derivative, its
+    adjoint and the Jacobian all follow from this one description:
+
+        DLambda h   = scale * (L h + sum_i A_i^T sum_j df_i/dv_j * (B_ij h))
+        DLambda^T v = scale * (L^T v + sum_i sum_j B_ij^T (df_i/dv_j * (A_i v)))
+
+    Everything is written in row form (M @ x as x @ M.T), so the callables
+    take one state or an (M, dim) stack alike.
+    """
+    terms = tuple(terms)
+    if linear is not None:
+        linear = np.asarray(linear, dtype=float)
+
+    def lam_eval(t, x):
+        out = np.zeros_like(x) if linear is None else x @ linear.T
+        for term in terms:
+            out += _outer(term, term.value(*term.args(x)))
+        return scale * out
+
+    def lam_dderiv(t, x, h):
+        out = np.zeros_like(h) if linear is None else h @ linear.T
+        for term in terms:
+            args, dirs = term.args(x), term.args(h)
+            inner = term.partials[0](*args) * dirs[0]
+            for d, hb in zip(term.partials[1:], dirs[1:]):
+                inner = inner + d(*args) * hb
+            out += _outer(term, inner)
+        return scale * out
+
+    def lam_adjoint(t, x, v):
+        out = np.zeros_like(v) if linear is None else v @ linear
+        for term in terms:
+            args = term.args(x)
+            av = v if term.outer is None else v @ term.outer.T
+            for d, b in zip(term.partials, term.inner):
+                w = d(*args) * av
+                out += w if b is None else w @ b
+        return scale * out
+
+    def lam_jacobian(t, x):
+        jac = np.zeros((dim, dim)) if linear is None else linear.copy()
+        for term in terms:
+            args = term.args(x)
+            for d, b in zip(term.partials, term.inner):
+                db = np.diag(d(*args)) if b is None else d(*args)[:, None] * b
+                jac += db if term.outer is None else term.outer.T @ db
+        return scale * jac
+
+    return OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
+                          dderiv_adjoint=lam_adjoint, jacobian=lam_jacobian,
+                          kind_tag=kind_tag, stacked=True)
+
+
+def _outer(term: Term, y: np.ndarray) -> np.ndarray:
+    """outer^T y in row form."""
+    return y if term.outer is None else y @ term.outer
+
+
 def linear_operator(matrix: np.ndarray, kind_tag: str = "linear") -> OperatorLambda:
+    """Lambda(x) = M x: the term operator with a linear part only."""
     matrix = np.asarray(matrix, dtype=float)
-    return OperatorLambda(
-        dim=matrix.shape[0],
-        eval=lambda t, x: x @ matrix.T,
-        dderiv=lambda t, x, h: h @ matrix.T,
-        dderiv_adjoint=lambda t, x, v: v @ matrix,
-        jacobian=lambda t, x: matrix,
-        kind_tag=kind_tag,
-        stacked=True,
-    )
+    return term_operator(matrix.shape[0], linear=matrix, kind_tag=kind_tag)
 
 
 @dataclass

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .operator import ConditionReport, row_times, sample_blocks, sample_states
-from .triple import pairing
 
 __all__ = ["Potential", "ConjugateFailure", "check_growth"]
 
@@ -49,9 +48,11 @@ class Potential:
     Construct through the classmethods: quadratic, pointwise_power,
     composed_power, custom.
 
-    psi, grad, conjugate and conjugate_argmax take one state or an (M, dim)
-    stack of rows; on a stack, t is one time per row (or one shared time)
-    and the rows are evaluated at once where the kind allows it.
+    psi, grad, conjugate, conjugate_argmax and duality_gap take one state or
+    an (M, dim) stack of rows; on a stack, t is one time per row (or one
+    shared time).  Every formula is written once, in row form: one state is
+    evaluated as a stack of one row, and custom kinds call their callbacks
+    row by row.
     """
 
     def __init__(self, kind, dim, modulation=None, **params):
@@ -130,40 +131,25 @@ class Potential:
         return np.array([self._a(tk) for tk in row_times(t, rows)])
 
     def psi(self, t, x: np.ndarray):
-        if np.ndim(x) == 2:
-            return self.psi_batch(t, x)
-        x = self._vec(x)
-        return self._a(t) * self._psi_base(x)
+        xs = self._rows(x)
+        a = self._a_rows(t, len(xs))
+        if self.kind == "quadratic":
+            out = 0.5 * a * np.einsum("ij,ij->i", xs @ self.params["matrix"], xs)
+        elif self.kind == "pointwise_power":
+            q, w = self.params["q"], self.params["weight"]
+            out = a * np.sum(w * np.abs(xs) ** q, axis=1) / q
+        elif self.kind == "composed_power":
+            q = self.params["q"]
+            gx = xs @ self.params["matrix"].T
+            out = a * self.params["scale"] * np.sum(np.abs(gx) ** q, axis=1) / q
+        else:
+            out = a * np.array([float(self.params["psi"](row)) for row in xs])
+        return out if np.ndim(x) == 2 else out[0]
 
     def grad(self, t, x: np.ndarray) -> np.ndarray:
-        if np.ndim(x) == 2:
-            return self.grad_batch(t, x)
-        x = self._vec(x)
-        return self._a(t) * self._grad_base(x)
-
-    def _psi_base(self, x: np.ndarray) -> float:
-        if self.kind == "quadratic":
-            return 0.5 * float(x @ self.params["matrix"] @ x)
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            return float(np.sum(w * np.abs(x) ** q) / q)
-        if self.kind == "composed_power":
-            q = self.params["q"]
-            gx = self.params["matrix"] @ x
-            return self.params["scale"] * float(np.sum(np.abs(gx) ** q)) / q
-        return float(self.params["psi"](x))
-
-    def _grad_base(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "quadratic":
-            return self.params["matrix"] @ x
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            return w * np.abs(x) ** (q - 1.0) * np.sign(x)
-        if self.kind == "composed_power":
-            q, g = self.params["q"], self.params["matrix"]
-            gx = g @ x
-            return self.params["scale"] * (g.T @ (np.abs(gx) ** (q - 1.0) * np.sign(gx)))
-        return np.asarray(self.params["grad"](x), dtype=float)
+        xs = self._rows(x)
+        out = self._grad_rows(self._a_rows(t, len(xs))[:, None], xs)
+        return out if np.ndim(x) == 2 else out[0]
 
     # -- Legendre transform --------------------------------------------------
 
@@ -195,56 +181,36 @@ class Potential:
         ConjugateFailure it is rerun from z = y, whose result or failure is
         returned.  Closed-form kinds ignore start.
         """
-        rows = np.ndim(y) == 2
-        if rows:
-            y = self._mat(y)
-            a = self._a_rows(t, len(y))[:, None]
-        else:
-            y = self._vec(y)
-            a = self._a(t)
-        if self.kind == "quadratic":
-            return cho_solve(self._chol, y.T).T / a
+        ys = self._rows(y)
+        a = self._a_rows(t, len(ys))[:, None]
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
-            return np.sign(y) * (np.abs(y) / (a * w)) ** (1.0 / (q - 1.0))
-        if self.kind == "composed_power" and self.params["q"] == 2.0:
+            zs = np.sign(ys) * (np.abs(ys) / (a * w)) ** (1.0 / (q - 1.0))
+        elif self.kind == "quadratic" or (self.kind == "composed_power"
+                                          and self.params["q"] == 2.0):
             if self._chol is None:
                 raise ConjugateFailure("composed quadratic has singular G^T G", np.inf, row=0)
-            return cho_solve(self._chol, y.T).T / a
-        ys = y if rows else y[None]
-        zs = None
-        if start is not None:
-            try:
-                zs = self._newton_argmax_batch(t, ys, self._mat(np.reshape(start, ys.shape)))
-            except ConjugateFailure:
-                pass
-        if zs is None:
-            zs = self._newton_argmax_batch(t, ys)
-        return zs if rows else zs[0]
+            zs = cho_solve(self._chol, ys.T).T / a
+        else:
+            zs = None
+            if start is not None:
+                try:
+                    zs = self._newton_argmax_batch(t, ys, self._mat(np.reshape(start, ys.shape)))
+                except ConjugateFailure:
+                    pass
+            if zs is None:
+                zs = self._newton_argmax_batch(t, ys)
+        return zs if np.ndim(y) == 2 else zs[0]
 
-    def duality_gap(self, t: float, x: np.ndarray, y: np.ndarray) -> float:
-        """Psi_t(x) + Psi*_t(y) - <x,y>; nonnegative, zero iff y = DPsi_t(x)."""
-        return self.psi(t, x) + self.conjugate(t, y) - pairing(self._vec(x), self._vec(y))
+    def duality_gap(self, t, x: np.ndarray, y: np.ndarray):
+        """Psi_t(x) + Psi*_t(y) - <x,y>; nonnegative, zero iff y = DPsi_t(x).
 
-    # -- batched evaluation (rows of states, one time per row or a shared time) --
+        One value per row on a stack.
+        """
+        pair = np.einsum("ij,ij->i", self._rows(x), self._rows(y))
+        return self.psi(t, x) + self.conjugate(t, y) - (pair if np.ndim(x) == 2 else pair[0])
 
-    def psi_batch(self, t, xs: np.ndarray) -> np.ndarray:
-        xs = self._mat(xs)
-        a = self._a_rows(t, len(xs))
-        if self.kind == "quadratic":
-            return 0.5 * a * np.einsum("ij,ij->i", xs @ self.params["matrix"], xs)
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            return a * np.sum(w * np.abs(xs) ** q, axis=1) / q
-        if self.kind == "composed_power":
-            q = self.params["q"]
-            gx = xs @ self.params["matrix"].T
-            return a * self.params["scale"] * np.sum(np.abs(gx) ** q, axis=1) / q
-        return a * np.array([self._psi_base(x) for x in xs])
-
-    def grad_batch(self, t, xs: np.ndarray) -> np.ndarray:
-        xs = self._mat(xs)
-        return self._grad_rows(self._a_rows(t, len(xs))[:, None], xs)
+    # -- row forms (rows of states, a the column of per-row modulations) ------
 
     def _grad_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """a * DPsi_base on checked rows, a the column of per-row modulations."""
@@ -257,7 +223,13 @@ class Potential:
             q, g = self.params["q"], self.params["matrix"]
             gx = xs @ g.T
             return a * (self.params["scale"] * ((np.abs(gx) ** (q - 1.0) * np.sign(gx)) @ g))
-        return a * np.array([self._grad_base(x) for x in xs])
+        return a * np.array([np.asarray(self.params["grad"](x), dtype=float) for x in xs])
+
+    def _composed_hess_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """The (M, dim, dim) Hessians of the composed power at rows xs."""
+        q, g = self.params["q"], self.params["matrix"]
+        d = (q - 1.0) * np.abs(xs @ g.T) ** (q - 2.0) + HESS_REGULARIZATION
+        return ((a * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g
 
     def _newton_argmax_batch(self, t, ys: np.ndarray, start=None) -> np.ndarray:
         """Damped Newton for DPsi_t(z) = y on all rows at once, from z = start
@@ -277,9 +249,7 @@ class Potential:
                 return zs
             za, ya, aa = zs[active], ys[active], a[active]
             if self.kind == "composed_power":
-                q, g = self.params["q"], self.params["matrix"]
-                d = (q - 1.0) * np.abs(za @ g.T) ** (q - 2.0) + HESS_REGULARIZATION
-                hess = ((aa * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g
+                hess = self._composed_hess_rows(aa, za)
             else:
                 hess = np.array([self.hess_matrix(tk, z) for tk, z in zip(ts[active], za)])
             try:
@@ -290,13 +260,16 @@ class Potential:
             alpha = np.ones(len(active))
             best = za.copy()
             rbest = rnorm[active].copy()
+            res_best = res[active]
             improved = np.zeros(len(active), dtype=bool)
             for _ in range(NEWTON_MAX_HALVINGS):
                 trial = za + alpha[:, None] * step
-                rn = np.max(np.abs(self._grad_rows(aa, trial) - ya), axis=1)
+                rt = self._grad_rows(aa, trial) - ya
+                rn = np.max(np.abs(rt), axis=1)
                 gain = ~improved & (rn < rbest)
                 best[gain] = trial[gain]
                 rbest[gain] = rn[gain]
+                res_best[gain] = rt[gain]
                 improved |= gain
                 if improved.all():
                     break
@@ -306,8 +279,8 @@ class Potential:
                 raise ConjugateFailure("conjugate Newton line search stalled",
                                        float(rnorm[row]), row=row)
             zs[active] = best
-            res[active] = self._grad_rows(aa, best) - ya
-            rnorm[active] = np.max(np.abs(res[active]), axis=1)
+            res[active] = res_best
+            rnorm[active] = rbest
         if np.max(rnorm) < NEWTON_TOL:
             return zs
         row = int(np.argmax(rnorm >= NEWTON_TOL))
@@ -315,12 +288,6 @@ class Potential:
             f"conjugate Newton did not reach {NEWTON_TOL} in {NEWTON_MAX_ITER} iterations",
             float(rnorm[row]), row=row,
         )
-
-    def duality_gap_batch(self, t, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = self._mat(xs)
-        ys = self._mat(ys)
-        return (self.psi_batch(t, xs) + self.conjugate(t, ys)
-                - np.einsum("ij,ij->i", xs, ys))
 
     # -- second derivative ----------------------------------------------------
 
@@ -335,10 +302,7 @@ class Potential:
             d = w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION
             return a * np.diag(d)
         if self.kind == "composed_power":
-            q, g = self.params["q"], self.params["matrix"]
-            gx = g @ x
-            d = (q - 1.0) * np.abs(gx) ** (q - 2.0) + HESS_REGULARIZATION
-            return a * self.params["scale"] * (g.T * d) @ g
+            return self._composed_hess_rows(np.array([[a]]), x[None])[0]
         if self.params.get("hess_action") is not None:
             act = self.params["hess_action"]
             cols = np.empty((self.dim, self.dim))
@@ -348,11 +312,8 @@ class Potential:
             return a * cols
         # forward differences of the gradient
         step = 1e-7 * (1.0 + float(np.linalg.norm(x)))
-        g0 = self._grad_base(x)
-        cols = np.empty((self.dim, self.dim))
-        eye = np.eye(self.dim)
-        for i in range(self.dim):
-            cols[:, i] = (self._grad_base(x + step * eye[i]) - g0) / step
+        g = self._grad_rows(1.0, np.vstack([x, x + step * np.eye(self.dim)]))
+        cols = ((g[1:] - g[0]) / step).T
         return a * cols
 
     def scaled(self, factor: float) -> "Potential":
@@ -375,6 +336,10 @@ class Potential:
         if not np.all(np.isfinite(v)):
             raise ValueError("potential input must be finite")
         return v
+
+    def _rows(self, x) -> np.ndarray:
+        """x as checked rows: an (M, dim) stack as it is, one state as one row."""
+        return self._mat(x) if np.ndim(x) == 2 else self._vec(x)[None]
 
     def _mat(self, vs) -> np.ndarray:
         vs = np.asarray(vs, dtype=float)

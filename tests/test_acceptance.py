@@ -64,8 +64,8 @@ def test_criterion_01_fenchel_young_suite(rng):
     for pot in kinds.values():
         xs = 3.0 * rng.standard_normal((10_000, 4))
         ys = 3.0 * rng.standard_normal((10_000, 4))
-        worst_gap = min(worst_gap, float(np.min(pot.duality_gap_batch(0.2, xs, ys))))
-        eq_gaps = pot.duality_gap_batch(0.2, xs, pot.grad_batch(0.2, xs))
+        worst_gap = min(worst_gap, float(np.min(pot.duality_gap(0.2, xs, ys))))
+        eq_gaps = pot.duality_gap(0.2, xs, pot.grad(0.2, xs))
         worst_eq = max(worst_eq, float(np.max(eq_gaps)))
     elapsed = time.perf_counter() - t0
     ok = worst_gap >= -1e-9 and worst_eq < 1e-8 and elapsed < 5.0

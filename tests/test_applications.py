@@ -61,6 +61,60 @@ def test_reaction_diffusion_oracle_vs_minimizer():
     assert np.max(np.abs(res.trajectory.states - oracle.states)) < 1e-5
 
 
+def test_divergence_operator_keeps_its_formulas_bit_for_bit(rng):
+    # the four callables as the builder wrote them by hand before they were
+    # derived from its term list; the derived ones must give the same bits
+    n = 8
+    theta, xi, gamma = (PointwiseMap.linear(-0.9123), PointwiseMap.saturated_cubic(0.3154),
+                        PointwiseMap.arctan(0.6819))
+    op = build_parabolic_divergence(n, q=4.0, theta=theta, xi=xi, gamma=gamma).lambda_op
+    h = 1.0 / (n + 1)
+    d = np.zeros((n + 1, n))
+    d[np.arange(n), np.arange(n)] = 1.0
+    d[np.arange(n) + 1, np.arange(n)] = -1.0
+    g, avg = d / h, np.abs(d) / 2.0
+
+    def lam_eval(x):
+        out = np.zeros_like(x)
+        out += gamma.value(x @ g.T) @ g
+        out += xi.value(x @ avg.T) @ g
+        out -= theta.value(x)
+        return h * out
+
+    def lam_dderiv(x, hh):
+        out = np.zeros_like(hh)
+        out += (gamma.deriv(x @ g.T) * (hh @ g.T)) @ g
+        out += (xi.deriv(x @ avg.T) * (hh @ avg.T)) @ g
+        out -= theta.deriv(x) * hh
+        return h * out
+
+    def lam_adjoint(x, v):
+        out = np.zeros_like(v)
+        gv = v @ g.T
+        out += (gamma.deriv(x @ g.T) * gv) @ g
+        out += (xi.deriv(x @ avg.T) * gv) @ avg
+        out -= theta.deriv(x) * v
+        return h * out
+
+    def lam_jac(x):
+        jac = np.zeros((n, n))
+        jac += g.T @ (gamma.deriv(g @ x)[:, None] * g)
+        jac += g.T @ (xi.deriv(avg @ x)[:, None] * avg)
+        jac -= np.diag(theta.deriv(x))
+        return h * jac
+
+    ts = np.linspace(0.0, 0.1, 5)
+    xs, hs, vs = 2.0 * rng.standard_normal((3, 5, n))
+    assert np.array_equal(op(ts, xs), lam_eval(xs))
+    assert np.array_equal(op.dlambda(ts, xs, hs), lam_dderiv(xs, hs))
+    assert np.array_equal(op.dlambda_adjoint(ts, xs, vs), lam_adjoint(xs, vs))
+    for t, x, hh, v in zip(ts, xs, hs, vs):
+        assert np.array_equal(op(t, x), lam_eval(x))
+        assert np.array_equal(op.dlambda(t, x, hh), lam_dderiv(x, hh))
+        assert np.array_equal(op.dlambda_adjoint(t, x, v), lam_adjoint(x, v))
+        assert np.array_equal(op.jacobian_matrix(t, x), lam_jac(x))
+
+
 def test_divergence_builder_validation():
     with pytest.raises(ValueError):
         build_parabolic_divergence(2)

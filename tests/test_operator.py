@@ -10,8 +10,14 @@ from evomin import (
     check_coercivity,
     check_monotonicity,
 )
-from evomin.applications import build_anticoercive_fixture, build_heat
-from evomin.operator import OperatorEvaluationError, linear_operator, sample_states
+from evomin.applications import PointwiseMap, build_anticoercive_fixture, build_heat
+from evomin.operator import (
+    OperatorEvaluationError,
+    Term,
+    linear_operator,
+    sample_states,
+    term_operator,
+)
 from evomin.triple import pairing
 
 
@@ -83,6 +89,75 @@ def test_adjoint_fallback_assembles_columns(rng):
     v = rng.standard_normal(3)
     assert np.allclose(op.dlambda_adjoint(0.0, np.zeros(3), v), mat.T @ v)
     assert np.allclose(op.jacobian_matrix(0.0, np.zeros(3)), mat)
+
+
+def _random_terms(rng, dim):
+    """A term operator with every shape of term, and its value in column form."""
+    b1, a1 = rng.standard_normal((2, 7, dim))
+    b3, a4, b5, a5 = rng.standard_normal((4, dim, dim))
+    linear = rng.standard_normal((dim, dim))
+    sin = PointwiseMap(np.sin, np.cos)
+    cubic = PointwiseMap.saturated_cubic(0.7)
+    atan = PointwiseMap.arctan(1.3)
+    tanh = PointwiseMap(np.tanh, lambda v: 1.0 / np.cosh(v) ** 2)
+    # k = 2: f(s, v) = s * tanh(v), of (B5 x, x)
+    prod = Term(lambda s, v: s * np.tanh(v),
+                (lambda s, v: np.tanh(v), lambda s, v: s / np.cosh(v) ** 2),
+                inner=(b5, None), outer=a5)
+    terms = [sin.term(b1, a1), (-cubic).term(), atan.term(inner=b3), tanh.term(outer=a4), prod]
+    op = term_operator(dim, terms, linear=linear, scale=0.3, kind_tag="quasilinear")
+
+    def column_form(x):
+        return 0.3 * (linear @ x + a1.T @ np.sin(b1 @ x) - cubic.value(x)
+                      + atan.value(b3 @ x) + a4.T @ np.tanh(x)
+                      + a5.T @ ((b5 @ x) * np.tanh(x)))
+
+    return op, column_form
+
+
+def test_term_operator_derivatives_follow_from_the_description(rng):
+    dim = 5
+    op, column_form = _random_terms(rng, dim)
+    s = 1e-6
+    for _ in range(20):
+        x, h, v = rng.standard_normal((3, dim))
+        value = op(0.3, x)
+        assert np.max(np.abs(value - column_form(x))) <= 1e-12 * np.max(np.abs(value))
+        jac = op.jacobian_matrix(0.3, x)
+        dd = op.dlambda(0.3, x, h)
+        scale = max(np.max(np.abs(dd)), 1.0)
+        assert np.max(np.abs(dd - jac @ h)) <= 1e-12 * scale
+        adj = op.dlambda_adjoint(0.3, x, v)
+        assert np.max(np.abs(adj - jac.T @ v)) <= 1e-12 * max(np.max(np.abs(adj)), 1.0)
+        fd = (op(0.3, x + s * h) - op(0.3, x - s * h)) / (2 * s)
+        assert np.max(np.abs(fd - dd)) <= 1e-7 * scale
+
+
+def test_term_operator_stacks_match_rows(rng):
+    dim, rows = 5, 6
+    op, _ = _random_terms(rng, dim)
+    assert op.stacked
+    ts = np.linspace(0.0, 1.0, rows)
+    xs, hs, vs = rng.standard_normal((3, rows, dim))
+    for got, want in ((op(ts, xs), [op(t, x) for t, x in zip(ts, xs)]),
+                      (op.dlambda(ts, xs, hs),
+                       [op.dlambda(t, x, h) for t, x, h in zip(ts, xs, hs)]),
+                      (op.dlambda_adjoint(ts, xs, vs),
+                       [op.dlambda_adjoint(t, x, v) for t, x, v in zip(ts, xs, vs)])):
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_linear_operator_is_the_linear_part_alone(rng):
+    mat = rng.standard_normal((4, 4))
+    x, h, v = rng.standard_normal((3, 4))
+    op = linear_operator(mat)
+    assert op.stacked and op.kind_tag == "linear"
+    assert np.array_equal(op(0.0, x), x @ mat.T)
+    assert np.array_equal(op.dlambda(0.0, x, h), h @ mat.T)
+    assert np.array_equal(op.dlambda_adjoint(0.0, x, v), v @ mat)
+    assert np.array_equal(op.jacobian_matrix(0.0, x), mat)
 
 
 def test_skew_tag_property(rng):

@@ -309,3 +309,24 @@ def test_closed_form_kinds_ignore_the_start(rng):
                 Potential.composed_power(np.eye(2), q=2.0)):
         assert np.array_equal(pot.conjugate_argmax(0.0, ys, start=start),
                               pot.conjugate_argmax(0.0, ys))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "pointwise_power", "composed_power", "custom"])
+def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
+    g = rng.standard_normal((5, 4))
+    modulation = (lambda t: 1.0 + 2.0 * t)
+    pot = {
+        "quadratic": Potential.quadratic(g.T @ g + np.eye(4), modulation=modulation),
+        "pointwise_power": Potential.pointwise_power(3.0, 4, modulation=modulation),
+        "composed_power": Potential.composed_power(g, q=4.0, scale=0.3, modulation=modulation),
+        "custom": Potential.custom(lambda x: float(np.sum(np.cosh(x) - 1.0)), np.sinh, 4,
+                                   modulation=modulation),
+    }[kind]
+    for _ in range(10):
+        x = rng.standard_normal(4)
+        assert np.array_equal(pot.grad(0.4, x), pot.grad(0.4, x[None])[0])
+        assert np.array_equal(pot.psi(0.4, x), pot.psi(0.4, x[None])[0])
+        if kind == "composed_power":
+            # the Hessian the conjugate's Newton solve uses on its rows
+            row = pot._composed_hess_rows(np.array([[pot._a(0.4)]]), x[None])[0]
+            assert np.array_equal(pot.hess_matrix(0.4, x), row)
