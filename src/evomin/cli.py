@@ -32,8 +32,9 @@ from .oracle import StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential, check_growth
 from .trajectory import residual, trajectory_to_csv
 
-# options that the commands read as numbers, checked here so that a bad value
-# is a config error and not a failure in the middle of a run
+# options that the commands read as numbers (max_iterations and samples as
+# integers), checked here so that a bad value is a config error and not a
+# failure in the middle of a run
 NUMERIC_OPTIONS = {
     "solver": ("j_tol", "g_tol", "newton_tol", "max_iterations"),
     "compare": ("j_tol", "g_tol", "state_tol", "residual_tol", "perturb"),
@@ -87,6 +88,9 @@ class RunConfig:
         steps = self.time.get("steps")
         if not isinstance(steps, int) or steps < 1:
             raise ConfigError("time.steps must be an integer >= 1")
+        if self.time.get("t0", 0.0) != 0:
+            raise ConfigError(f"time.t0 must be 0, got {self.time['t0']!r}: every "
+                              "problem's horizon starts at t = 0")
         method = self.solver.get("method", "ben")
         if method not in ("ben", "euler", "continuation"):
             raise ConfigError(f"solver.method must be ben|euler|continuation, got {method!r}")
@@ -95,13 +99,19 @@ class RunConfig:
             for key in keys:
                 if key not in section:
                     continue
+                raw = section[key]
                 try:
-                    value = float(section[key])
+                    value = float(raw)
                 except (TypeError, ValueError):
-                    raise ConfigError(f"{name}.{key} must be a number, "
-                                      f"got {section[key]!r}") from None
+                    raise ConfigError(f"{name}.{key} must be a number, got {raw!r}") from None
+                if key in ("max_iterations", "samples") and type(raw) is not int:
+                    raise ConfigError(f"{name}.{key} must be an integer, got {raw!r}")
                 if name == "solver" and key != "max_iterations" and not value > 0:
                     raise ConfigError(f"solver.{key} must be positive")
+        schedule = self.solver.get("eps_schedule")
+        if schedule is not None and not isinstance(schedule, (list, dict)):
+            raise ConfigError("solver.eps_schedule must be a list of eps values or a mapping "
+                              f"of start, factor and levels, got {schedule!r}")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
         oracle_steps = self.compare.get("oracle_steps", steps)
@@ -182,6 +192,13 @@ def _eps_schedule(cfg: RunConfig) -> list[float]:
                             levels=int(spec.get("levels", 12)))
 
 
+def _minimize_options(cfg: RunConfig, require_gradient: bool = False) -> MinimizeOptions:
+    return MinimizeOptions(j_tol=float(cfg.solver.get("j_tol", 1e-10)),
+                           g_tol=float(cfg.solver.get("g_tol", 1e-9)),
+                           max_iterations=int(cfg.solver.get("max_iterations", 100_000)),
+                           require_gradient=require_gradient)
+
+
 def _json_dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -203,17 +220,12 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     cont_csv = None
 
     if method == "ben":
-        opts = MinimizeOptions(
-            j_tol=float(cfg.solver.get("j_tol", 1e-10)),
-            g_tol=float(cfg.solver.get("g_tol", 1e-9)),
-            max_iterations=int(cfg.solver.get("max_iterations", 100_000)),
-        )
-        res = minimize(problem, steps=cfg.steps, opts=opts)
+        res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg))
         traj = res.trajectory
         status = res.status
         iterations = res.iterations
         trace_csv = trace_to_csv(res)
-        ok = res.status == "converged-zero-energy"
+        ok = res.converged
     elif method == "euler":
         try:
             counter: dict = {}
@@ -278,13 +290,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     problem = build_problem(cfg)
     # the verification wants zero energy and a zero gradient at once, so the
     # minimizer must certify both before stopping
-    opts = MinimizeOptions(
-        j_tol=float(cfg.solver.get("j_tol", 1e-10)),
-        g_tol=float(cfg.solver.get("g_tol", 1e-9)),
-        max_iterations=int(cfg.solver.get("max_iterations", 100_000)),
-        require_gradient=True,
-    )
-    res = minimize(problem, steps=cfg.steps, opts=opts)
+    res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg, require_gradient=True))
     oracle = implicit_euler_solve(problem, cfg.steps,
                                   newton_tol=float(cfg.solver.get("newton_tol", 1e-12)))
     perturb = float(cfg.compare.get("perturb", 0.0))

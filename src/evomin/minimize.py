@@ -11,6 +11,7 @@ status message says which checker to run.
 from __future__ import annotations
 
 import io
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,19 +35,28 @@ _STATIONARY_HINT = (
     "on this problem, or refine the time grid"
 )
 
+HISTORY = 10            # L-BFGS pairs kept
+ARMIJO_C1 = 1e-4        # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 50     # step halvings before the line search gives up
+ROUNDOFF = 1e-18        # a decrease below ROUNDOFF * (1 + |J|) is round-off
+NO_PROGRESS_LIMIT = 3   # round-off decreases in a row that end the run
+J_FLOOR = 1e-15         # J <= J_FLOOR * max(1, |J(init)|) is zero to working precision
+G_FLOOR = 1e-7          # a floor exit above max(g_tol, G_FLOOR) in |g|_inf is an error
+
 
 @dataclass
 class MinimizeOptions:
-    """require_gradient=True makes the zero-energy exit demand |g|_inf <= g_tol
-    as well, so a result certifies the critical-point statement at the same
-    time; the default keeps the cheaper either/or exit."""
+    """Tolerances of the stopping rule (see `minimize`).
+
+    require_gradient=True makes the j_tol exit demand |g|_inf <= g_tol as
+    well, so a result certifies the critical-point statement at the same
+    time; the default keeps the cheaper either/or exit.  It binds only that
+    exit: the floor exits classify by J and |g|_inf without it.
+    """
 
     j_tol: float = 1e-10
     g_tol: float = 1e-9
     max_iterations: int = 100_000
-    history: int = 10
-    armijo_c1: float = 1e-4
-    max_backtracks: int = 50
     require_gradient: bool = False
 
 
@@ -75,6 +85,11 @@ def minimize(
 
     Without an explicit init the constant-in-time extension of the
     initial state is used (needs `steps`).
+
+    Stopping rule: the run stops at the top of an iteration once
+    |g|_inf <= g_tol, or J <= j_tol without require_gradient (zero-energy iff
+    J <= j_tol, else stationary); at a floor exit, where J cannot decrease
+    further, as `stuck` classifies it; or at the iteration cap.
     """
     opts = opts or MinimizeOptions()
     if init is None:
@@ -101,31 +116,27 @@ def minimize(
     # only trial points inside the line search may fail recoverably
     j, g, zstar = f_and_g(z)
 
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    s_list: deque = deque(maxlen=HISTORY)
+    y_list: deque = deque(maxlen=HISTORY)
     gamma = 1.0
     no_progress = 0
-    # below this value the energy is zero to working precision for this
-    # problem scale; used only to classify floor exits honestly
-    j_floor = 1e-15 * max(1.0, abs(j))
+    j_floor = max(opts.j_tol, J_FLOOR * max(1.0, abs(j)))
+    g_floor = max(opts.g_tol, G_FLOOR)
 
-    def classify_floor(jv):
-        return STATUS_ZERO if jv <= max(opts.j_tol, j_floor) else STATUS_STATIONARY
+    def stuck(jv, gv):
+        """Status of a floor exit: a predicted decrease below round-off, a line
+        search out of backtracks, or NO_PROGRESS_LIMIT round-off decreases."""
+        if jv <= j_floor:
+            return STATUS_ZERO
+        return STATUS_STATIONARY if gv <= g_floor else STATUS_ERROR
 
     for it in range(opts.max_iterations):
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+        gnorm = float(np.linalg.norm(g, np.inf))
         result.j_history.append(j)
         result.grad_norm_history.append(gnorm)
         result.iterations = it
-        if j <= opts.j_tol and not (opts.require_gradient and gnorm > opts.g_tol):
-            result.status = STATUS_ZERO
-            break
-        if gnorm <= opts.g_tol:
-            if j <= opts.j_tol:
-                result.status = STATUS_ZERO
-            else:
-                result.status = STATUS_STATIONARY
-                result.message = _STATIONARY_HINT
+        if gnorm <= opts.g_tol or (j <= opts.j_tol and not opts.require_gradient):
+            result.status = STATUS_ZERO if j <= opts.j_tol else STATUS_STATIONARY
             break
 
         direction = _lbfgs_direction(g, s_list, y_list, gamma)
@@ -135,17 +146,12 @@ def minimize(
             y_list.clear()
             direction = -g / max(1.0, np.linalg.norm(g))
             dg = float(direction @ g)
-        if -dg < 1e-18 * (1.0 + abs(j)):
-            # available decrease is below round-off: the iterate is at the
-            # floating-point floor of the energy landscape
-            result.status = classify_floor(j)
-            if result.status == STATUS_STATIONARY:
-                result.message = _STATIONARY_HINT
+        if -dg < ROUNDOFF * (1.0 + abs(j)):
+            result.status = stuck(j, gnorm)
             break
 
         alpha = 1.0
-        accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             z_new = z + alpha * direction
             if not np.all(np.isfinite(z_new)):
                 alpha *= 0.5
@@ -159,34 +165,18 @@ def minimize(
                 # this trial point: a rejected trial, not an error
                 alpha *= 0.5
                 continue
-            if j_new <= j + opts.armijo_c1 * alpha * dg:
-                accepted = True
+            if j_new <= j + ARMIJO_C1 * alpha * dg:
                 break
             alpha *= 0.5
-        if not accepted:
-            # No admissible decrease left; classify by the value reached.
-            if j <= max(opts.j_tol, j_floor):
-                result.status = STATUS_ZERO
-            elif gnorm <= max(opts.g_tol, 1e-7):
-                result.status = STATUS_STATIONARY
-                result.message = _STATIONARY_HINT
-            else:
-                result.status = STATUS_ERROR
-                result.message = (
-                    f"line search failed at iteration {it} (J={j:.3e}, |g|_inf={gnorm:.3e})"
-                )
+        else:  # no trial point accepted
+            result.status = stuck(j, gnorm)
             break
 
-        if j - j_new <= 1e-18 * (1.0 + abs(j)):
-            no_progress += 1
-            if no_progress >= 3:
-                result.status = classify_floor(j_new)
-                if result.status == STATUS_STATIONARY:
-                    result.message = _STATIONARY_HINT
-                z, j, g = z_new, j_new, g_new
-                break
-        else:
-            no_progress = 0
+        no_progress = no_progress + 1 if j - j_new <= ROUNDOFF * (1.0 + abs(j)) else 0
+        if no_progress >= NO_PROGRESS_LIMIT:
+            z, j, gnorm = z_new, j_new, float(np.linalg.norm(g_new, np.inf))
+            result.status = stuck(j, gnorm)
+            break
 
         s = z_new - z
         y = g_new - g
@@ -194,17 +184,20 @@ def minimize(
         if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             s_list.append(s)
             y_list.append(y)
-            if len(s_list) > opts.history:
-                s_list.pop(0)
-                y_list.pop(0)
             gamma = sy / float(y @ y)
         z, j, g, zstar = z_new, j_new, g_new, zstar_new
         result.step_sizes.append(alpha)
     else:
         result.status = STATUS_CAP
-        result.message = f"iteration cap {opts.max_iterations} reached (J={j:.3e})"
         result.iterations = opts.max_iterations
 
+    if result.status == STATUS_STATIONARY:
+        result.message = _STATIONARY_HINT
+    elif result.status == STATUS_ERROR:
+        result.message = (f"J cannot decrease further at iteration {result.iterations} "
+                          f"(J={j:.3e}, |g|_inf={gnorm:.3e})")
+    elif result.status == STATUS_CAP:
+        result.message = f"iteration cap {opts.max_iterations} reached (J={j:.3e})"
     result.trajectory = unpack(z)
     return result
 

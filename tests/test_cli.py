@@ -311,3 +311,44 @@ def test_check_reproducibility_byte_identical(tmp_path):
     report = json.loads(first)
     jsonschema.validate(report, schema("check"))
     assert [r["samples"] for r in report["reports"]] == [2000, 2000, 2000]
+
+
+def test_summary_schema_rejects_an_unknown_status():
+    summary = {"problem": "heat", "method": "ben", "J_final": 0.0, "max_residual": 0.0,
+               "iterations": 1, "energy_balance_max": 0.0, "runtime_ms": None,
+               "status": "converged-zero-energy", "seed": 0, "steps": 1}
+    jsonschema.validate(summary, schema("summary"))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**summary, "status": "converged"}, schema("summary"))
+
+
+def test_nonzero_t0_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, time={"t0": 0.5, "t1": 0.6})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "config error: time.t0 must be 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"t0": 0, "steps": 5}})
+    RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"steps": 5}})
+
+
+@pytest.mark.parametrize("command,section,key,text", [
+    ("solve", "solver", "max_iterations", "1e5"),      # YAML reads 1e5 as a string
+    ("solve", "solver", "max_iterations", "2.7"),
+    ("check", "checks", "samples", "1e3"),
+    ("check", "checks", "samples", "2.5"),
+])
+def test_integer_option_is_validated_as_an_integer(tmp_path, capsys, command, section, key,
+                                                   text):
+    cfg = write_config(tmp_path, **{section: {key: 12345}})
+    cfg.write_text(cfg.read_text().replace(f"{key}: 12345", f"{key}: {text}"))
+    assert yaml.safe_load(cfg.read_text())[section][key] != 12345
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"config error: {section}.{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", ["fast", 0.5])
+def test_eps_schedule_of_the_wrong_type_is_a_config_error(tmp_path, capsys, schedule):
+    cfg = write_config(tmp_path, problem={"kind": "heat_core"},
+                       solver={"method": "continuation", "eps_schedule": schedule})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "config error: solver.eps_schedule must be" in capsys.readouterr().err

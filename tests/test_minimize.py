@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,139 @@ def test_trial_solves_start_from_the_accepted_iterate(monkeypatch):
             assert start is calls[i - 1][1]
             seed, accepted = start, accepted + 1
     assert accepted == res.iterations - 1
+
+
+# --- the stopping rule: one test per exit and per status -------------------
+
+# the package exports the function `minimize` under the module's name
+minimize_module = importlib.import_module("evomin.minimize")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Record the total J of every energy evaluation inside `minimize`
+    (None for an evaluation that raised)."""
+    real = minimize_module.energy_breakdown
+    totals = []
+
+    def recording(problem, traj, start=None):
+        totals.append(None)
+        bd = real(problem, traj, start)
+        totals[-1] = bd.total
+        return bd
+
+    monkeypatch.setattr(minimize_module, "energy_breakdown", recording)
+    return totals
+
+
+def evaluations_of_accepted_steps(res):
+    """Evaluations that the start point and the accepted steps account for:
+    a step of size 2^-b evaluated 1 + b trial points."""
+    return 1 + sum(1 + round(-np.log2(a)) for a in res.step_sizes)
+
+
+def test_stationary_status_at_a_zero_gradient_with_positive_energy(monkeypatch):
+    monkeypatch.setattr(minimize_module, "energy_gradient",
+                        lambda problem, traj, bd: np.zeros_like(traj.states[1:]))
+    res = minimize(scalar_problem(), steps=3)
+    assert res.status == "converged-stationary-positive-J"
+    assert not res.converged
+    assert res.iterations == 0 and res.j_history[0] > 1e-3
+    assert "check_monotonicity" in res.message
+
+
+def test_error_status_when_the_line_search_rejects_every_trial(evaluations):
+    # the start point (u = 1 everywhere) evaluates; every trial point blows up
+    # the operator, so all MAX_BACKTRACKS trials are rejected far from zero J
+    from evomin import OperatorLambda
+    from evomin.minimize import MAX_BACKTRACKS
+
+    p = scalar_problem()
+    op = OperatorLambda(dim=1, eval=lambda t, x: np.where(np.all(x == 1.0), x, np.inf),
+                        dderiv=lambda t, x, h: h.copy(),
+                        dderiv_adjoint=lambda t, x, v: v.copy(), kind_tag="linear",
+                        stacked=True)
+    p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
+                horizon=p.horizon, initial=p.initial)
+    res = minimize(p, steps=3)
+    assert res.status == "error"
+    assert res.iterations == 0 and res.grad_norm_history[0] > 1e-7
+    assert len(evaluations) == 1 + MAX_BACKTRACKS
+    assert evaluations[1:] == [None] * MAX_BACKTRACKS
+    assert "cannot decrease" in res.message
+    assert np.array_equal(res.trajectory.states, np.ones((4, 1)))
+
+
+def test_round_off_floor_exit_on_scalar_decay(evaluations):
+    # with require_gradient J reaches zero long before |g|_inf reaches g_tol;
+    # the run ends when the predicted decrease falls below round-off, before
+    # any trial point of its last iteration
+    from evomin.applications import build_scalar_decay
+
+    res = minimize(build_scalar_decay(t1=1.0), steps=8,
+                   opts=MinimizeOptions(require_gradient=True))
+    assert res.status == "converged-zero-energy"
+    assert (res.iterations, len(evaluations)) == (28, 34)
+    assert len(evaluations) == evaluations_of_accepted_steps(res)
+    assert len(res.step_sizes) == res.iterations
+    assert res.grad_norm_history[-1] > 1e-9        # above g_tol: not the top-of-loop exit
+    assert res.grad_norm_history[-1] == pytest.approx(2.08e-9, rel=1e-2)
+
+
+def test_no_progress_exit_on_a_power_law_panel_input(evaluations):
+    # three accepted steps in a row decrease J by round-off only; the run
+    # returns the last of them
+    from evomin.applications import PointwiseMap, build_parabolic_divergence
+    from evomin.minimize import NO_PROGRESS_LIMIT, ROUNDOFF
+
+    p = build_parabolic_divergence(8, q=4.0, theta=PointwiseMap.linear(-0.9304),
+                                   xi=PointwiseMap.saturated_cubic(0.2450),
+                                   gamma=PointwiseMap.arctan(0.5600), t1=0.1)
+    res = minimize(p, steps=4, opts=MinimizeOptions(require_gradient=True))
+    assert res.status == "converged-zero-energy"
+    assert (res.iterations, len(evaluations)) == (42, 163)
+    assert len(res.step_sizes) == res.iterations
+    assert len(evaluations) > evaluations_of_accepted_steps(res)  # the last step was tried
+    # the last NO_PROGRESS_LIMIT accepted steps, the returned one included
+    path = np.array(res.j_history + [evaluations[-1]])
+    decreases = (path[:-1] - path[1:])[-NO_PROGRESS_LIMIT:]
+    assert np.all(decreases >= 0.0)
+    assert np.all(decreases <= ROUNDOFF * (1.0 + np.abs(path[-NO_PROGRESS_LIMIT - 1:-1])))
+    assert path[-NO_PROGRESS_LIMIT - 2] - path[-NO_PROGRESS_LIMIT - 1] > ROUNDOFF
+    assert min(res.step_sizes) == 2.0**-38          # the line-search stall, still open
+
+
+@pytest.mark.parametrize("g_inf,status", [(None, "error"),
+                                          (5e-8, "converged-stationary-positive-J")])
+def test_round_off_floor_exit_above_zero_energy_reads_the_gradient(monkeypatch, evaluations,
+                                                                   g_inf, status):
+    # a direction whose predicted decrease is below round-off stops the first
+    # iteration far above zero energy: a large gradient is an error, a
+    # gradient within max(g_tol, G_FLOOR) a stationary point
+    monkeypatch.setattr(minimize_module, "_lbfgs_direction",
+                        lambda g, *history: -1e-30 * g / float(g @ g))
+    if g_inf is not None:
+        real = minimize_module.energy_gradient
+
+        def scaled(problem, traj, bd):
+            g = real(problem, traj, bd)
+            return g * (g_inf / np.max(np.abs(g)))
+
+        monkeypatch.setattr(minimize_module, "energy_gradient", scaled)
+    res = minimize(scalar_problem(), steps=3)
+    assert res.status == status
+    assert res.iterations == 0 and len(evaluations) == 1
+    assert res.j_history[0] > 1e-3 and res.grad_norm_history[0] > 1e-9
+
+
+def test_floor_exit_below_the_relative_j_floor_is_zero_energy():
+    # with j_tol = 0 only the floor J_FLOOR * max(1, |J(init)|) tells round-off
+    # from energy: the run ends at a floor exit at J ~ 3e-17 > 0, |g|_inf above g_tol
+    from evomin.applications import build_scalar_decay
+    from evomin.minimize import J_FLOOR
+
+    res = minimize(build_scalar_decay(t1=1.0), steps=2, opts=MinimizeOptions(j_tol=0.0))
+    assert res.status == "converged-zero-energy"
+    assert res.iterations == 5
+    assert 0.0 < res.j_history[-1] <= J_FLOOR * max(1.0, res.j_history[0])
+    assert res.grad_norm_history[-1] > 1e-9
