@@ -362,6 +362,9 @@ class StreamFunctionBasis:
     partners (-m1, 0) that make that column Hermitian.  The six fields of
     velocity and velocity gradient come from one stacked irfft2, and the
     two dual projections from one stacked rfft2.
+
+    The convection maps take one state or an (M, dim) stack of rows alike:
+    a stack's leading axis rides along through the same transforms.
     """
 
     def __init__(self, k: int):
@@ -394,11 +397,11 @@ class StreamFunctionBasis:
     # spectral plumbing ------------------------------------------------------
 
     def _spectral(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients -> half stream spectrum (m2 >= 0) on the padded lattice."""
-        c = 0.5 * (x[: self.nmodes] - 1j * x[self.nmodes:])
-        z = np.zeros((self.pad, self.pad // 2 + 1), dtype=complex)
-        z[self._ix, self._iy] = c
-        z[self._ix_conj, 0] = np.conj(c[self._m2_zero])
+        """Coefficients (..., dim) -> half stream spectra (m2 >= 0) on the padded lattice."""
+        c = 0.5 * (x[..., : self.nmodes] - 1j * x[..., self.nmodes:])
+        z = np.zeros(np.shape(x)[:-1] + (self.pad, self.pad // 2 + 1), dtype=complex)
+        z[..., self._ix, self._iy] = c
+        z[..., self._ix_conj, 0] = np.conj(c[..., self._m2_zero])
         return z
 
     def _field(self, z: np.ndarray) -> np.ndarray:
@@ -417,26 +420,26 @@ class StreamFunctionBasis:
         return vel
 
     def project_dual(self, w: np.ndarray) -> np.ndarray:
-        """Dual coefficients of a velocity field w, stacked (2, pad, pad):
-        integrals against basis fields."""
+        """Dual coefficients of velocity fields w, stacked (2, ..., pad, pad):
+        integrals against basis fields, (..., dim)."""
         area = (2.0 * np.pi) ** 2
-        f = np.fft.rfft2(w, norm="forward")[:, self._ix, self._iy]
+        f = np.fft.rfft2(w, norm="forward")[..., self._ix, self._iy]
         m1 = self.modes[:, 0]
         m2 = self.modes[:, 1]
         a = area * (m2 * f[0].imag - m1 * f[1].imag)
         b = area * (m2 * f[0].real - m1 * f[1].real)
-        return np.concatenate([a, b])
+        return np.concatenate([a, b], axis=-1)
 
     def _velocity_and_grad(self, x: np.ndarray):
-        """Velocity u, stacked (2, pad, pad), and its gradient g with
-        g[i, j] = d u_i / d x_j, stacked (2, 2, pad, pad)."""
+        """Velocity u, stacked (2, ..., pad, pad), and its gradient g with
+        g[i, j] = d u_i / d x_j, stacked (2, 2, ..., pad, pad)."""
         z = self._spectral(x)
         zx = 1j * self.wx * z
         zy = 1j * self.wy * z
         f = self._field(np.stack([zy, -zx,
                                   1j * self.wx * zy, 1j * self.wy * zy,
                                   -1j * self.wx * zx, -1j * self.wy * zx]))
-        return f[:2], f[2:].reshape(2, 2, self.pad, self.pad)
+        return f[:2], f[2:].reshape((2, 2) + f.shape[1:])
 
     def _state_fields(self, x: np.ndarray):
         """_velocity_and_grad of a state, kept for the last state seen.
@@ -463,6 +466,22 @@ class StreamFunctionBasis:
         v, dv = self._velocity_and_grad(h)
         return self.project_dual(u[0] * dv[:, 0] + u[1] * dv[:, 1]
                                  + v[0] * du[:, 0] + v[1] * du[:, 1])
+
+    def convection_dual_adjoint(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Transpose of the linearized convection at x, applied to v.
+
+        With u the velocity of x and V that of v, the linearization pairs as
+        <V, (u . grad) w + (w . grad) u>; the skew identity
+        b(u, w, V) = -b(u, V, w) of the divergence-free u moves the
+        derivative off w, so the transpose is the projection of
+        (grad u)^T V - (u . grad) V.  The padded grid integrates the triple
+        products exactly, so this is the transpose of convection_jacobian to
+        round-off.
+        """
+        u, du = self._state_fields(x)
+        w, dw = self._velocity_and_grad(v)
+        return self.project_dual(w[0] * du[0] + w[1] * du[1]
+                                 - u[0] * dw[:, 0] - u[1] * dw[:, 1])
 
     def convection_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Dense Jacobian of the projected convection via its spectral kernel.
@@ -588,17 +607,13 @@ def build_navier_stokes_2d(
     else:
         f_dual = np.zeros(n)
 
-    def lam_eval(t, x):
-        return basis.convection_dual(x) - f_dual
-
-    def lam_dderiv(t, x, h):
-        return basis.convection_dual_linearized(x, h)
-
-    def lam_jac(t, x):
-        return basis.convection_jacobian(x)
-
-    lam_op = OperatorLambda(dim=n, eval=lam_eval, dderiv=lam_dderiv,
-                            jacobian=lam_jac, kind_tag="convective")
+    lam_op = OperatorLambda(
+        dim=n,
+        eval=lambda t, x: basis.convection_dual(x) - f_dual,
+        dderiv=lambda t, x, h: basis.convection_dual_linearized(x, h),
+        dderiv_adjoint=lambda t, x, v: basis.convection_dual_adjoint(x, v),
+        jacobian=lambda t, x: basis.convection_jacobian(x),
+        kind_tag="convective")
     if isinstance(initial, str):
         if initial == "taylor-green":
             w0 = taylor_green_stream(basis)

@@ -32,14 +32,16 @@ from .oracle import StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential, check_growth
 from .trajectory import residual, trajectory_to_csv
 
-# options that the commands read as numbers (max_iterations and samples as
-# integers), checked here so that a bad value is a config error and not a
-# failure in the middle of a run
+# options that the commands read as numbers (INTEGER_OPTIONS as integers),
+# checked here so that a bad value is a config error and not a failure in the
+# middle of a run or a silently truncated grid
 NUMERIC_OPTIONS = {
+    "grid": ("n", "k"),
     "solver": ("j_tol", "g_tol", "newton_tol", "max_iterations"),
     "compare": ("j_tol", "g_tol", "state_tol", "residual_tol", "perturb"),
     "checks": ("samples", "c0", "q"),
 }
+INTEGER_OPTIONS = ("n", "k", "max_iterations", "samples")
 
 
 class ConfigError(Exception):
@@ -104,7 +106,7 @@ class RunConfig:
                     value = float(raw)
                 except (TypeError, ValueError):
                     raise ConfigError(f"{name}.{key} must be a number, got {raw!r}") from None
-                if key in ("max_iterations", "samples") and type(raw) is not int:
+                if key in INTEGER_OPTIONS and type(raw) is not int:
                     raise ConfigError(f"{name}.{key} must be an integer, got {raw!r}")
                 if name == "solver" and key != "max_iterations" and not value > 0:
                     raise ConfigError(f"solver.{key} must be positive")
@@ -348,7 +350,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_convergence(cfg: RunConfig, out_dir: Path, refinements: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem_kind = cfg.problem["kind"]
-    n = int(cfg.grid.get("n", 32))
+    n = _n(cfg)
     levels = []
     for level in range(refinements + 1):
         steps = cfg.steps * (2**level)

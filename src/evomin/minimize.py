@@ -87,9 +87,10 @@ def minimize(
     initial state is used (needs `steps`).
 
     Stopping rule: the run stops at the top of an iteration once
-    |g|_inf <= g_tol, or J <= j_tol without require_gradient (zero-energy iff
-    J <= j_tol, else stationary); at a floor exit, where J cannot decrease
-    further, as `stuck` classifies it; or at the iteration cap.
+    |g|_inf <= g_tol, or J <= j_tol without require_gradient; at a floor
+    exit, where J cannot decrease further; or at the iteration cap.  Every
+    exit but the cap is classified by `exit_status`: zero-energy iff J is at most
+    the J floor max(j_tol, J_FLOOR * max(1, |J(init)|)).
     """
     opts = opts or MinimizeOptions()
     if init is None:
@@ -123,9 +124,10 @@ def minimize(
     j_floor = max(opts.j_tol, J_FLOOR * max(1.0, abs(j)))
     g_floor = max(opts.g_tol, G_FLOOR)
 
-    def stuck(jv, gv):
-        """Status of a floor exit: a predicted decrease below round-off, a line
-        search out of backtracks, or NO_PROGRESS_LIMIT round-off decreases."""
+    def exit_status(jv, gv):
+        """Status of an exit other than the cap: the top-of-loop test, or a floor
+        exit (a predicted decrease below round-off, a line search out of
+        backtracks, or NO_PROGRESS_LIMIT round-off decreases)."""
         if jv <= j_floor:
             return STATUS_ZERO
         return STATUS_STATIONARY if gv <= g_floor else STATUS_ERROR
@@ -136,7 +138,7 @@ def minimize(
         result.grad_norm_history.append(gnorm)
         result.iterations = it
         if gnorm <= opts.g_tol or (j <= opts.j_tol and not opts.require_gradient):
-            result.status = STATUS_ZERO if j <= opts.j_tol else STATUS_STATIONARY
+            result.status = exit_status(j, gnorm)
             break
 
         direction = _lbfgs_direction(g, s_list, y_list, gamma)
@@ -147,7 +149,7 @@ def minimize(
             direction = -g / max(1.0, np.linalg.norm(g))
             dg = float(direction @ g)
         if -dg < ROUNDOFF * (1.0 + abs(j)):
-            result.status = stuck(j, gnorm)
+            result.status = exit_status(j, gnorm)
             break
 
         alpha = 1.0
@@ -169,13 +171,13 @@ def minimize(
                 break
             alpha *= 0.5
         else:  # no trial point accepted
-            result.status = stuck(j, gnorm)
+            result.status = exit_status(j, gnorm)
             break
 
         no_progress = no_progress + 1 if j - j_new <= ROUNDOFF * (1.0 + abs(j)) else 0
         if no_progress >= NO_PROGRESS_LIMIT:
             z, j, gnorm = z_new, j_new, float(np.linalg.norm(g_new, np.inf))
-            result.status = stuck(j, gnorm)
+            result.status = exit_status(j, gnorm)
             break
 
         s = z_new - z

@@ -55,35 +55,30 @@ def row_times(t, rows: int) -> np.ndarray:
 
 @dataclass
 class OperatorLambda:
-    """Nonlinear map Lambda_t with directional derivative.
+    """Nonlinear map Lambda_t with its derivative, adjoint and Jacobian.
 
-    eval(t, x)          -> dual vector Lambda_t(x)
-    dderiv(t, x, h)     -> dual vector DLambda_t(x) . h
-    dderiv_adjoint      -> optional (t, x, v) -> DLambda_t(x)^T v; assembled
-                           column by column when missing
-    jacobian            -> optional (t, x) -> dense matrix of DLambda_t(x)
-    kind_tag            -- label used by reports only
-    stacked             -- True when eval, dderiv and dderiv_adjoint also take a
-                           stack: times of shape (M,) and rows x, h, v of shape
-                           (M, dim), returning the (M, dim) rows of the
-                           single-state results
+    eval(t, x)              -> dual vector Lambda_t(x)
+    dderiv(t, x, h)         -> dual vector DLambda_t(x) . h
+    dderiv_adjoint(t, x, v) -> DLambda_t(x)^T v
+    jacobian(t, x)          -> dense matrix of DLambda_t(x), for one state
+    kind_tag                -- label used by reports only
 
-    Calling the operator, dlambda or dlambda_adjoint on an (M, dim) stack
-    works for every operator: a stacked one gets the whole stack in one call,
-    any other one is evaluated row by row here.
+    eval, dderiv and dderiv_adjoint take one state, or times of shape (M,)
+    with rows x, h, v of shape (M, dim), and return the matching rows.
+    Calling the operator, dlambda or dlambda_adjoint on a stack with a
+    shared scalar time broadcasts the time over the rows.
 
-    The callables need not be written by hand: term_operator derives all four,
-    stacked, from one description as a linear part plus pointwise terms (the
-    1D families and linear_operator are built that way).
+    The callables need not be written by hand: term_operator derives all four
+    from one description as a linear part plus pointwise terms (the 1D
+    families and linear_operator are built that way).
     """
 
     dim: int
     eval: Callable[[float, np.ndarray], np.ndarray]
     dderiv: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    dderiv_adjoint: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[float, np.ndarray], np.ndarray]
     kind_tag: str = "custom"
-    dderiv_adjoint: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
-    jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    stacked: bool = False
 
     def __call__(self, t, x: np.ndarray) -> np.ndarray:
         return self._evaluate(self.eval, "", t, x)
@@ -91,58 +86,31 @@ class OperatorLambda:
     def dlambda(self, t, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         return self._evaluate(self.dderiv, " derivative", t, x, h)
 
+    def dlambda_adjoint(self, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.dderiv_adjoint, " adjoint", t, x, v)
+
+    def jacobian_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.jacobian(t, x), dtype=float)
+
     def _evaluate(self, fn, what: str, t, x: np.ndarray, *args) -> np.ndarray:
-        """fn(t, x, *args) on one state or an (M, dim) stack, checked finite row by row."""
-        if np.ndim(x) != 2:
-            out = np.asarray(fn(t, x, *args), dtype=float)
-            if not np.all(np.isfinite(out)):
-                raise OperatorEvaluationError(
-                    f"operator '{self.kind_tag}'{what} returned a non-finite value at t={t}"
-                )
-            return out
-        ts = row_times(t, len(x))
-        if self.stacked:
-            out = fn(ts, x, *args)
-        else:
-            out = [fn(tk, xk, *rest) for tk, xk, *rest in zip(ts, x, *args)]
-        out = self._rows_result(out, x)
-        bad = ~np.isfinite(out).all(axis=1)
+        """fn(t, x, *args) on one state or an (M, dim) stack, checked for its shape
+        and finite row by row."""
+        stack = np.ndim(x) == 2
+        if stack:
+            t = row_times(t, len(x))
+        out = np.asarray(fn(t, x, *args), dtype=float)
+        if out.shape != np.shape(x):
+            raise ValueError(f"operator '{self.kind_tag}'{what} returned shape {out.shape} "
+                             f"for a state of shape {np.shape(x)}")
+        bad = ~np.isfinite(out.reshape(len(x) if stack else 1, -1)).all(axis=1)
         if bad.any():
-            row = int(np.argmax(bad))
+            row = int(np.argmax(bad)) if stack else None
             raise OperatorEvaluationError(
-                f"operator '{self.kind_tag}'{what} returned a non-finite value at t={ts[row]}",
+                f"operator '{self.kind_tag}'{what} returned a non-finite value "
+                f"at t={t if row is None else t[row]}",
                 row=row,
             )
         return out
-
-    def dlambda_adjoint(self, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if np.ndim(x) != 2:
-            return self._adjoint(t, x, v)
-        ts = row_times(t, len(x))
-        if self.stacked and self.dderiv_adjoint is not None:
-            return self._rows_result(self.dderiv_adjoint(ts, x, v), x)
-        return self._rows_result([self._adjoint(tk, xk, vk) for tk, xk, vk in zip(ts, x, v)], x)
-
-    def _adjoint(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.dderiv_adjoint is not None:
-            return np.asarray(self.dderiv_adjoint(t, x, v), dtype=float)
-        return self.jacobian_matrix(t, x).T @ v
-
-    def _rows_result(self, out, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
-        if out.shape != np.shape(x):
-            raise ValueError(f"operator '{self.kind_tag}' returned shape {out.shape} "
-                             f"for rows of shape {np.shape(x)}")
-        return out
-
-    def jacobian_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(t, x), dtype=float)
-        cols = np.empty((self.dim, self.dim))
-        eye = np.eye(self.dim)
-        for i in range(self.dim):
-            cols[:, i] = self.dderiv(t, x, eye[i])
-        return cols
 
 
 @dataclass(frozen=True)
@@ -218,7 +186,7 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
 
     return OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
                           dderiv_adjoint=lam_adjoint, jacobian=lam_jacobian,
-                          kind_tag=kind_tag, stacked=True)
+                          kind_tag=kind_tag)
 
 
 def _outer(term: Term, y: np.ndarray) -> np.ndarray:

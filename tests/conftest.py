@@ -3,14 +3,14 @@ import pytest
 
 from evomin import (
     EvolutionTriple,
-    OperatorLambda,
     Potential,
     ProblemSpec,
     Trajectory,
     XNorm,
     pairing,
 )
-from evomin.operator import sample_states
+from evomin.applications import PointwiseMap
+from evomin.operator import Term, linear_operator, sample_states, term_operator
 
 
 @pytest.fixture
@@ -22,32 +22,16 @@ def scalar_problem(lam=1, t1=1.0, u0=1.0):
     """Lambda(u) = u, Psi = u^2/2: the hand-solvable decay equation."""
     triple = EvolutionTriple(dim=1, mass=np.eye(1))
     pot = Potential.quadratic(np.eye(1))
-    op = OperatorLambda(
-        dim=1,
-        eval=lambda t, x: x.copy(),
-        dderiv=lambda t, x, h: h.copy(),
-        dderiv_adjoint=lambda t, x, v: v.copy(),
-        jacobian=lambda t, x: np.eye(1),
-        kind_tag="linear",
-    )
-    return ProblemSpec(triple=triple, potential=pot, lambda_op=op, lambda_flag=lam,
-                       horizon=(0.0, t1), initial=np.array([u0]))
+    return ProblemSpec(triple=triple, potential=pot, lambda_op=linear_operator(np.eye(1)),
+                       lambda_flag=lam, horizon=(0.0, t1), initial=np.array([u0]))
 
 
 def zero_lambda_problem(lam=1, t1=1.0, u0=1.0):
     """No operator: pure potential flow of Psi = u^2/2."""
     triple = EvolutionTriple(dim=1, mass=np.eye(1))
     pot = Potential.quadratic(np.eye(1))
-    op = OperatorLambda(
-        dim=1,
-        eval=lambda t, x: np.zeros(1),
-        dderiv=lambda t, x, h: np.zeros(1),
-        dderiv_adjoint=lambda t, x, v: np.zeros(1),
-        jacobian=lambda t, x: np.zeros((1, 1)),
-        kind_tag="linear",
-    )
-    return ProblemSpec(triple=triple, potential=pot, lambda_op=op, lambda_flag=lam,
-                       horizon=(0.0, t1), initial=np.array([u0]))
+    return ProblemSpec(triple=triple, potential=pot, lambda_op=zero_operator(1),
+                       lambda_flag=lam, horizon=(0.0, t1), initial=np.array([u0]))
 
 
 def rotation_problem(t1=1.0, psi_weight=0.5):
@@ -55,16 +39,28 @@ def rotation_problem(t1=1.0, psi_weight=0.5):
     triple = EvolutionTriple(dim=2, mass=np.eye(2))
     pot = Potential.quadratic(psi_weight * np.eye(2))
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    op = OperatorLambda(
-        dim=2,
-        eval=lambda t, x: rot @ x,
-        dderiv=lambda t, x, h: rot @ h,
-        dderiv_adjoint=lambda t, x, v: rot.T @ v,
-        jacobian=lambda t, x: rot,
-        kind_tag="skew",
-    )
-    return ProblemSpec(triple=triple, potential=pot, lambda_op=op, lambda_flag=1,
+    return ProblemSpec(triple=triple, potential=pot,
+                       lambda_op=linear_operator(rot, kind_tag="skew"), lambda_flag=1,
                        horizon=(0.0, t1), initial=np.array([1.0, 0.0]))
+
+
+# -- small operators, all four callables derived by term_operator ------------------
+
+def zero_operator(dim):
+    """Lambda = 0."""
+    return term_operator(dim, kind_tag="linear")
+
+
+def pointwise_operator(dim, value, deriv, kind_tag="custom"):
+    """Lambda(x) = f(x) componentwise, with f' = deriv."""
+    return term_operator(dim, [PointwiseMap(value, deriv).term()], kind_tag=kind_tag)
+
+
+def roll_product_operator(dim):
+    """Lambda(x) = x * roll(x, 1): f(s, v) = s v of (x, R x), R the cyclic shift."""
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    prod = Term(lambda s, v: s * v, (lambda s, v: v, lambda s, v: s), inner=(None, shift))
+    return term_operator(dim, [prod], kind_tag="convective")
 
 
 def random_trajectory(problem, steps, rng, scale=0.5):

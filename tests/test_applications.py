@@ -319,6 +319,25 @@ def test_ns_jacobian_routes_agree(rng):
     assert np.max(np.abs(jk @ h - dd)) < 1e-9 * max(1.0, np.max(np.abs(dd)))
 
 
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_ns_adjoint_is_the_transposed_jacobian(rng, k):
+    basis = StreamFunctionBasis(k)
+    xs, vs = rng.standard_normal((2, 4, basis.dim))
+    want = np.array([basis.convection_jacobian(x).T @ v for x, v in zip(xs, vs)])
+    assert _rel(basis.convection_dual_adjoint(xs[0], vs[0]), want[0]) < 1e-13
+    got = basis.convection_dual_adjoint(xs, vs)
+    assert got.shape == want.shape
+    assert _rel(got, want) < 1e-13
+
+
+def test_ns_minimizer_matches_oracle():
+    p = build_navier_stokes_2d(8, initial="random", seed=3)
+    res = minimize(p, steps=5, opts=MinimizeOptions(require_gradient=True))
+    assert res.j_history[-1] <= 1e-10
+    oracle = implicit_euler_solve(p, 5)
+    assert np.max(np.abs(res.trajectory.states - oracle.states)) <= 1e-5
+
+
 def test_ns_state_memo_follows_in_place_changes(rng):
     basis = StreamFunctionBasis(8)
     x, h = rng.standard_normal(basis.dim), rng.standard_normal(basis.dim)

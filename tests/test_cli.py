@@ -336,6 +336,9 @@ def test_nonzero_t0_is_a_config_error(tmp_path, capsys):
     ("solve", "solver", "max_iterations", "2.7"),
     ("check", "checks", "samples", "1e3"),
     ("check", "checks", "samples", "2.5"),
+    ("solve", "grid", "n", "12.9"),                    # a 12-point grid before
+    ("convergence", "grid", "n", "12.0"),
+    ("solve", "grid", "k", "16.5"),
 ])
 def test_integer_option_is_validated_as_an_integer(tmp_path, capsys, command, section, key,
                                                    text):

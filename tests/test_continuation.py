@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rotation_problem
+from conftest import rotation_problem, zero_operator
 from evomin import (
     Potential,
     continuation_solve,
@@ -9,8 +9,9 @@ from evomin import (
     energy_inequality_check,
     implicit_euler_solve,
 )
-from evomin.applications import build_heat_core, build_navier_stokes_2d
+from evomin.applications import PointwiseMap, build_heat_core, build_navier_stokes_2d
 from evomin.continuation import continuation_to_csv
+from evomin.operator import term_operator
 from evomin.oracle import StepFailure
 from evomin.problem import ProblemSpec
 
@@ -52,14 +53,8 @@ def test_single_level_equals_one_oracle_solve():
 def test_zero_dynamics_limit_is_constant():
     # Lambda = 0 core: as eps -> 0 the trajectory freezes at the datum
     core = build_heat_core(6)
-    zero = np.zeros(6)
-    from evomin.operator import OperatorLambda
     still = ProblemSpec(
-        triple=core.triple, potential=core.potential,
-        lambda_op=OperatorLambda(dim=6, eval=lambda t, x: zero,
-                                 dderiv=lambda t, x, h: zero,
-                                 jacobian=lambda t, x: np.zeros((6, 6)),
-                                 kind_tag="linear"),
+        triple=core.triple, potential=core.potential, lambda_op=zero_operator(6),
         lambda_flag=0, horizon=core.horizon, initial=core.initial)
     reg = Potential.quadratic(core.triple.mass)
     res = continuation_solve(still, reg, default_schedule(levels=10), steps=5)
@@ -95,19 +90,13 @@ def test_warm_start_iteration_sanity():
 
 
 def test_partial_result_on_step_failure():
-    from evomin.operator import OperatorLambda
-    n = 1
     core = build_heat_core(3)
-    # an operator that blows up once eps stops stabilizing it
-
-    def bad_eval(t, x):
-        return np.array([-1e8 * (1.0 + x[0] ** 2), 0.0, 0.0])
-
+    # an operator that blows up once eps stops stabilizing it: -1e8 (1 + x_0^2) e_0
+    e0 = np.eye(3)[:1]
+    blow_up = PointwiseMap(lambda v: -1e8 * (1.0 + v**2), lambda v: -2e8 * v)
     bad = ProblemSpec(
         triple=core.triple, potential=core.potential,
-        lambda_op=OperatorLambda(dim=3, eval=bad_eval,
-                                 dderiv=lambda t, x, h: np.array([-2e8 * x[0] * h[0], 0.0, 0.0]),
-                                 kind_tag="custom"),
+        lambda_op=term_operator(3, [blow_up.term(e0, e0)], kind_tag="custom"),
         lambda_flag=0, horizon=(0.0, 1.0), initial=core.initial)
     reg = Potential.quadratic(core.triple.mass)
     res = continuation_solve(bad, reg, [1e6, 1.0], steps=2)

@@ -1,7 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_trajectory, rotation_problem, scalar_problem, zero_lambda_problem
+from conftest import (
+    random_trajectory,
+    rotation_problem,
+    scalar_problem,
+    zero_lambda_problem,
+    zero_operator,
+)
 from evomin import (
     Trajectory,
     energy,
@@ -16,6 +24,7 @@ from evomin.applications import (
     build_heat,
     build_hyperbolic,
     build_parabolic_divergence,
+    build_scalar_decay,
     build_schrodinger,
 )
 from evomin.energy import breakdown_to_csv
@@ -216,15 +225,13 @@ def test_full_gradient_against_dense_differences(rng):
 
 
 def test_conjugate_failure_carries_step_index():
-    from evomin import ConjugateFailure, OperatorLambda, Potential, ProblemSpec
+    from evomin import ConjugateFailure, Potential, ProblemSpec
     from evomin.triple import EvolutionTriple
     # saturating gradient: residuals beyond |y| < 1 have no maximizer
     pot = Potential.custom(lambda x: float(np.sum(np.sqrt(1 + x**2) - 1)),
                            lambda x: x / np.sqrt(1 + x**2), dim=1)
     tri = EvolutionTriple(dim=1, mass=np.eye(1))
-    op = OperatorLambda(dim=1, eval=lambda t, x: np.zeros(1),
-                        dderiv=lambda t, x, h: np.zeros(1), kind_tag="linear")
-    p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=1,
+    p = ProblemSpec(triple=tri, potential=pot, lambda_op=zero_operator(1), lambda_flag=1,
                     horizon=(0.0, 1.0), initial=np.array([0.0]))
     traj = Trajectory(np.array([[0.0], [2.0], [2.0]]), 0.0, 1.0, np.zeros(1))
     with pytest.raises(ConjugateFailure) as err:
@@ -233,15 +240,16 @@ def test_conjugate_failure_carries_step_index():
     assert err.value.residual > 0
 
 
-@pytest.mark.parametrize("stacked", [True, False])
-def test_operator_failure_carries_step_index(stacked):
+@pytest.mark.parametrize("nan", [True, False])
+def test_operator_failure_carries_step_index(nan):
     from evomin import OperatorLambda, Potential, ProblemSpec
     from evomin.operator import OperatorEvaluationError
     from evomin.triple import EvolutionTriple
-    # blows up on states above 1.5: only step 2 of the trajectory below
-    op = OperatorLambda(dim=1, eval=lambda t, x: np.where(x > 1.5, np.inf, x),
+    # blows up (to NaN or to inf) on states above 1.5: only step 2 of the trajectory below
+    bad = np.nan if nan else np.inf
+    op = OperatorLambda(dim=1, eval=lambda t, x: np.where(x > 1.5, bad, x),
                         dderiv=lambda t, x, h: h, dderiv_adjoint=lambda t, x, v: v,
-                        kind_tag="custom", stacked=stacked)
+                        jacobian=lambda t, x: np.eye(1), kind_tag="custom")
     p = ProblemSpec(triple=EvolutionTriple(dim=1, mass=np.eye(1)),
                     potential=Potential.quadratic(np.eye(1)), lambda_op=op, lambda_flag=1,
                     horizon=(0.0, 1.0), initial=np.array([0.0]))
@@ -250,6 +258,20 @@ def test_operator_failure_carries_step_index(stacked):
         with pytest.raises(OperatorEvaluationError) as err:
             evaluate(p, traj)
         assert str(err.value).startswith("step 2:")
+
+
+def test_adjoint_failure_carries_step_index():
+    from evomin.operator import OperatorEvaluationError
+    # only the adjoint blows up, on states above 1.5: step 2 of the trajectory below
+    p = build_scalar_decay()
+    op = dataclasses.replace(p.lambda_op,
+                             dderiv_adjoint=lambda t, x, v: np.where(x > 1.5, np.inf, v))
+    p = dataclasses.replace(p, lambda_op=op)
+    traj = Trajectory(np.array([[1.0], [1.0], [2.0], [3.0], [4.0]]), 0.0, 1.0, np.ones(1))
+    energy(p, traj)
+    with pytest.raises(OperatorEvaluationError, match="adjoint") as err:
+        energy_gradient(p, traj)
+    assert str(err.value).startswith("step 2:")
 
 
 def test_p_laplacian_energy_and_gradient(rng):

@@ -1,9 +1,10 @@
+import dataclasses
 import importlib
 
 import numpy as np
 import pytest
 
-from conftest import random_trajectory, scalar_problem
+from conftest import random_trajectory, scalar_problem, zero_operator
 from evomin import (
     MinimizeOptions,
     Trajectory,
@@ -136,14 +137,12 @@ def test_minimize_p_laplacian_matches_oracle():
 
 
 def test_conjugate_failure_propagates_from_init():
-    from evomin import ConjugateFailure, OperatorLambda, Potential, ProblemSpec
+    from evomin import ConjugateFailure, Potential, ProblemSpec
     from evomin.triple import EvolutionTriple
     pot = Potential.custom(lambda x: float(np.sum(np.sqrt(1 + x**2) - 1)),
                            lambda x: x / np.sqrt(1 + x**2), dim=1)
     tri = EvolutionTriple(dim=1, mass=np.eye(1))
-    op = OperatorLambda(dim=1, eval=lambda t, x: np.zeros(1),
-                        dderiv=lambda t, x, h: np.zeros(1), kind_tag="linear")
-    p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=1,
+    p = ProblemSpec(triple=tri, potential=pot, lambda_op=zero_operator(1), lambda_flag=1,
                     horizon=(0.0, 1.0), initial=np.array([0.0]))
     bad_init = Trajectory(np.array([[0.0], [5.0]]), 0.0, 1.0, np.zeros(1))
     with pytest.raises(ConjugateFailure):
@@ -162,7 +161,8 @@ def test_programming_error_in_a_trial_point_propagates():
 
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
-                        dderiv_adjoint=lambda t, x, v: v.copy(), kind_tag="linear")
+                        dderiv_adjoint=lambda t, x, v: v.copy(),
+                        jacobian=lambda t, x: np.eye(1), kind_tag="linear")
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     with pytest.raises(TypeError, match="broken operator"):
@@ -182,13 +182,31 @@ def test_operator_blow_up_in_a_trial_point_is_a_rejected_trial():
 
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
-                        dderiv_adjoint=lambda t, x, v: v.copy(), kind_tag="linear",
-                        stacked=True)
+                        dderiv_adjoint=lambda t, x, v: v.copy(),
+                        jacobian=lambda t, x: np.eye(1), kind_tag="linear")
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     res = minimize(p, steps=3)
     assert res.converged
     assert res.step_sizes[0] <= 0.5
+
+
+def test_adjoint_blow_up_in_a_trial_point_is_a_rejected_trial():
+    # the first trial point's adjoint is not finite: the line search rejects
+    # the trial, as for a blow-up of the operator itself
+    calls = []
+
+    def adjoint(t, x, v):
+        calls.append(1)
+        return np.full_like(v, np.inf) if len(calls) == 2 else v.copy()
+
+    p = scalar_problem()
+    p = dataclasses.replace(p, lambda_op=dataclasses.replace(p.lambda_op,
+                                                             dderiv_adjoint=adjoint))
+    res = minimize(p, steps=3)
+    assert res.converged
+    assert res.step_sizes[0] <= 0.5
+    assert all(np.isfinite(res.grad_norm_history))
 
 
 def test_trial_solves_start_from_the_accepted_iterate(monkeypatch):
@@ -274,8 +292,8 @@ def test_error_status_when_the_line_search_rejects_every_trial(evaluations):
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=lambda t, x: np.where(np.all(x == 1.0), x, np.inf),
                         dderiv=lambda t, x, h: h.copy(),
-                        dderiv_adjoint=lambda t, x, v: v.copy(), kind_tag="linear",
-                        stacked=True)
+                        dderiv_adjoint=lambda t, x, v: v.copy(),
+                        jacobian=lambda t, x: np.eye(1), kind_tag="linear")
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     res = minimize(p, steps=3)
@@ -347,6 +365,18 @@ def test_round_off_floor_exit_above_zero_energy_reads_the_gradient(monkeypatch, 
     assert res.status == status
     assert res.iterations == 0 and len(evaluations) == 1
     assert res.j_history[0] > 1e-3 and res.grad_norm_history[0] > 1e-9
+
+
+@pytest.mark.parametrize("steps", [2, 4, 8])
+def test_top_of_loop_exit_below_the_relative_j_floor_is_zero_energy(steps):
+    # with j_tol = 0 the run stops at |g|_inf <= g_tol with J at round-off; the
+    # top-of-loop exit reads J against the same floor as the floor exits
+    from evomin.minimize import J_FLOOR
+
+    res = minimize(build_heat(8), steps=steps, opts=MinimizeOptions(j_tol=0.0))
+    assert res.status == "converged-zero-energy"
+    assert res.grad_norm_history[-1] <= 1e-9
+    assert res.j_history[-1] <= J_FLOOR * max(1.0, res.j_history[0])
 
 
 def test_floor_exit_below_the_relative_j_floor_is_zero_energy():

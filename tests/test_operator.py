@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import reference_monotonicity, rotation_problem, scalar_problem
+from conftest import (
+    pointwise_operator,
+    reference_monotonicity,
+    roll_product_operator,
+    rotation_problem,
+    scalar_problem,
+)
 from evomin import (
     EvolutionTriple,
-    OperatorLambda,
     Potential,
     ProblemSpec,
     check_coercivity,
@@ -24,11 +29,9 @@ from evomin.triple import pairing
 def test_eval_examples():
     op = linear_operator(np.diag([1.0, 2.0]))
     assert np.allclose(op(0.0, np.array([1.0, 1.0])), [1.0, 2.0])
-    conv = OperatorLambda(dim=1, eval=lambda t, x: x * x,
-                          dderiv=lambda t, x, h: 2 * x * h, kind_tag="convective")
+    conv = pointwise_operator(1, lambda v: v * v, lambda v: 2 * v, kind_tag="convective")
     assert conv(0.0, np.array([3.0])) == pytest.approx([9.0])
-    semi = OperatorLambda(dim=1, eval=lambda t, x: x**3,
-                          dderiv=lambda t, x, h: 3 * x**2 * h, kind_tag="semilinear")
+    semi = pointwise_operator(1, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
     assert semi(0.0, np.zeros(1)) == pytest.approx([0.0])
 
 
@@ -36,23 +39,28 @@ def test_dlambda_examples():
     op = linear_operator(np.diag([1.0, 2.0]))
     h = np.array([0.5, -1.0])
     assert np.allclose(op.dlambda(0.0, np.ones(2), h), np.diag([1.0, 2.0]) @ h)
-    conv = OperatorLambda(dim=1, eval=lambda t, x: x * x,
-                          dderiv=lambda t, x, h: 2 * x * h, kind_tag="convective")
+    conv = pointwise_operator(1, lambda v: v * v, lambda v: 2 * v, kind_tag="convective")
     assert conv.dlambda(0.0, np.array([3.0]), np.array([1.0])) == pytest.approx([6.0])
     assert conv.dlambda(0.0, np.array([3.0]), np.zeros(1)) == pytest.approx([0.0])
 
 
 def test_nonfinite_output_raises():
-    op = OperatorLambda(dim=1, eval=lambda t, x: np.full(1, np.inf),
-                        dderiv=lambda t, x, h: h, kind_tag="custom")
+    op = pointwise_operator(1, lambda v: np.full_like(v, np.inf), np.ones_like)
     with pytest.raises(OperatorEvaluationError):
         op(0.0, np.ones(1))
 
 
+def test_callable_shape_mismatch_is_an_error():
+    op = linear_operator(np.eye(2))
+    op.dderiv_adjoint = lambda t, x, v: v[..., :1]
+    with pytest.raises(ValueError, match="shape"):
+        op.dlambda_adjoint(0.0, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="shape"):
+        op.dlambda_adjoint(np.zeros(3), np.ones((3, 2)), np.ones((3, 2)))
+
+
 def test_dderiv_linear_in_direction(rng):
-    conv = OperatorLambda(dim=3, eval=lambda t, x: x * np.roll(x, 1),
-                          dderiv=lambda t, x, h: h * np.roll(x, 1) + x * np.roll(h, 1),
-                          kind_tag="convective")
+    conv = roll_product_operator(3)
     for _ in range(50):
         x = rng.standard_normal(3)
         h1 = rng.standard_normal(3)
@@ -66,11 +74,8 @@ def test_dderiv_linear_in_direction(rng):
 def test_dderiv_matches_finite_differences(rng):
     ops = [
         linear_operator(rng.standard_normal((4, 4))),
-        OperatorLambda(dim=4, eval=lambda t, x: x**3,
-                       dderiv=lambda t, x, h: 3 * x**2 * h, kind_tag="semilinear"),
-        OperatorLambda(dim=4, eval=lambda t, x: x * np.roll(x, 1),
-                       dderiv=lambda t, x, h: h * np.roll(x, 1) + x * np.roll(h, 1),
-                       kind_tag="convective"),
+        pointwise_operator(4, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear"),
+        roll_product_operator(4),
     ]
     s = 1e-6
     for op in ops:
@@ -80,15 +85,6 @@ def test_dderiv_matches_finite_differences(rng):
             fd = (op(0.0, x + s * h) - op(0.0, x - s * h)) / (2 * s)
             dd = op.dlambda(0.0, x, h)
             assert np.max(np.abs(fd - dd)) < 1e-5 * max(1.0, np.max(np.abs(dd)))
-
-
-def test_adjoint_fallback_assembles_columns(rng):
-    mat = rng.standard_normal((3, 3))
-    op = OperatorLambda(dim=3, eval=lambda t, x: mat @ x,
-                        dderiv=lambda t, x, h: mat @ h, kind_tag="linear")
-    v = rng.standard_normal(3)
-    assert np.allclose(op.dlambda_adjoint(0.0, np.zeros(3), v), mat.T @ v)
-    assert np.allclose(op.jacobian_matrix(0.0, np.zeros(3)), mat)
 
 
 def _random_terms(rng, dim):
@@ -136,7 +132,6 @@ def test_term_operator_derivatives_follow_from_the_description(rng):
 def test_term_operator_stacks_match_rows(rng):
     dim, rows = 5, 6
     op, _ = _random_terms(rng, dim)
-    assert op.stacked
     ts = np.linspace(0.0, 1.0, rows)
     xs, hs, vs = rng.standard_normal((3, rows, dim))
     for got, want in ((op(ts, xs), [op(t, x) for t, x in zip(ts, xs)]),
@@ -153,7 +148,7 @@ def test_linear_operator_is_the_linear_part_alone(rng):
     mat = rng.standard_normal((4, 4))
     x, h, v = rng.standard_normal((3, 4))
     op = linear_operator(mat)
-    assert op.stacked and op.kind_tag == "linear"
+    assert op.kind_tag == "linear"
     assert np.array_equal(op(0.0, x), x @ mat.T)
     assert np.array_equal(op.dlambda(0.0, x, h), h @ mat.T)
     assert np.array_equal(op.dlambda_adjoint(0.0, x, v), v @ mat)
@@ -185,8 +180,7 @@ def _with_operator(problem, op):
 
 def test_monotonicity_cubic_certificate_zero(rng):
     # Psi quadratic, Lambda(u) = u^3: everything is monotone, certificate 0
-    cubic = OperatorLambda(dim=1, eval=lambda t, x: x**3,
-                           dderiv=lambda t, x, h: 3 * x**2 * h, kind_tag="semilinear")
+    cubic = pointwise_operator(1, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
     p = _with_operator(scalar_problem(), cubic)
     rep = check_monotonicity(p, 1, 300, rng=rng)
     assert rep.passed

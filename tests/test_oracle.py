@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import rotation_problem, scalar_problem
+from conftest import pointwise_operator, rotation_problem, scalar_problem
 from evomin import (
     EvolutionTriple,
     OperatorLambda,
@@ -20,6 +20,7 @@ from evomin.applications import (
     build_navier_stokes_2d,
     exact_heat_solution,
 )
+from evomin.operator import linear_operator
 from evomin.oracle import DEFAULT_NEWTON_TOL, StepFailure
 
 
@@ -45,8 +46,7 @@ def test_cubic_step_against_root_oracle():
     # u' = -u^3 with lambda = 0: one implicit step solves u + dt u^3 = u_prev
     tri = EvolutionTriple(dim=1, mass=np.eye(1))
     pot = Potential.quadratic(np.eye(1))
-    op = OperatorLambda(dim=1, eval=lambda t, x: x**3,
-                        dderiv=lambda t, x, h: 3 * x**2 * h, kind_tag="semilinear")
+    op = pointwise_operator(1, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
     p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=0,
                     horizon=(0.0, 1.0), initial=np.array([1.0]))
     u = newton_solve_step(p, np.array([1.0]), t=1.0, dt=1.0)
@@ -95,8 +95,7 @@ def test_step_failure_signals_blowup():
     # backward-in-time quartic growth: residual has no root, Newton must stall
     tri = EvolutionTriple(dim=1, mass=np.eye(1))
     pot = Potential.quadratic(np.eye(1))
-    op = OperatorLambda(dim=1, eval=lambda t, x: np.array([-1.0]) - x**2,
-                        dderiv=lambda t, x, h: -2 * x * h, kind_tag="semilinear")
+    op = pointwise_operator(1, lambda v: -1.0 - v**2, lambda v: -2 * v, kind_tag="semilinear")
     p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=0,
                     horizon=(0.0, 10.0), initial=np.array([0.0]))
     with pytest.raises(StepFailure) as err:
@@ -190,14 +189,13 @@ def test_coupled_linear_part_keeps_the_lu_path(monkeypatch):
 
 
 def test_krylov_path_falls_back_to_lu_on_stiff_operator():
-    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian and no Jacobian:
+    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian:
     # Jacobi-preconditioned GMRES(30) cannot reach the forcing term at this
     # stiffness, and the dense LU solves the linear step in one iteration
     n = oracle.KRYLOV_MIN_DIM
     lap = (n + 1) ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     tri = EvolutionTriple(dim=n, mass=np.eye(n))
-    op = OperatorLambda(dim=n, eval=lambda t, x: lap @ x, dderiv=lambda t, x, h: lap @ h,
-                        kind_tag="linear")
+    op = linear_operator(lap)
     x = np.linspace(0.0, 1.0, n + 2)[1:-1]
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(n)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.sin(np.pi * x) + x)
@@ -215,7 +213,9 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
     # points uphill, so the damped line search must give up
     tri = EvolutionTriple(dim=4, mass=np.eye(4))
     op = OperatorLambda(dim=4, eval=lambda t, x: 3.0 * x,
-                        dderiv=lambda t, x, h: -3.0 * h, kind_tag="custom")
+                        dderiv=lambda t, x, h: -3.0 * h,
+                        dderiv_adjoint=lambda t, x, v: -3.0 * v,
+                        jacobian=lambda t, x: -3.0 * np.eye(4), kind_tag="custom")
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(4)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.array([1.0, -2.0, 0.5, 3.0]))
     with pytest.raises(StepFailure, match="line search stalled") as err:
@@ -226,8 +226,7 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
 def test_krylov_path_solves_custom_operator(krylov_everywhere):
     # u + dt (u^3 + u) = u_prev componentwise
     tri = EvolutionTriple(dim=3, mass=np.eye(3))
-    op = OperatorLambda(dim=3, eval=lambda t, x: x**3,
-                        dderiv=lambda t, x, h: 3 * x**2 * h, kind_tag="semilinear")
+    op = pointwise_operator(3, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(3)), lambda_op=op,
                     lambda_flag=1, horizon=(0.0, 0.5), initial=np.array([1.0, -0.5, 2.0]))
     counter = {}
@@ -241,7 +240,7 @@ def test_krylov_path_zero_preconditioner_diagonal(krylov_everywhere):
     # a concave Psi with dt D^2Psi = -I zeroes the diagonal of I + dt D^2Psi;
     # the step (1 + 3 dt - dt) u = u_prev is still solvable, as on the LU path
     tri = EvolutionTriple(dim=2, mass=np.eye(2))
-    op = OperatorLambda(dim=2, eval=lambda t, x: 3.0 * x, dderiv=lambda t, x, h: 3.0 * h)
+    op = linear_operator(3.0 * np.eye(2))
     pot = Potential.custom(psi=lambda x: -0.5 * x @ x, grad=lambda x: -x, dim=2,
                            hess_action=lambda x, h: -h)
     p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=1,

@@ -135,26 +135,16 @@ def test_derivative_callables_agree_with_jacobian(name, rng):
     assert np.max(np.abs(fd - dd)) <= 1e-6 * max(np.max(np.abs(dd)), 1.0)
 
 
-def test_dlambda_loops_a_single_state_operator(rng):
-    mat = rng.standard_normal((3, 3))
+@pytest.mark.parametrize("nan", [True, False])
+def test_dlambda_names_the_first_nonfinite_row(nan):
+    # the slope turns NaN or inf above 1: either is caught
+    def slope(x):
+        return np.where(x > 1.0, np.nan if nan else np.inf, 1.0)
 
-    def dderiv(t, x, h):
-        assert np.ndim(t) == 0 and np.ndim(x) == 1 and np.ndim(h) == 1
-        return (1.0 + t) * (mat @ h) + x * h
-
-    op = OperatorLambda(dim=3, eval=lambda t, x: mat @ x, dderiv=dderiv)
-    times = rng.uniform(0.0, 1.0, ROWS)
-    xs = rng.standard_normal((ROWS, 3))
-    hs = rng.standard_normal((ROWS, 3))
-    _assert_rows_match(op.dlambda(times, xs, hs),
-                       [dderiv(t, x, h) for t, x, h in zip(times, xs, hs)])
-
-
-@pytest.mark.parametrize("stacked", [True, False])
-def test_dlambda_names_the_first_nonfinite_row(stacked):
     op = OperatorLambda(dim=2, eval=lambda t, x: x.copy(),
-                        dderiv=lambda t, x, h: np.where(x > 1.0, np.inf, 1.0) * h,
-                        stacked=stacked)
+                        dderiv=lambda t, x, h: slope(x) * h,
+                        dderiv_adjoint=lambda t, x, v: slope(x) * v,
+                        jacobian=lambda t, x: np.diag(slope(x)))
     xs = np.zeros((ROWS, 2))
     xs[3, 1] = xs[4, 0] = 2.0
     with pytest.raises(OperatorEvaluationError, match="derivative") as err:
@@ -162,6 +152,13 @@ def test_dlambda_names_the_first_nonfinite_row(stacked):
     assert err.value.row == 3
     with pytest.raises(OperatorEvaluationError) as err:
         op.dlambda(0.5, xs[3], np.ones(2))
+    assert err.value.row is None
+    # the adjoint is checked like the derivative
+    with pytest.raises(OperatorEvaluationError, match="adjoint") as err:
+        op.dlambda_adjoint(np.linspace(0.0, 1.0, ROWS), xs, np.ones((ROWS, 2)))
+    assert err.value.row == 3
+    with pytest.raises(OperatorEvaluationError, match="adjoint") as err:
+        op.dlambda_adjoint(0.5, xs[3], np.ones(2))
     assert err.value.row is None
 
 
