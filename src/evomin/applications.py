@@ -359,9 +359,14 @@ class StreamFunctionBasis:
     The fields are real, so the transforms use the half spectrum m2 >= 0 of
     the padded grid: a (2k, k + 1) array per field, holding every resolved
     mode (all have m2 >= 0) plus, on the m2 = 0 column, the conjugate
-    partners (-m1, 0) that make that column Hermitian.  The six fields of
-    velocity and velocity gradient come from one stacked irfft2, and the
-    two dual projections from one stacked rfft2.
+    partners (-m1, 0) that make that column Hermitian.
+
+    The convection maps work in curl form.  With u = curl psi and the
+    vorticity omega = -Laplace psi, (u . grad) u = omega u^perp + grad |u|^2/2,
+    and the basis field of mode m pairs with it as the stream function psi_m
+    pairs with u . grad omega.  So a state needs four fields, u and
+    grad omega, from one stacked irfft2, and a dual vector is the
+    projection of one scalar field, from one rfft2.
 
     The convection maps take one state or an (M, dim) stack of rows alike:
     a stack's leading axis rides along through the same transforms.
@@ -388,6 +393,7 @@ class StreamFunctionBasis:
         self._ix_conj = np.mod(-self.modes[self._m2_zero, 0], p)
         self.wx = np.fft.fftfreq(p, d=1.0 / p)[:, None]    # m1 varies along axis 0
         self.wy = np.fft.rfftfreq(p, d=1.0 / p)[None, :]
+        self._minus_lap = self.wx**2 + self.wy**2          # symbol of -Laplace
         area = (2.0 * np.pi) ** 2
         self.mass_diag = np.concatenate([self.msq, self.msq]) * area / 2.0
         self.stiff_diag = np.concatenate([self.msq**2, self.msq**2]) * area / 2.0
@@ -430,19 +436,26 @@ class StreamFunctionBasis:
         b = area * (m2 * f[0].real - m1 * f[1].real)
         return np.concatenate([a, b], axis=-1)
 
-    def _velocity_and_grad(self, x: np.ndarray):
-        """Velocity u, stacked (2, ..., pad, pad), and its gradient g with
-        g[i, j] = d u_i / d x_j, stacked (2, 2, ..., pad, pad)."""
+    def _dual(self, f: np.ndarray) -> np.ndarray:
+        """Dual coefficients int psi_m g, (..., dim), of real scalar fields g
+        from their Fourier coefficients f (..., P) at the resolved modes."""
+        area = (2.0 * np.pi) ** 2
+        return np.concatenate([area * f.real, -area * f.imag], axis=-1)
+
+    def _resolved(self, g: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of real padded fields g at the resolved modes."""
+        return np.fft.rfft2(g, norm="forward")[..., self._ix, self._iy]
+
+    def _curl_fields(self, x: np.ndarray):
+        """Velocity u and vorticity gradient grad omega, each (2, ..., pad, pad)."""
         z = self._spectral(x)
-        zx = 1j * self.wx * z
-        zy = 1j * self.wy * z
-        f = self._field(np.stack([zy, -zx,
-                                  1j * self.wx * zy, 1j * self.wy * zy,
-                                  -1j * self.wx * zx, -1j * self.wy * zx]))
-        return f[:2], f[2:].reshape((2, 2) + f.shape[1:])
+        w = self._minus_lap * z
+        f = self._field(np.stack([1j * self.wy * z, -1j * self.wx * z,
+                                  1j * self.wx * w, 1j * self.wy * w]))
+        return f[:2], f[2:]
 
     def _state_fields(self, x: np.ndarray):
-        """_velocity_and_grad of a state, kept for the last state seen.
+        """_curl_fields of a state, kept for the last state seen.
 
         The oracle's Newton-Krylov step linearizes at the state whose
         residual it has just evaluated, once per GMRES iteration; with this
@@ -452,36 +465,45 @@ class StreamFunctionBasis:
         last = self._last_fields
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        fields = self._velocity_and_grad(x)
+        fields = self._curl_fields(x)
         self._last_fields = (np.array(x, dtype=float), fields)
         return fields
 
     def convection_dual(self, x: np.ndarray) -> np.ndarray:
-        """Dual coefficients of (u . grad) u, dealiased exactly by padding."""
-        u, du = self._state_fields(x)
-        return self.project_dual(u[0] * du[:, 0] + u[1] * du[:, 1])
+        """Dual coefficients of (u . grad) u, in curl form: int psi_m u . grad omega.
+
+        The product of two resolved fields is exact on the padded grid, so
+        this is the dealiased Galerkin projection.
+        """
+        u, dw = self._state_fields(x)
+        return self._dual(self._resolved(u[0] * dw[0] + u[1] * dw[1]))
 
     def convection_dual_linearized(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        u, du = self._state_fields(x)
-        v, dv = self._velocity_and_grad(h)
-        return self.project_dual(u[0] * dv[:, 0] + u[1] * dv[:, 1]
-                                 + v[0] * du[:, 0] + v[1] * du[:, 1])
+        """Derivative of convection_dual at x in the direction h:
+        int psi_m (u . grad omega_h + u_h . grad omega)."""
+        u, dw = self._state_fields(x)
+        v, dv = self._curl_fields(h)
+        return self._dual(self._resolved(u[0] * dv[0] + u[1] * dv[1]
+                                         + v[0] * dw[0] + v[1] * dw[1]))
 
     def convection_dual_adjoint(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Transpose of the linearized convection at x, applied to v.
 
-        With u the velocity of x and V that of v, the linearization pairs as
-        <V, (u . grad) w + (w . grad) u>; the skew identity
-        b(u, w, V) = -b(u, V, w) of the divergence-free u moves the
-        derivative off w, so the transpose is the projection of
-        (grad u)^T V - (u . grad) V.  The padded grid integrates the triple
-        products exactly, so this is the transpose of convection_jacobian to
-        round-off.
+        The dual pairing sums v_m int psi_m g = int psi_v g, with psi_v the
+        stream function of v.  Integrating by parts against the
+        divergence-free u and u_h moves every derivative off h:
+        int psi_v u . grad omega_h = int psi_h Laplace(u . grad psi_v) and
+        int psi_v u_h . grad omega = -int psi_h u_v . grad omega, with
+        u_v = curl psi_v.  So the transpose is the projection of
+        Laplace(u . grad psi_v) - u_v . grad omega; the padded grid
+        integrates these products exactly, so it is the transpose of
+        convection_jacobian to round-off.
         """
-        u, du = self._state_fields(x)
-        w, dw = self._velocity_and_grad(v)
-        return self.project_dual(w[0] * du[0] + w[1] * du[1]
-                                 - u[0] * dw[:, 0] - u[1] * dw[:, 1])
+        u, dw = self._state_fields(x)
+        z = self._spectral(v)
+        gx, gy = self._field(np.stack([1j * self.wx * z, 1j * self.wy * z]))
+        f = self._resolved(np.stack([u[0] * gx + u[1] * gy, gy * dw[0] - gx * dw[1]]))
+        return self._dual(-self.msq * f[0] - f[1])
 
     def convection_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Dense Jacobian of the projected convection via its spectral kernel.

@@ -220,6 +220,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     iterations = 0
     trace_csv = "iter,J,grad_norm,step_size\n"
     cont_csv = None
+    counts = {}
 
     if method == "ben":
         res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg))
@@ -234,6 +235,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
             traj = implicit_euler_solve(problem, cfg.steps, newton_tol=newton_tol,
                                         counter=counter)
             iterations = counter.get("newton_iters", 0)
+            # GMRES inner iterations and LU fallbacks; both 0 on the dense LU path
+            counts = {key: counter.get(key, 0) for key in ("krylov_iters", "krylov_fallbacks")}
             ok = True
         except StepFailure as exc:
             print(f"solve failed: {exc}", file=sys.stderr)
@@ -274,6 +277,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "steps": traj.steps,
         "grid": problem.metadata.get("grid", ""),
         "metadata": _sanitize_metadata(problem.metadata),
+        **counts,
     }
     formats = cfg.output.get("formats", ["csv", "json"])
     if "csv" in formats:

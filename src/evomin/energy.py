@@ -100,10 +100,9 @@ def energy_gradient(problem: ProblemSpec, traj: Trajectory,
     bd = energy_breakdown(problem, traj) if breakdown is None else breakdown
     lam = problem.lambda_flag
     dt = traj.dt
-    inc_t = problem.triple.inclusion_matrix.T
     states = traj.states[1:]
     zstars = bd.argmax
-    iz = zstars @ inc_t                        # row k: I z*_k
+    iz = problem.triple.apply_i(zstars)        # row k: I z*_k
     with named_steps():
         grad = dt * problem.lambda_op.dlambda_adjoint(bd.times, states, lam * states - zstars)
         if lam:
@@ -111,7 +110,7 @@ def energy_gradient(problem: ProblemSpec, traj: Trajectory,
     grad -= iz
     grad[:-1] += iz[1:]
     if lam:
-        iu = states @ inc_t
+        iu = problem.triple.apply_i(states)
         grad += dt * bd.residuals + iu
         grad[:-1] -= iu[1:]
     return grad
@@ -147,7 +146,7 @@ def summation_by_parts_gap(triple: EvolutionTriple, traj: Trajectory) -> float:
     boundary-term form of the energy and the telescoped form used here.
     """
     du = np.diff(traj.states, axis=0)
-    acc = np.einsum("ij,ij->", traj.states[1:], du @ triple.inclusion_matrix.T)
+    acc = np.einsum("ij,ij->", traj.states[1:], triple.apply_i(du))
     t_sq = triple.t_norm_sq(traj.states[[0, -1]])
     return float(acc - 0.5 * (t_sq[1] - t_sq[0]))
 

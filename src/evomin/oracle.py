@@ -17,18 +17,21 @@ which decides whether a diagonal preconditioner can work:
   direction comes from restarted GMRES on the matrix-free action
   h -> lin h + dt DLambda(u) h, preconditioned by Jacobi, which inverts
   lin exactly (Jacobian-free Newton-Krylov, Knoll & Keyes, J. Comput.
-  Phys. 2004).  GMRES stops at the relative residual KRYLOV_RTOL, after
-  restarts of KRYLOV_RESTART inner iterations and at most KRYLOV_MAXITER
-  restarts.  When it misses KRYLOV_RTOL (a stiff or strongly non-normal
+  Phys. 2004).  The diagonal of lin is read from the triple
+  (inclusion_diagonal) and the potential (hess_diagonal), so this path
+  forms no dim x dim matrix unless it falls back.  GMRES stops at the
+  relative residual KRYLOV_RTOL, after restarts of KRYLOV_RESTART inner
+  iterations and at most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or strongly non-normal
   DLambda), that Newton iteration and the rest of the step take the dense
   LU direction.
 
 The size threshold sits at the measured crossover on Navier-Stokes (10
-steps, one BLAS thread: LU 246 ms against GMRES 373 ms at 360 unknowns,
-403 against 293 ms at 440, 2.04 s against 0.70 s at 960).  The 1D
-families couple neighbours in lin; forced onto GMRES with the dense lin
-they ran 2 to 1800 times slower than on the LU, or failed a step the LU
-solves.
+steps from a random start, one BLAS thread, best of 3 to 5 runs; seeds
+3, 7 and 11: LU 122-137 ms against GMRES 112-158 ms at 288 unknowns,
+183-225 against 115-179 ms at 360; seed 3: 335 against 200 ms at 440,
+1.93 s against 0.31 s at 960).  The 1D families other than heat_core
+couple neighbours in lin; forced onto GMRES with the dense lin they ran 2
+to 1800 times slower than on the LU, or failed a step the LU solves.
 
 Both paths end on the same scaled residual test and the same damped line
 search, so every returned state satisfies |r|_inf < newton_tol * scale.
@@ -57,7 +60,7 @@ MAX_HALVINGS = 60
 # Newton-Krylov path: the smallest problem that takes it, the GMRES forcing
 # term (relative residual of each inner solve), the restart length, and the
 # number of restarts before the dense LU takes over.
-KRYLOV_MIN_DIM = 400
+KRYLOV_MIN_DIM = 320
 KRYLOV_RTOL = 1e-3
 KRYLOV_RESTART = 30
 KRYLOV_MAXITER = 10
@@ -75,7 +78,7 @@ class StepFailure(RuntimeError):
 def _step_residual(problem: ProblemSpec, u: np.ndarray, iu_prev: np.ndarray,
                    t: float, dt: float) -> np.ndarray:
     lam = problem.lambda_flag
-    r = problem.triple.inclusion_matrix @ u - iu_prev + dt * problem.lambda_op(t, u)
+    r = problem.triple.apply_i(u) - iu_prev + dt * problem.lambda_op(t, u)
     if lam:
         r = r + dt * problem.potential.grad(t, lam * u)
     return r
@@ -99,21 +102,29 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
     return lu_solve((lu, piv), -f)
 
 
-def _krylov_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray],
+def _linear_diagonal(problem: ProblemSpec, u: np.ndarray, t: float,
+                     dt: float) -> Optional[np.ndarray]:
+    """The diagonal of lin = I + dt lam D^2Psi(lam u), or None when lin is not diagonal.
+
+    It is read from the triple and the potential; neither forms a matrix
+    when its part is diagonal by construction.
+    """
+    diag = problem.triple.inclusion_diagonal
+    lam = problem.lambda_flag
+    if diag is None or not lam:
+        return diag
+    hess = problem.potential.hess_diagonal(t, lam * u)
+    return None if hess is None else diag + dt * hess
+
+
+def _krylov_direction(problem: ProblemSpec, u: np.ndarray, diag: np.ndarray,
                       f: np.ndarray, t: float, dt: float) -> tuple[Optional[np.ndarray], int]:
     """Inexact Newton direction by Jacobi-preconditioned GMRES, and its inner iterations.
 
-    The Jacobian acts matrix-free: lin h + dt DLambda(u) h, with the linear
-    part lin = I + dt hess formed once here.  The direction is None when lin
-    is not diagonal, so that Jacobi would leave its coupling to GMRES, or
-    when GMRES misses the forcing term KRYLOV_RTOL.
+    The Jacobian acts matrix-free: diag h + dt DLambda(u) h, with diag the
+    diagonal linear part from _linear_diagonal.  The direction is None when
+    GMRES misses the forcing term KRYLOV_RTOL.
     """
-    lin = problem.triple.inclusion_matrix
-    if hess is not None:
-        lin = lin + dt * hess
-    diag = np.diagonal(lin)
-    if np.count_nonzero(lin) != np.count_nonzero(diag):
-        return None, 0
     # imported on first use: problems on the LU path never load scipy.sparse,
     # whose import costs about 20 ms and 3.5 MB of resident memory
     from scipy.sparse.linalg import LinearOperator, gmres
@@ -159,14 +170,14 @@ def newton_solve_step(
     lam = problem.lambda_flag
     u = np.array(u_prev if init is None else init, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
-    inclusion = problem.triple.inclusion_matrix
-    iu_prev = inclusion @ u_prev
+    apply_i = problem.triple.apply_i
+    iu_prev = apply_i(u_prev)
     f = _step_residual(problem, u, iu_prev, t, dt)
     fnorm = float(np.max(np.abs(f)))
     # Residual tolerance relative to the size of the equation's own terms:
     # stiff compositions (e.g. squared Laplacians) put the floating-point
     # floor of the residual above any fixed absolute threshold.
-    lam_scale = float(np.max(np.abs(f - inclusion @ u + iu_prev))) / dt
+    lam_scale = float(np.max(np.abs(f - apply_i(u) + iu_prev))) / dt
     scale = max(1.0, float(np.max(np.abs(iu_prev))) / dt, lam_scale)
     tol = dt * newton_tol * scale
     krylov = problem.dim >= KRYLOV_MIN_DIM
@@ -175,13 +186,15 @@ def newton_solve_step(
     for _ in range(MAX_NEWTON_ITER):
         if fnorm < tol:
             break
-        hess = problem.potential.hess_matrix(t, lam * u) if lam else None
         direction = None
         if not lu_only:
-            direction, count = _krylov_direction(problem, u, hess, f, t, dt)
-            inner += count
+            diag = _linear_diagonal(problem, u, t, dt)
+            if diag is not None:
+                direction, count = _krylov_direction(problem, u, diag, f, t, dt)
+                inner += count
             lu_only = direction is None
         if direction is None:
+            hess = problem.potential.hess_matrix(t, lam * u) if lam else None
             direction = _lu_direction(problem, u, hess, f, t, dt, step_index)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):

@@ -61,9 +61,19 @@ class Potential:
         self.modulation = modulation
         self.params = params
         self._chol = None
+        self._diag = None
         if kind == "quadratic":
             a_mat = params["matrix"]
-            self._chol = cho_factor(a_mat)
+            diag = np.diagonal(a_mat)
+            if np.count_nonzero(a_mat) == np.count_nonzero(diag):
+                if not np.all(np.isfinite(diag) & (diag > 0.0)):
+                    raise np.linalg.LinAlgError(
+                        "diagonal quadratic potential must have positive finite entries")
+                # the bits cho_factor returns for a diagonal, without its O(dim^3) pass
+                self._diag = diag.copy()
+                self._chol = (np.diag(np.sqrt(self._diag)), False)
+            else:
+                self._chol = cho_factor(a_mat)
         elif kind == "composed_power" and params["q"] == 2.0:
             g = params["matrix"]
             gram = params["scale"] * (g.T @ g)
@@ -134,7 +144,8 @@ class Potential:
         xs = self._rows(x)
         a = self._a_rows(t, len(xs))
         if self.kind == "quadratic":
-            out = 0.5 * a * np.einsum("ij,ij->i", xs @ self.params["matrix"], xs)
+            ax = xs * self._diag if self._diag is not None else xs @ self.params["matrix"]
+            out = 0.5 * a * np.einsum("ij,ij->i", ax, xs)
         elif self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
             out = a * np.sum(w * np.abs(xs) ** q, axis=1) / q
@@ -215,6 +226,8 @@ class Potential:
     def _grad_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """a * DPsi_base on checked rows, a the column of per-row modulations."""
         if self.kind == "quadratic":
+            if self._diag is not None:
+                return a * (xs * self._diag)
             return a * (xs @ self.params["matrix"].T)
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
@@ -298,9 +311,7 @@ class Potential:
         if self.kind == "quadratic":
             return a * self.params["matrix"]
         if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            d = w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION
-            return a * np.diag(d)
+            return np.diag(self.hess_diagonal(t, x))
         if self.kind == "composed_power":
             return self._composed_hess_rows(np.array([[a]]), x[None])[0]
         if self.params.get("hess_action") is not None:
@@ -315,6 +326,23 @@ class Potential:
         g = self._grad_rows(1.0, np.vstack([x, x + step * np.eye(self.dim)]))
         cols = ((g[1:] - g[0]) / step).T
         return a * cols
+
+    def hess_diagonal(self, t: float, x: np.ndarray) -> Optional[np.ndarray]:
+        """The diagonal of D^2 Psi_t(x), or None when D^2 Psi_t(x) is not diagonal.
+
+        Bitwise np.diagonal(hess_matrix(t, x)).  A quadratic with a diagonal
+        matrix and the pointwise power form no matrix; every other kind forms
+        hess_matrix and reads it.
+        """
+        x = self._vec(x)
+        if self.kind == "quadratic":
+            return None if self._diag is None else self._a(t) * self._diag
+        if self.kind == "pointwise_power":
+            q, w = self.params["q"], self.params["weight"]
+            return self._a(t) * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
+        hess = self.hess_matrix(t, x)
+        diag = np.diagonal(hess)
+        return diag if np.count_nonzero(hess) == np.count_nonzero(diag) else None
 
     def scaled(self, factor: float) -> "Potential":
         """A new potential factor * Psi_t (factor > 0)."""

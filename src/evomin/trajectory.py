@@ -108,7 +108,7 @@ def constant_trajectory(problem: ProblemSpec, steps: int) -> Trajectory:
 
 def time_derivative(triple: EvolutionTriple, traj: Trajectory) -> np.ndarray:
     """Backward differences D_k = (I u_k - I u_{k-1}) / dt for k = 1..M."""
-    iu = traj.states @ triple.inclusion_matrix.T
+    iu = triple.apply_i(traj.states)
     return np.diff(iu, axis=0) / traj.dt
 
 

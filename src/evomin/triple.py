@@ -6,7 +6,10 @@ the plain Euclidean dot product; every piece of geometry lives in the
 ``mass`` matrix (H inner product) and in the inclusion map ``t_map``.
 The adjoint inclusion is then a concrete matrix, t_map^T @ mass, and the
 composition ``inclusion = t_map^T @ mass @ t_map`` is symmetric positive
-definite by construction.
+definite by construction.  It is formed once, at construction, and read
+once for a diagonal: ``apply_i`` multiplies by that diagonal when I is
+diagonal (a lumped mass with the identity inclusion) and takes the dense
+product otherwise.
 """
 
 from __future__ import annotations
@@ -106,9 +109,13 @@ class EvolutionTriple:
             if s[-1] <= 1e-12 * max(1.0, s[0]):
                 raise ValueError("t_map must be injective")
             inclusion = t_map.T @ mass @ t_map
+        inclusion = np.ascontiguousarray(inclusion)
+        i_diag = np.diagonal(inclusion)
+        diagonal = np.count_nonzero(inclusion) == np.count_nonzero(i_diag)
         object.__setattr__(self, "_identity_t", self.t_map is None)
         object.__setattr__(self, "t_map", t_map)
-        object.__setattr__(self, "_inclusion", np.ascontiguousarray(inclusion))
+        object.__setattr__(self, "_inclusion", inclusion)
+        object.__setattr__(self, "_i_diag", i_diag.copy() if diagonal else None)
 
     # -- inner products and inclusions ------------------------------------
 
@@ -131,16 +138,28 @@ class EvolutionTriple:
 
     def apply_inclusions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (T x, I x) with I = Tt o T."""
-        tx = self.apply_t(x)
-        return tx, self.t_map.T @ (self.mass @ tx)
+        return self.apply_t(x), self.apply_i(x)
 
     def apply_i(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_inclusions(x)[1]
+        """I x of one state, or I applied to each row of an (M, dim) stack.
+
+        The bits are those of inclusion_matrix @ x on a state and of
+        rows @ inclusion_matrix.T on a stack; a diagonal I is a multiply.
+        """
+        x = self._vec_or_rows(x)
+        if self._i_diag is not None:
+            return x * self._i_diag
+        return x @ self._inclusion.T if x.ndim == 2 else self._inclusion @ x
 
     @property
     def inclusion_matrix(self) -> np.ndarray:
         """Dense matrix of I = t_map^T mass t_map (symmetric positive definite)."""
         return self._inclusion
+
+    @property
+    def inclusion_diagonal(self) -> Optional[np.ndarray]:
+        """The diagonal of I when I is diagonal, else None."""
+        return self._i_diag
 
     def x_representative(self, w: np.ndarray) -> np.ndarray:
         """Solve T x = w for the coefficient vector x."""

@@ -261,6 +261,15 @@ def complex_fields(basis, z):
             for s in (zy, -zx, 1j * wx * zy, 1j * wy * zy, -1j * wx * zx, -1j * wy * zx)]
 
 
+def complex_vorticity_gradient(basis, z):
+    """d omega/dx, d omega/dy of stream spectra z, omega = -Laplace psi, by complex ifft2."""
+    p = basis.pad
+    wx = np.fft.fftfreq(p, d=1.0 / p)[:, None]
+    wy = np.fft.fftfreq(p, d=1.0 / p)[None, :]
+    w = (wx**2 + wy**2) * z
+    return [np.real(np.fft.ifft2(s)) * p**2 for s in (1j * wx * w, 1j * wy * w)]
+
+
 def complex_project(basis, w1, w2):
     """Dual coefficients of the velocity field (w1, w2) by complex fft2."""
     p = basis.pad
@@ -298,8 +307,9 @@ def test_ns_real_transforms_match_complex_reference(rng, k):
     basis = StreamFunctionBasis(k)
     x, h = rng.standard_normal((2, basis.dim))
     ref = complex_fields(basis, complex_spectrum(basis, x))
-    u, du = basis._velocity_and_grad(x)
-    for got, want in zip([u[0], u[1], du[0, 0], du[0, 1], du[1, 0], du[1, 1]], ref):
+    u, dw = basis._curl_fields(x)
+    want_dw = complex_vorticity_gradient(basis, complex_spectrum(basis, x))
+    for got, want in zip([u[0], u[1], dw[0], dw[1]], ref[:2] + want_dw):
         assert _rel(got, want) < 1e-13
     assert _rel(basis.velocity(x), np.stack(ref[:2])) < 1e-13
     u1, u2, d1x, d1y, d2x, d2y = ref
@@ -449,3 +459,17 @@ def test_anticoercive_fixture_fails_coercivity(rng):
     p = build_anticoercive_fixture()
     rep = check_coercivity(p, 500, rng=rng)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_ns_linearized_is_the_jacobian_action(rng, k):
+    basis = StreamFunctionBasis(k)
+    x = rng.standard_normal(basis.dim)
+    hs = rng.standard_normal((4, basis.dim))
+    jac = basis.convection_jacobian(x)
+    assert _rel(basis.convection_dual_linearized(x, hs[0]), jac @ hs[0]) < 1e-13
+    got = basis.convection_dual_linearized(x, hs)
+    assert got.shape == hs.shape
+    assert _rel(got, hs @ jac.T) < 1e-13
+    xs = np.tile(x, (4, 1))
+    assert _rel(basis.convection_dual_linearized(xs, hs), hs @ jac.T) < 1e-13

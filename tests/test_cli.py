@@ -355,3 +355,32 @@ def test_eps_schedule_of_the_wrong_type_is_a_config_error(tmp_path, capsys, sche
                        solver={"method": "continuation", "eps_schedule": schedule})
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "config error: solver.eps_schedule must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem,grid,krylov", [
+    ({"kind": "heat"}, {"n": 12}, False),
+    # k = 24 is 528 unknowns, on the oracle's Newton-Krylov path
+    ({"kind": "navier_stokes", "viscosity": 0.1, "initial": "random"}, {"k": 24}, True),
+])
+def test_euler_summary_reports_krylov_counts(tmp_path, problem, grid, krylov):
+    cfg = write_config(tmp_path, problem=problem, grid=grid, seed=3,
+                       time={"t0": 0.0, "t1": 0.2, "steps": 2}, solver={"method": "euler"})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    jsonschema.validate(summary, schema("summary"))
+    counter = {}
+    run = RunConfig.from_dict(yaml.safe_load(cfg.read_text()))
+    cli.implicit_euler_solve(cli.build_problem(run), 2, counter=counter)
+    assert summary["krylov_iters"] == counter.get("krylov_iters", 0)
+    assert summary["krylov_fallbacks"] == counter.get("krylov_fallbacks", 0) == 0
+    assert (summary["krylov_iters"] > 0) == krylov
+    summary["krylov_iters"] = -1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(summary, schema("summary"))
+
+
+def test_ben_summary_has_no_krylov_counts(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "krylov_iters" not in summary and "krylov_fallbacks" not in summary

@@ -249,3 +249,21 @@ def test_krylov_path_zero_preconditioner_diagonal(krylov_everywhere):
     u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
     assert np.max(np.abs(u - p.initial / 3.0)) < 1e-12
     assert counter["krylov_iters"] > 0
+
+
+def test_navier_stokes_krylov_path_forms_no_dense_matrix(monkeypatch):
+    # above KRYLOV_MIN_DIM the diagonal linear part comes from the triple and
+    # the potential, and the convection acts through its FFT maps alone
+    p = build_navier_stokes_2d(24, initial="random")
+    assert p.dim >= oracle.KRYLOV_MIN_DIM
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense matrix was formed on the Newton-Krylov path")
+
+    monkeypatch.setattr(Potential, "hess_matrix", dense)
+    monkeypatch.setattr(type(p.metadata["_basis"]), "convection_jacobian", dense)
+    monkeypatch.setattr(oracle, "lu_factor", dense)
+    counter = {}
+    traj = implicit_euler_solve(p, 2, counter=counter)
+    assert counter["krylov_fallbacks"] == 0 and counter["krylov_iters"] > 0
+    assert np.all(np.isfinite(traj.states))

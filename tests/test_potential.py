@@ -330,3 +330,66 @@ def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
             # the Hessian the conjugate's Newton solve uses on its rows
             row = pot._composed_hess_rows(np.array([[pot._a(0.4)]]), x[None])[0]
             assert np.array_equal(pot.hess_matrix(0.4, x), row)
+
+
+# -- diagonal Hessians and the diagonal quadratic ---------------------------------
+
+def test_hess_diagonal_reads_the_hessian_bitwise(rng):
+    n = 9
+    d = rng.uniform(0.5, 4.0, n)
+    modulation = (lambda t: 1.0 + t)
+    kinds = [
+        Potential.quadratic(np.diag(d)),
+        Potential.quadratic(np.diag(d), modulation=modulation),
+        Potential.pointwise_power(q=3.5, dim=n, weight=d),
+        Potential.pointwise_power(q=4.0, dim=n, modulation=modulation),
+        Potential.custom(psi=lambda x: 0.5 * x @ (d * x), grad=lambda x: d * x, dim=n,
+                         hess_action=lambda x, h: d * h),
+    ]
+    for pot in kinds:
+        for t in (0.0, 0.3):
+            x = rng.standard_normal(n)
+            diag = pot.hess_diagonal(t, x)
+            assert diag is not None
+            assert np.array_equal(diag, np.diagonal(pot.hess_matrix(t, x)))
+
+
+def test_pointwise_power_hessian_is_the_closed_form(rng):
+    n, q = 7, 3.5
+    w = rng.uniform(0.5, 2.0, n)
+    pot = Potential.pointwise_power(q=q, dim=n, weight=w, modulation=lambda t: 2.0 + t)
+    x = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    want = 2.5 * w * (q - 1.0) * np.abs(x) ** (q - 2.0)
+    assert np.allclose(pot.hess_diagonal(0.5, x), want, rtol=1e-12, atol=0.0)
+    assert np.allclose(pot.hess_matrix(0.5, x), np.diag(want), rtol=1e-12, atol=0.0)
+
+
+def test_hess_diagonal_is_none_when_coupled(rng):
+    n = 6
+    a = rng.standard_normal((n, n))
+    g = np.eye(n) - np.eye(n, k=1)
+    for pot in (Potential.quadratic(a @ a.T + n * np.eye(n)),
+                Potential.composed_power(g, q=3.0)):
+        assert pot.hess_diagonal(0.0, rng.standard_normal(n)) is None
+
+
+def test_diagonal_quadratic_matches_the_dense_formulas_bitwise(rng):
+    from scipy.linalg import cho_factor
+    n = 40
+    d = rng.uniform(1e-3, 1e3, n)
+    a = np.diag(d)
+    pot = Potential.quadratic(a)
+    c, lower = cho_factor(a)
+    assert pot._chol[1] == lower
+    assert np.array_equal(pot._chol[0], c)
+    xs = rng.standard_normal((5, n))
+    assert np.array_equal(pot.grad(0.0, xs), xs @ a.T)
+    assert np.array_equal(pot.grad(0.0, xs[0]), xs[0] @ a.T)
+    assert np.array_equal(pot.psi(0.0, xs), 0.5 * np.einsum("ij,ij->i", xs @ a, xs))
+
+
+@pytest.mark.parametrize("entries", [[1.0, 0.0, 2.0], [1.0, -3.0, 2.0], [0.0, 0.0, 0.0],
+                                     [1.0, np.nan, 2.0], [1.0, np.inf, 2.0]])
+def test_diagonal_quadratic_must_be_positive_definite(entries):
+    with pytest.raises(np.linalg.LinAlgError):
+        Potential.quadratic(np.diag(entries))

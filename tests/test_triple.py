@@ -111,10 +111,16 @@ def test_omitted_t_map_is_bit_identical_to_identity(rng):
         explicit = EvolutionTriple(dim=n, mass=mass, t_map=np.eye(n))
         assert np.array_equal(tri.inclusion_matrix, explicit.inclusion_matrix)
         assert np.array_equal(tri.t_map, np.eye(n))
+        if np.count_nonzero(mass) == n:
+            assert np.array_equal(tri.inclusion_diagonal, np.diagonal(mass))
+        else:
+            assert tri.inclusion_diagonal is None
         for _ in range(20):
             x = rng.standard_normal(n)
             assert np.array_equal(tri.inclusion_matrix @ x, tri.apply_i(x))
             assert np.array_equal(tri.x_representative(x), explicit.x_representative(x))
+            xs = rng.standard_normal((5, n))
+            assert np.array_equal(xs @ tri.inclusion_matrix.T, tri.apply_i(xs))
         w = rng.standard_normal(n)
         u = tri.x_representative(w)
         u[0] += 1.0
@@ -144,3 +150,17 @@ def test_diagonal_and_dense_mass_share_the_definiteness_rule():
 def test_dense_nonsymmetric_mass_raises():
     with pytest.raises(ValueError, match="symmetric"):
         EvolutionTriple(dim=2, mass=np.array([[2.0, 0.5], [0.0, 2.0]]))
+
+
+def test_apply_i_with_t_map_is_the_dense_product_bitwise(rng):
+    n = 10
+    a = rng.standard_normal((n, n))
+    tri = EvolutionTriple(dim=n, mass=a @ a.T + n * np.eye(n),
+                          t_map=rng.standard_normal((n, n)) + 3 * np.eye(n))
+    assert tri.inclusion_diagonal is None
+    x = rng.standard_normal(n)
+    xs = rng.standard_normal((7, n))
+    assert np.array_equal(tri.apply_i(x), tri.inclusion_matrix @ x)
+    assert np.array_equal(tri.apply_i(xs), xs @ tri.inclusion_matrix.T)
+    with pytest.raises(ValueError):
+        tri.apply_i(np.ones(n + 1))
