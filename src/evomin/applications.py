@@ -108,8 +108,8 @@ def _default_bump(x: np.ndarray) -> np.ndarray:
 
 def build_scalar_decay(t1: float = 1.0, u0: float = 1.0) -> ProblemSpec:
     """du/dt + u + u = 0 in disguise: Lambda(u) = u, Psi = u^2/2, lambda = 1."""
-    triple = EvolutionTriple(dim=1, mass=np.eye(1))
-    potential = Potential.quadratic(np.eye(1))
+    triple = EvolutionTriple(dim=1, mass=np.ones(1))
+    potential = Potential.quadratic(np.ones(1))
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=linear_operator(np.eye(1)),
         lambda_flag=1, horizon=(0.0, t1), initial=np.array([u0]),
@@ -120,7 +120,7 @@ def build_scalar_decay(t1: float = 1.0, u0: float = 1.0) -> ProblemSpec:
 def build_anticoercive_fixture(t1: float = 1.0) -> ProblemSpec:
     """Lambda(u) = -u^3 against Psi = u^4/4: the positivity condition fails."""
     triple = EvolutionTriple(
-        dim=1, mass=np.eye(1), xnorm=XNorm(kind="power", matrix=np.eye(1), q=4.0)
+        dim=1, mass=np.ones(1), xnorm=XNorm(kind="power", matrix=np.ones(1), q=4.0)
     )
     potential = Potential.pointwise_power(q=4.0, dim=1)
     minus_cube = PointwiseMap(lambda v: -v**3, lambda v: -3.0 * v**2)
@@ -161,7 +161,7 @@ def build_parabolic_divergence(
     avg = np.abs(_difference_matrix(n)) / 2.0        # node values -> cell midpoints
     triple = EvolutionTriple(
         dim=n,
-        mass=h * np.eye(n),
+        mass=np.full(n, h),
         xnorm=XNorm(kind="power", matrix=h ** (1.0 / q) * g_mat, q=q),
     )
     modulation = None if time_scale is None else (lambda t, c=time_scale: 1.0 + c * t)
@@ -606,11 +606,10 @@ def build_navier_stokes_2d(
     n = basis.dim
     triple = EvolutionTriple(
         dim=n,
-        mass=np.diag(basis.mass_diag),
-        xnorm=XNorm(kind="power",
-                    matrix=np.diag(np.sqrt(basis.stiff_diag)), q=2.0),
+        mass=basis.mass_diag,
+        xnorm=XNorm(kind="power", matrix=np.sqrt(basis.stiff_diag), q=2.0),
     )
-    potential = Potential.quadratic(viscosity * np.diag(basis.stiff_diag))
+    potential = Potential.quadratic(viscosity * basis.stiff_diag)
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
         if forcing.shape != (2, k, k):
@@ -675,7 +674,7 @@ def build_heat_core(n: int, t1: float = 0.1,
         raise ValueError("need at least 3 interior points")
     h, x_nodes = _grid(n)
     g_mat = _difference_matrix(n) / h
-    mass = h * np.eye(n)
+    mass = np.full(n, h)
     triple = EvolutionTriple(
         dim=n, mass=mass,
         xnorm=XNorm(kind="power", matrix=np.sqrt(h) * g_mat, q=2.0),

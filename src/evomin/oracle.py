@@ -7,19 +7,21 @@ reproduce: each step solves
 
 by a damped Newton iteration.  Its linear solve is chosen from two things
 it can observe, the problem size, which drives the cost of a dense solve,
-and the linear part lin = I + dt lam D^2Psi(lam u) of the step Jacobian,
-which decides whether a diagonal preconditioner can work:
+and whether the triple and the potential declare the linear part
+lin = I + dt lam D^2Psi(lam u) of the step Jacobian diagonal (1-D inputs,
+see inclusion_diagonal and hess_diagonal), which decides whether a
+diagonal preconditioner can work:
 
-* below KRYLOV_MIN_DIM unknowns, or when lin is not diagonal, the step
-  Jacobian I + dt (DLambda + lam D^2Psi) is assembled dense and
+* below KRYLOV_MIN_DIM unknowns, or when lin is not declared diagonal, the
+  step Jacobian I + dt (DLambda + lam D^2Psi) is assembled dense and
   LU-factorized, and a pivot below PIVOT_FLOOR is a step failure;
-* from KRYLOV_MIN_DIM up with a diagonal lin (Navier-Stokes), the Newton
-  direction comes from restarted GMRES on the matrix-free action
+* from KRYLOV_MIN_DIM up with a declared diagonal lin (Navier-Stokes), the
+  Newton direction comes from restarted GMRES on the matrix-free action
   h -> lin h + dt DLambda(u) h, preconditioned by Jacobi, which inverts
   lin exactly (Jacobian-free Newton-Krylov, Knoll & Keyes, J. Comput.
-  Phys. 2004).  The diagonal of lin is read from the triple
-  (inclusion_diagonal) and the potential (hess_diagonal), so this path
-  forms no dim x dim matrix unless it falls back.  GMRES stops at the
+  Phys. 2004).  That diagonal is positive (validated masses and quadratic
+  diagonals, a pointwise power's at least HESS_REGULARIZATION), and this
+  path forms no dim x dim matrix unless it falls back.  GMRES stops at the
   relative residual KRYLOV_RTOL, after restarts of KRYLOV_RESTART inner
   iterations and at most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or strongly non-normal
   DLambda), that Newton iteration and the rest of the step take the dense
@@ -104,10 +106,8 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
 
 def _linear_diagonal(problem: ProblemSpec, u: np.ndarray, t: float,
                      dt: float) -> Optional[np.ndarray]:
-    """The diagonal of lin = I + dt lam D^2Psi(lam u), or None when lin is not diagonal.
-
-    It is read from the triple and the potential; neither forms a matrix
-    when its part is diagonal by construction.
+    """The diagonal of lin = I + dt lam D^2Psi(lam u), or None when lin is not
+    declared diagonal by the triple and the potential.  No matrix is formed.
     """
     diag = problem.triple.inclusion_diagonal
     lam = problem.lambda_flag
@@ -129,13 +129,11 @@ def _krylov_direction(problem: ProblemSpec, u: np.ndarray, diag: np.ndarray,
     # whose import costs about 20 ms and 3.5 MB of resident memory
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    # positive for a convex Psi; a zero (Psi outside the hypotheses) is left unscaled
-    pivots = np.where(diag == 0.0, 1.0, diag)
     op = problem.lambda_op
     shape = (problem.dim, problem.dim)
     jac = LinearOperator(shape, matvec=lambda h: diag * h + dt * op.dlambda(t, u, h),
                          dtype=float)
-    jacobi = LinearOperator(shape, matvec=lambda r: r / pivots, dtype=float)
+    jacobi = LinearOperator(shape, matvec=lambda r: r / diag, dtype=float)
     inner = []
     direction, info = gmres(jac, -f, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
                             maxiter=KRYLOV_MAXITER, M=jacobi,
@@ -164,8 +162,8 @@ def newton_solve_step(
     counter, when given, accumulates "newton_iters" and the per-step list
     "per_step"; from KRYLOV_MIN_DIM unknowns up also "krylov_iters" (GMRES
     inner iterations), its per-step list "krylov_per_step", and
-    "krylov_fallbacks" (steps that went on with the LU: lin not diagonal,
-    or GMRES missed the forcing term).
+    "krylov_fallbacks" (steps that went on with the LU: lin not declared
+    diagonal, or GMRES missed the forcing term).
     """
     lam = problem.lambda_flag
     u = np.array(u_prev if init is None else init, dtype=float)

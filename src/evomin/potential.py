@@ -11,6 +11,10 @@ typically the maximizers of a nearby trajectory: the minimizer hands each
 trial point the maximizers of its current iterate.  A warm solve that
 fails is repeated from z = y, so a start can change the iteration count
 and the last bits of z*, never whether the solve succeeds.
+
+A 1-D quadratic matrix declares a diagonal: its formulas are elementwise,
+with the bits of the dense ones.  It and the pointwise power are the kinds
+whose hess_diagonal is not None; a 2-D matrix is used as given.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .operator import ConditionReport, row_times, sample_blocks, sample_states
+from .triple import times_matrix
 
 __all__ = ["Potential", "ConjugateFailure", "check_growth"]
 
@@ -61,17 +66,14 @@ class Potential:
         self.modulation = modulation
         self.params = params
         self._chol = None
-        self._diag = None
+        self._inv_sqrt = None
         if kind == "quadratic":
             a_mat = params["matrix"]
-            diag = np.diagonal(a_mat)
-            if np.count_nonzero(a_mat) == np.count_nonzero(diag):
-                if not np.all(np.isfinite(diag) & (diag > 0.0)):
+            if a_mat.ndim == 1:
+                if not np.all(np.isfinite(a_mat) & (a_mat > 0.0)):
                     raise np.linalg.LinAlgError(
                         "diagonal quadratic potential must have positive finite entries")
-                # the bits cho_factor returns for a diagonal, without its O(dim^3) pass
-                self._diag = diag.copy()
-                self._chol = (np.diag(np.sqrt(self._diag)), False)
+                self._inv_sqrt = 1.0 / np.sqrt(a_mat)
             else:
                 self._chol = cho_factor(a_mat)
         elif kind == "composed_power" and params["q"] == 2.0:
@@ -90,10 +92,11 @@ class Potential:
 
     @classmethod
     def quadratic(cls, matrix: np.ndarray, modulation=None) -> "Potential":
-        """Psi(x) = x^T A x / 2 for SPD A."""
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("quadratic potential needs a square matrix")
+        """Psi(x) = x^T A x / 2 for SPD A; a 1-D A is the diagonal matrix with
+        those entries."""
+        matrix = np.atleast_1d(np.asarray(matrix, dtype=float))
+        if matrix.ndim > 2 or matrix.shape[0] != matrix.shape[-1]:
+            raise ValueError("quadratic potential needs a square matrix or a diagonal")
         return cls("quadratic", matrix.shape[0], modulation, matrix=matrix)
 
     @classmethod
@@ -144,7 +147,7 @@ class Potential:
         xs = self._rows(x)
         a = self._a_rows(t, len(xs))
         if self.kind == "quadratic":
-            ax = xs * self._diag if self._diag is not None else xs @ self.params["matrix"]
+            ax = times_matrix(xs, self.params["matrix"])
             out = 0.5 * a * np.einsum("ij,ij->i", ax, xs)
         elif self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
@@ -197,6 +200,12 @@ class Potential:
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
             zs = np.sign(ys) * (np.abs(ys) / (a * w)) ** (1.0 / (q - 1.0))
+        elif self._inv_sqrt is not None:
+            # cho_solve((diag(sqrt(d)), False), ys.T).T bit for bit: the two
+            # triangular solves of LAPACK's potrs, as OpenBLAS runs them,
+            # multiply by the inverted diagonal
+            r = self._inv_sqrt
+            zs = ys * r * r / a
         elif self.kind == "quadratic" or (self.kind == "composed_power"
                                           and self.params["q"] == 2.0):
             if self._chol is None:
@@ -226,9 +235,7 @@ class Potential:
     def _grad_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """a * DPsi_base on checked rows, a the column of per-row modulations."""
         if self.kind == "quadratic":
-            if self._diag is not None:
-                return a * (xs * self._diag)
-            return a * (xs @ self.params["matrix"].T)
+            return a * times_matrix(xs, self.params["matrix"].T)
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
             return a * (w * np.abs(xs) ** (q - 1.0) * np.sign(xs))
@@ -309,7 +316,8 @@ class Potential:
         x = self._vec(x)
         a = self._a(t)
         if self.kind == "quadratic":
-            return a * self.params["matrix"]
+            m = self.params["matrix"]
+            return np.diag(a * m) if m.ndim == 1 else a * m
         if self.kind == "pointwise_power":
             return np.diag(self.hess_diagonal(t, x))
         if self.kind == "composed_power":
@@ -328,21 +336,17 @@ class Potential:
         return a * cols
 
     def hess_diagonal(self, t: float, x: np.ndarray) -> Optional[np.ndarray]:
-        """The diagonal of D^2 Psi_t(x), or None when D^2 Psi_t(x) is not diagonal.
-
-        Bitwise np.diagonal(hess_matrix(t, x)).  A quadratic with a diagonal
-        matrix and the pointwise power form no matrix; every other kind forms
-        hess_matrix and reads it.
+        """The diagonal of D^2 Psi_t(x) for the kinds diagonal by construction,
+        a quadratic with a 1-D matrix and the pointwise power; None for every
+        other kind.  No matrix is formed.
         """
         x = self._vec(x)
-        if self.kind == "quadratic":
-            return None if self._diag is None else self._a(t) * self._diag
+        if self.kind == "quadratic" and self.params["matrix"].ndim == 1:
+            return self._a(t) * self.params["matrix"]
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
             return self._a(t) * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
-        hess = self.hess_matrix(t, x)
-        diag = np.diagonal(hess)
-        return diag if np.count_nonzero(hess) == np.count_nonzero(diag) else None
+        return None
 
     def scaled(self, factor: float) -> "Potential":
         """A new potential factor * Psi_t (factor > 0)."""

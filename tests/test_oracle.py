@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -9,6 +11,8 @@ from evomin import (
     Potential,
     ProblemSpec,
     energy,
+    energy_balance_audit,
+    energy_breakdown,
     implicit_euler_solve,
     newton_solve_step,
     oracle,
@@ -20,6 +24,7 @@ from evomin.applications import (
     build_navier_stokes_2d,
     exact_heat_solution,
 )
+from evomin import potential as potential_module
 from evomin.operator import linear_operator
 from evomin.oracle import DEFAULT_NEWTON_TOL, StepFailure
 
@@ -194,10 +199,10 @@ def test_krylov_path_falls_back_to_lu_on_stiff_operator():
     # stiffness, and the dense LU solves the linear step in one iteration
     n = oracle.KRYLOV_MIN_DIM
     lap = (n + 1) ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
-    tri = EvolutionTriple(dim=n, mass=np.eye(n))
+    tri = EvolutionTriple(dim=n, mass=np.ones(n))
     op = linear_operator(lap)
     x = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(n)), lambda_op=op,
+    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(n)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.sin(np.pi * x) + x)
     counter = {}
     u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
@@ -211,12 +216,12 @@ def test_krylov_path_falls_back_to_lu_on_stiff_operator():
 def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
     # dderiv is the negated derivative of Lambda = 3 x: the GMRES direction
     # points uphill, so the damped line search must give up
-    tri = EvolutionTriple(dim=4, mass=np.eye(4))
+    tri = EvolutionTriple(dim=4, mass=np.ones(4))
     op = OperatorLambda(dim=4, eval=lambda t, x: 3.0 * x,
                         dderiv=lambda t, x, h: -3.0 * h,
                         dderiv_adjoint=lambda t, x, v: -3.0 * v,
                         jacobian=lambda t, x: -3.0 * np.eye(4), kind_tag="custom")
-    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(4)), lambda_op=op,
+    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(4)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.array([1.0, -2.0, 0.5, 3.0]))
     with pytest.raises(StepFailure, match="line search stalled") as err:
         implicit_euler_solve(p, 1)
@@ -225,9 +230,9 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
 
 def test_krylov_path_solves_custom_operator(krylov_everywhere):
     # u + dt (u^3 + u) = u_prev componentwise
-    tri = EvolutionTriple(dim=3, mass=np.eye(3))
+    tri = EvolutionTriple(dim=3, mass=np.ones(3))
     op = pointwise_operator(3, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
-    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.eye(3)), lambda_op=op,
+    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(3)), lambda_op=op,
                     lambda_flag=1, horizon=(0.0, 0.5), initial=np.array([1.0, -0.5, 2.0]))
     counter = {}
     u = newton_solve_step(p, p.initial, t=0.5, dt=0.5, counter=counter)
@@ -236,24 +241,55 @@ def test_krylov_path_solves_custom_operator(krylov_everywhere):
     assert counter["krylov_iters"] > 0 and counter["krylov_fallbacks"] == 0
 
 
-def test_krylov_path_zero_preconditioner_diagonal(krylov_everywhere):
-    # a concave Psi with dt D^2Psi = -I zeroes the diagonal of I + dt D^2Psi;
-    # the step (1 + 3 dt - dt) u = u_prev is still solvable, as on the LU path
-    tri = EvolutionTriple(dim=2, mass=np.eye(2))
+def test_custom_potential_takes_the_lu_path(krylov_everywhere, monkeypatch):
+    # a custom Psi declares no diagonal Hessian, even one that is diagonal
+    # (here D^2Psi = I): lin is not known to be diagonal, so every Newton
+    # iteration takes the dense LU and gives the bits of the LU path
+    tri = EvolutionTriple(dim=2, mass=np.ones(2))
     op = linear_operator(3.0 * np.eye(2))
-    pot = Potential.custom(psi=lambda x: -0.5 * x @ x, grad=lambda x: -x, dim=2,
-                           hess_action=lambda x, h: -h)
+    pot = Potential.custom(psi=lambda x: 0.5 * x @ x, grad=lambda x: x, dim=2,
+                           hess_action=lambda x, h: h)
     p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=1,
                     horizon=(0.0, 1.0), initial=np.array([1.0, -2.0]))
     counter = {}
     u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
-    assert np.max(np.abs(u - p.initial / 3.0)) < 1e-12
-    assert counter["krylov_iters"] > 0
+    assert np.max(np.abs(u - p.initial / 5.0)) < 1e-12
+    assert counter["krylov_iters"] == 0 and counter["krylov_fallbacks"] == 1
+    monkeypatch.setattr(oracle, "KRYLOV_MIN_DIM", p.dim + 1)
+    assert np.array_equal(u, newton_solve_step(p, p.initial, t=1.0, dt=1.0))
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from obj through attributes, containers and
+    the closures and defaults of functions."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (type, types.ModuleType, str, bytes)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        children = list(obj)
+    elif isinstance(obj, types.FunctionType):
+        children = [c.cell_contents for c in obj.__closure__ or ()] + list(obj.__defaults__ or ())
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    for child in children:
+        yield from _reachable_arrays(child, seen)
 
 
 def test_navier_stokes_krylov_path_forms_no_dense_matrix(monkeypatch):
     # above KRYLOV_MIN_DIM the diagonal linear part comes from the triple and
-    # the potential, and the convection acts through its FFT maps alone
+    # the potential, and the convection acts through its FFT maps alone; the
+    # build stores its diagonals as vectors, and the energy, its balance audit
+    # and the residual need no dense matrix either
+    big = build_navier_stokes_2d(32, initial="random")
+    arrays = list(_reachable_arrays(big))
+    assert any(a is big.triple.mass for a in arrays)
+    assert max(a.size for a in arrays) < big.dim ** 2
     p = build_navier_stokes_2d(24, initial="random")
     assert p.dim >= oracle.KRYLOV_MIN_DIM
 
@@ -263,7 +299,11 @@ def test_navier_stokes_krylov_path_forms_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(Potential, "hess_matrix", dense)
     monkeypatch.setattr(type(p.metadata["_basis"]), "convection_jacobian", dense)
     monkeypatch.setattr(oracle, "lu_factor", dense)
+    monkeypatch.setattr(potential_module, "cho_solve", dense)
     counter = {}
     traj = implicit_euler_solve(p, 2, counter=counter)
     assert counter["krylov_fallbacks"] == 0 and counter["krylov_iters"] > 0
     assert np.all(np.isfinite(traj.states))
+    assert np.isfinite(energy_breakdown(p, traj).total)
+    assert np.all(np.isfinite(energy_balance_audit(p, traj)))
+    assert np.all(np.isfinite(residual(p, traj)))

@@ -79,10 +79,9 @@ def test_duality_gap_examples():
 ])
 def test_fenchel_young_inequality(make, rng):
     pot = make(rng)
-    for _ in range(2000):
-        x = 3.0 * rng.standard_normal(pot.dim)
-        y = 3.0 * rng.standard_normal(pot.dim)
-        assert pot.duality_gap(0.3, x, y) >= -1e-9
+    # the 2000 pairs (x, y) of a loop that draws x, then y, as one stacked call
+    xy = 3.0 * rng.standard_normal((2000, 2, pot.dim))
+    assert np.all(pot.duality_gap(0.3, xy[:, 0], xy[:, 1]) >= -1e-9)
 
 
 @pytest.mark.parametrize("make", [
@@ -339,12 +338,10 @@ def test_hess_diagonal_reads_the_hessian_bitwise(rng):
     d = rng.uniform(0.5, 4.0, n)
     modulation = (lambda t: 1.0 + t)
     kinds = [
-        Potential.quadratic(np.diag(d)),
-        Potential.quadratic(np.diag(d), modulation=modulation),
+        Potential.quadratic(d),
+        Potential.quadratic(d, modulation=modulation),
         Potential.pointwise_power(q=3.5, dim=n, weight=d),
         Potential.pointwise_power(q=4.0, dim=n, modulation=modulation),
-        Potential.custom(psi=lambda x: 0.5 * x @ (d * x), grad=lambda x: d * x, dim=n,
-                         hess_action=lambda x, h: d * h),
     ]
     for pot in kinds:
         for t in (0.0, 0.3):
@@ -373,23 +370,39 @@ def test_hess_diagonal_is_none_when_coupled(rng):
         assert pot.hess_diagonal(0.0, rng.standard_normal(n)) is None
 
 
+def test_hess_diagonal_is_none_unless_declared(rng):
+    # only a 1-D quadratic and the pointwise power declare a diagonal Hessian;
+    # a dense matrix or a custom Hessian that happens to be diagonal does not
+    n = 6
+    d = rng.uniform(0.5, 4.0, n)
+    for pot in (Potential.quadratic(np.diag(d)),
+                Potential.custom(psi=lambda x: 0.5 * x @ (d * x), grad=lambda x: d * x,
+                                 dim=n, hess_action=lambda x, h: d * h)):
+        x = rng.standard_normal(n)
+        assert pot.hess_diagonal(0.0, x) is None
+        assert np.allclose(pot.hess_matrix(0.0, x), np.diag(d), rtol=1e-6, atol=1e-6)
+
+
 def test_diagonal_quadratic_matches_the_dense_formulas_bitwise(rng):
-    from scipy.linalg import cho_factor
-    n = 40
-    d = rng.uniform(1e-3, 1e3, n)
-    a = np.diag(d)
-    pot = Potential.quadratic(a)
-    c, lower = cho_factor(a)
-    assert pot._chol[1] == lower
-    assert np.array_equal(pot._chol[0], c)
-    xs = rng.standard_normal((5, n))
-    assert np.array_equal(pot.grad(0.0, xs), xs @ a.T)
-    assert np.array_equal(pot.grad(0.0, xs[0]), xs[0] @ a.T)
-    assert np.array_equal(pot.psi(0.0, xs), 0.5 * np.einsum("ij,ij->i", xs @ a, xs))
+    from scipy.linalg import cho_solve
+    for n, rows in ((1, 1), (7, 3), (40, 5), (960, 4), (960, 101)):
+        d = rng.uniform(1e-3, 1e3, n)
+        a = np.diag(d)
+        pot = Potential.quadratic(d, modulation=lambda t: 1.0 + t)
+        xs = rng.standard_normal((rows, n))
+        assert np.array_equal(pot.grad(0.0, xs), xs @ a.T)
+        assert np.array_equal(pot.grad(0.0, xs[0]), xs[0] @ a.T)
+        assert np.array_equal(pot.psi(0.0, xs), 0.5 * np.einsum("ij,ij->i", xs @ a, xs))
+        assert np.array_equal(pot.hess_matrix(0.5, xs[0]), 1.5 * a)
+        # the conjugate is the Cholesky solve with the factor diag(sqrt(d)), bit for bit
+        ts = np.linspace(0.0, 1.0, rows)
+        want = cho_solve((np.diag(np.sqrt(d)), False), xs.T).T / (1.0 + ts)[:, None]
+        assert np.array_equal(pot.conjugate_argmax(ts, xs), want)
+        assert np.array_equal(pot.conjugate_argmax(ts[0], xs[0]), want[0])
 
 
 @pytest.mark.parametrize("entries", [[1.0, 0.0, 2.0], [1.0, -3.0, 2.0], [0.0, 0.0, 0.0],
                                      [1.0, np.nan, 2.0], [1.0, np.inf, 2.0]])
 def test_diagonal_quadratic_must_be_positive_definite(entries):
     with pytest.raises(np.linalg.LinAlgError):
-        Potential.quadratic(np.diag(entries))
+        Potential.quadratic(np.array(entries))
