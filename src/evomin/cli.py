@@ -329,10 +329,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
     reports = []
     for name in which:
         if name == "growth":
-            q = problem.triple.xnorm.q if problem.triple.xnorm.kind == "power" else 2.0
             rep = check_growth(problem.potential, problem.triple, problem.horizon,
                                samples, c0=float(cfg.checks.get("c0", 10.0)),
-                               q=float(cfg.checks.get("q", q)), rng=rng)
+                               q=float(cfg.checks.get("q", problem.triple.xnorm.q)), rng=rng)
         elif name == "monotonicity":
             rep = check_monotonicity(problem, problem.lambda_flag, samples, rng=rng)
         elif name == "coercivity":

@@ -105,7 +105,7 @@ def energy_inequality_check(problem: ProblemSpec, traj: Trajectory,
                             pass_tol: float = 1e-8) -> dict:
     """Defect of the limiting energy inequality at every grid time.
 
-        s(t_m) = |T u_m|_H^2 / 2 + dt * sum_{k<=m} <u_k, Lambda(u_k)> - |w_0|_H^2 / 2
+        s(t_m) = |u_m|_H^2 / 2 + dt * sum_{k<=m} <u_k, Lambda(u_k)> - |w_0|_H^2 / 2
 
     This is energy_balance_audit without the potential term.  On
     trajectories that approximately solve the discrete equation the defect

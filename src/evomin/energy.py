@@ -119,11 +119,11 @@ def energy_gradient(problem: ProblemSpec, traj: Trajectory,
 def energy_balance_audit(problem: ProblemSpec, traj: Trajectory) -> np.ndarray:
     """Discrete energy balance defect e(t_m) for m = 1..M.
 
-        e(t_m) = |T u_m|_H^2 / 2
+        e(t_m) = |u_m|_H^2 / 2
                  + dt * sum_{k<=m} <u_k, Lambda(u_k) + DPsi(lam u_k)>
                  - |w_0|_H^2 / 2
 
-    On exact discrete solutions e(t_m) = -sum_{k<=m} |T(u_k - u_{k-1})|_H^2 / 2,
+    On exact discrete solutions e(t_m) = -sum_{k<=m} |u_k - u_{k-1}|_H^2 / 2,
     which is nonpositive and O(dt): the backward difference dissipates.
     """
     tri = problem.triple
@@ -139,9 +139,9 @@ def energy_balance_audit(problem: ProblemSpec, traj: Trajectory) -> np.ndarray:
 
 
 def summation_by_parts_gap(triple: EvolutionTriple, traj: Trajectory) -> float:
-    """sum_k <u_k, I u_k - I u_{k-1}> - (|T u_M|_H^2 - |T u_0|_H^2)/2.
+    """sum_k <u_k, I u_k - I u_{k-1}> - (|u_M|_H^2 - |u_0|_H^2)/2.
 
-    Equals sum_k |T(u_k - u_{k-1})|_H^2 / 2: nonnegative, zero only on
+    Equals sum_k |u_k - u_{k-1}|_H^2 / 2: nonnegative, zero only on
     constant trajectories.  This is also the O(dt) discrepancy between the
     boundary-term form of the energy and the telescoped form used here.
     """

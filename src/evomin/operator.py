@@ -262,14 +262,14 @@ def check_monotonicity(
 
         lhs = <h, lam*(DPsi_t(lam*x + h) - DPsi_t(lam*x)) + DLambda_t(x).h>
 
-    must admit a lower bound of the form -ghat*(||x||_X^q + mu)*||Th||_H^2.
-    A sample is a violation when lhs < -big * ||Th||_H^2; otherwise the
+    must admit a lower bound of the form -ghat*(||x||_X^q + mu)*||h||_H^2.
+    A sample is a violation when lhs < -big * ||h||_H^2; otherwise the
     smallest certifying ghat (with mu := 1) is recorded.
     """
     rng = rng or np.random.default_rng(0)
     tri = problem.triple
     lam = int(lambda_flag)
-    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+    q = tri.xnorm.q
     report = ConditionReport(name="monotonicity", samples=samples)
     if samples < 1:
         return report
@@ -315,7 +315,7 @@ def check_coercivity(
     """
     rng = rng or np.random.default_rng(0)
     tri = problem.triple
-    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+    q = tri.xnorm.q
     report = ConditionReport(name="coercivity", samples=samples)
     if samples < 1:
         return report

@@ -243,9 +243,8 @@ def implicit_euler_solve(
         raise ValueError("need at least one time step")
     t0, t1 = problem.horizon
     dt = (t1 - t0) / steps
-    u0 = problem.initial_state()
     states = np.empty((steps + 1, problem.dim))
-    states[0] = u0
+    states[0] = problem.initial
     if warm_start is not None and (warm_start.steps != steps
                                    or warm_start.dim != problem.dim):
         raise ValueError("warm start trajectory does not match the grid")

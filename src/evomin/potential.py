@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .operator import ConditionReport, row_times, sample_blocks, sample_states
-from .triple import times_matrix
+from .triple import check_symmetric, times_matrix
 
 __all__ = ["Potential", "ConjugateFailure", "check_growth"]
 
@@ -93,10 +93,13 @@ class Potential:
     @classmethod
     def quadratic(cls, matrix: np.ndarray, modulation=None) -> "Potential":
         """Psi(x) = x^T A x / 2 for SPD A; a 1-D A is the diagonal matrix with
-        those entries."""
+        those entries.  A 2-D A must be symmetric (the mass matrix's rule):
+        its Cholesky factor reads only the upper triangle."""
         matrix = np.atleast_1d(np.asarray(matrix, dtype=float))
         if matrix.ndim > 2 or matrix.shape[0] != matrix.shape[-1]:
             raise ValueError("quadratic potential needs a square matrix or a diagonal")
+        if matrix.ndim == 2:
+            check_symmetric(matrix, "quadratic potential matrix")
         return cls("quadratic", matrix.shape[0], modulation, matrix=matrix)
 
     @classmethod
@@ -114,12 +117,15 @@ class Potential:
     @classmethod
     def composed_power(cls, matrix: np.ndarray, q: float, scale: float = 1.0,
                        modulation=None) -> "Potential":
-        """Psi(x) = scale * ||G x||_q^q / q with q >= 2."""
+        """Psi(x) = scale * ||G x||_q^q / q with q >= 2 and scale > 0."""
         if q < 2.0:
             raise ValueError("composed power needs q >= 2")
+        scale = float(scale)
+        if not (np.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"composed power scale must be positive and finite, got {scale}")
         matrix = np.asarray(matrix, dtype=float)
         return cls("composed_power", matrix.shape[1], modulation,
-                   matrix=matrix, q=float(q), scale=float(scale))
+                   matrix=matrix, q=float(q), scale=scale)
 
     @classmethod
     def custom(cls, psi: Callable, grad: Callable, dim: int,

@@ -15,11 +15,11 @@ __all__ = ["ProblemSpec"]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """d/dt(I u) + Lambda_t(u) + DPsi_t(lambda u) = 0,  T u(0) = w0.
+    """d/dt(I u) + Lambda_t(u) + DPsi_t(lambda u) = 0,  u(0) = w0.
 
     lambda_flag selects between the plain evolution (0) and the
     potential-driven one (1); horizon is the time interval (t0, t1) and
-    initial is the H-coefficient vector of the initial datum.
+    initial is the initial state w0.
     """
 
     triple: EvolutionTriple
@@ -56,10 +56,6 @@ class ProblemSpec:
     @property
     def name(self) -> str:
         return self.metadata.get("name", "problem")
-
-    def initial_state(self) -> np.ndarray:
-        """X-representative of the initial datum: solve T u0 = w0."""
-        return self.triple.x_representative(self.initial)
 
     def with_potential(self, potential: Potential, lambda_flag=None) -> "ProblemSpec":
         return ProblemSpec(

@@ -88,10 +88,10 @@ class Trajectory:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
     def validate_initial(self, triple: EvolutionTriple) -> None:
-        defect = triple.apply_t(self.states[0]) - self.w0
+        defect = self.states[0] - self.w0
         if triple.h_norm(defect) >= INITIAL_DATUM_TOL:
             raise ValueError(
-                f"initial state does not carry the datum: |T u0 - w0|_H = "
+                f"initial state does not carry the datum: |u0 - w0|_H = "
                 f"{triple.h_norm(defect):.3e}"
             )
 
@@ -101,8 +101,7 @@ class Trajectory:
 
 def constant_trajectory(problem: ProblemSpec, steps: int) -> Trajectory:
     """Constant-in-time extension of the initial state (the default guess)."""
-    u0 = problem.initial_state()
-    states = np.tile(u0, (steps + 1, 1))
+    states = np.tile(problem.initial, (steps + 1, 1))
     return Trajectory(states, problem.horizon[0], problem.horizon[1], problem.initial.copy())
 
 

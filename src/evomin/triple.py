@@ -1,15 +1,14 @@
 """Finite-dimensional evolution triples.
 
 The state space X, the pivot Hilbert space H and the dual X* are all
-realized on coefficient vectors of length ``dim``.  The dual pairing is
-the plain Euclidean dot product; every piece of geometry lives in the
-``mass`` matrix (H inner product) and in the inclusion map ``t_map``.
-The adjoint inclusion is then a concrete matrix, t_map^T @ mass, and the
-composition ``inclusion = t_map^T @ mass @ t_map`` is symmetric positive
-definite by construction.  A 1-D mass or X-norm image G declares the
-diagonal matrix of its entries and is applied elementwise, bit for bit the
-dense product; a 2-D one is used as given.  An omitted t_map is the
-identity, stored as None, so a 1-D mass alone makes I diagonal.
+realized on coefficient vectors of length ``dim``, in one set of
+coordinates: the inclusion X -> H is the identity.  The dual pairing is
+the plain Euclidean dot product, and every piece of geometry lives in the
+``mass`` matrix of the H inner product, which is also the matrix of the
+inclusion I : X -> X*.  An injective inclusion T with H-mass M is the
+triple with mass T^T M T started from T^-1 w0.  A 1-D mass or X-norm
+image G declares the diagonal matrix of its entries and is applied
+elementwise, bit for bit the dense product; a 2-D one is used as given.
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ _SPD_TOL = 1e-12
 class XNorm:
     """Descriptor of the X-norm.
 
-    kind="euclidean" uses the plain 2-norm of the coefficients.
+    kind="euclidean" uses the plain 2-norm of the coefficients (q = 2).
     kind="power" uses ||G x||_q for a linear image G (a 1-D G is diagonal)
-    and exponent q >= 2; any mesh scaling is folded into G.
+    and exponent q >= 2; any mesh scaling is folded into G.  q is the
+    exponent of the norm in either kind.
     """
 
     kind: str = "euclidean"
@@ -44,6 +44,8 @@ class XNorm:
     def __post_init__(self):
         if self.kind not in ("euclidean", "power"):
             raise ValueError(f"unknown X-norm kind {self.kind!r}")
+        if self.kind == "euclidean" and self.q != 2.0:
+            raise ValueError(f"the euclidean norm has exponent q = 2, got {self.q}")
         if self.kind == "power":
             if self.matrix is None:
                 raise ValueError("power norm needs a matrix G")
@@ -54,17 +56,16 @@ class XNorm:
 
 @dataclass(frozen=True)
 class EvolutionTriple:
-    """Discrete model of {X, H, X*} with inclusion maps.
+    """Discrete model of {X, H, X*}, with X and H on the same coefficients.
 
-    mass   -- SPD matrix of the H inner product on coefficient vectors (1-D: diagonal).
-    t_map  -- matrix of the inclusion X -> H (must be injective); None is the identity.
-    xnorm  -- descriptor of the X-norm.
+    mass   -- SPD matrix of the H inner product and of the inclusion
+              I : X -> X* (1-D: diagonal).
+    xnorm  -- descriptor of the X-norm; a power norm's G has dim columns.
     """
 
     dim: int
     mass: np.ndarray
     xnorm: XNorm = field(default_factory=XNorm)
-    t_map: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -74,28 +75,19 @@ class EvolutionTriple:
             # a diagonal mass is symmetric, and its eigenvalues are its entries
             low, high = np.min(mass), np.max(mass)
         elif mass.shape == (self.dim, self.dim):
-            if not np.allclose(mass, mass.T, rtol=0.0, atol=1e-12 * _scale(mass)):
-                raise ValueError("mass matrix must be symmetric")
+            check_symmetric(mass, "mass matrix")
             eigs = np.linalg.eigvalsh(mass)
             low, high = eigs[0], eigs[-1]
         else:
             raise ValueError(f"mass must be of shape (dim,) or (dim, dim), got {mass.shape}")
         if not low > _SPD_TOL * max(1.0, high):
             raise ValueError("mass matrix must be positive definite")
-        object.__setattr__(self, "mass", mass)
-        if self.t_map is None:
-            # the identity inclusion: I = mass exactly, without the two products
-            inclusion = mass
-        else:
-            t_map = np.asarray(self.t_map, dtype=float)
-            if t_map.shape != (self.dim, self.dim):
-                raise ValueError("t_map must be square of size dim")
-            s = np.linalg.svd(t_map, compute_uv=False)
-            if s[-1] <= 1e-12 * max(1.0, s[0]):
-                raise ValueError("t_map must be injective")
-            object.__setattr__(self, "t_map", t_map)
-            inclusion = times_matrix(t_map.T, mass) @ t_map
-        object.__setattr__(self, "_inclusion", np.ascontiguousarray(inclusion))
+        object.__setattr__(self, "mass", np.ascontiguousarray(mass))
+        g = self.xnorm.matrix
+        if self.xnorm.kind == "power" and not (
+                g.shape == (self.dim,) or (g.ndim == 2 and g.shape[1] == self.dim)):
+            raise ValueError(f"X-norm image G must be of shape ({self.dim},) or "
+                             f"(rows, {self.dim}), got {g.shape}")
 
     # -- inner products and inclusions ------------------------------------
 
@@ -109,48 +101,38 @@ class EvolutionTriple:
         return float(np.sqrt(max(self.h_inner(w, w), 0.0)))
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
-        """Inclusion X -> H."""
-        x = self._vec(x)
-        return x.copy() if self.t_map is None else self.t_map @ x
+        """Inclusion X -> H, the identity: a copy of one checked state."""
+        return self._vec(x).copy()
 
     def apply_t_adjoint(self, w: np.ndarray) -> np.ndarray:
-        """Adjoint inclusion H -> X*, defined by <x, Tt w> = <T x, w>_H."""
-        w = self._vec(w)
-        mw = self.mass * w if self.mass.ndim == 1 else self.mass @ w
-        return mw if self.t_map is None else self.t_map.T @ mw
+        """Adjoint inclusion H -> X*, w -> mass w: apply_i of one state."""
+        return self.apply_i(self._vec(w))
 
     def apply_inclusions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (T x, I x) with I = Tt o T."""
+        """Return (T x, I x) of one state: (a copy of x, mass x)."""
         return self.apply_t(x), self.apply_i(x)
 
     def apply_i(self, x: np.ndarray) -> np.ndarray:
         """I x of one state, or I applied to each row of an (M, dim) stack.
 
-        The bits are those of inclusion_matrix @ x on a state and of
-        rows @ inclusion_matrix.T on a stack; a diagonal I is a multiply.
+        I is the mass.  The bits are those of inclusion_matrix @ x on a state
+        and of rows @ inclusion_matrix.T on a stack; a diagonal I is a multiply.
         """
         x = self._vec_or_rows(x)
-        inc = self._inclusion
-        if inc.ndim == 1:
-            return x * inc
-        return x @ inc.T if x.ndim == 2 else inc @ x
+        mass = self.mass
+        if mass.ndim == 1:
+            return x * mass
+        return x @ mass.T if x.ndim == 2 else mass @ x
 
     @property
     def inclusion_matrix(self) -> np.ndarray:
-        """Dense matrix of I = t_map^T mass t_map (SPD); built on each call when I is diagonal."""
-        inc = self._inclusion
-        return np.diag(inc) if inc.ndim == 1 else inc
+        """Dense matrix of I = mass (SPD); built on each call when the mass is diagonal."""
+        return np.diag(self.mass) if self.mass.ndim == 1 else self.mass
 
     @property
     def inclusion_diagonal(self) -> Optional[np.ndarray]:
-        """The diagonal of I when declared diagonal (1-D mass, no t_map), else None."""
-        return self._inclusion if self._inclusion.ndim == 1 else None
-
-    def x_representative(self, w: np.ndarray) -> np.ndarray:
-        """Solve T x = w for the coefficient vector x."""
-        if self.t_map is None:
-            return self._vec(w).copy()
-        return np.linalg.solve(self.t_map, self._vec(w))
+        """The diagonal of I when declared diagonal (1-D mass), else None."""
+        return self.mass if self.mass.ndim == 1 else None
 
     # -- norms -------------------------------------------------------------
 
@@ -165,12 +147,10 @@ class EvolutionTriple:
         return float(out) if x.ndim == 1 else out
 
     def t_norm_sq(self, x: np.ndarray):
-        """|T x|_H^2 of one state, or one value per row of an (M, dim) stack."""
-        tx = self._vec_or_rows(x)
-        if self.t_map is not None:
-            tx = tx @ self.t_map.T
-        out = np.einsum("...i,...i->...", times_matrix(tx, self.mass), tx)
-        return float(out) if tx.ndim == 1 else out
+        """|x|_H^2 = <x, I x> of one state, or one value per row of an (M, dim) stack."""
+        x = self._vec_or_rows(x)
+        out = np.einsum("...i,...i->...", times_matrix(x, self.mass), x)
+        return float(out) if x.ndim == 1 else out
 
     def _vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -200,6 +180,9 @@ def times_matrix(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return rows * m if m.ndim == 1 else rows @ m
 
 
-def _scale(a: np.ndarray) -> float:
-    m = float(np.max(np.abs(a))) if a.size else 0.0
-    return max(m, 1.0)
+def check_symmetric(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the square matrix a is symmetric to 1e-12 of
+    max(1, max |a_ij|)."""
+    scale = max(float(np.max(np.abs(a))) if a.size else 0.0, 1.0)
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale):
+        raise ValueError(f"{what} must be symmetric")

@@ -65,8 +65,7 @@ def roll_product_operator(dim):
 
 def random_trajectory(problem, steps, rng, scale=0.5):
     """A trajectory with the correct initial state and random free states."""
-    u0 = problem.initial_state()
-    states = np.tile(u0, (steps + 1, 1))
+    states = np.tile(problem.initial, (steps + 1, 1))
     states[1:] += scale * rng.standard_normal((steps, problem.dim))
     return Trajectory(states, problem.horizon[0], problem.horizon[1],
                       problem.initial.copy())

@@ -156,6 +156,31 @@ def test_singular_composed_quadratic_conjugate_fails():
         pot.conjugate(0.0, np.array([1.0, 0.0]))
 
 
+def test_quadratic_must_be_symmetric():
+    # cho_factor reads the upper triangle and grad the whole matrix, so a
+    # non-symmetric A gives a nonzero duality gap at y = grad(x)
+    with pytest.raises(ValueError, match="symmetric"):
+        Potential.quadratic(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    # one tolerance, 1e-12 of max(1, max |a_ij|), for a mass and a quadratic
+    for skew, ok in ((5e-13, True), (5e-12, False)):
+        for big in (1.0, 1e6):
+            a = big * np.array([[2.0, 0.5 + skew], [0.5, 2.0]])
+            for build in (lambda: EvolutionTriple(dim=2, mass=a), lambda: Potential.quadratic(a)):
+                if ok:
+                    build()
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        build()
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.inf, -np.inf, np.nan])
+def test_composed_power_scale_must_be_positive_and_finite(q, scale):
+    # a nonpositive scale makes Psi concave, whose conjugate is +inf
+    with pytest.raises(ValueError, match="scale"):
+        Potential.composed_power(np.eye(2), q=q, scale=scale)
+
+
 def test_time_modulation():
     pot = Potential.quadratic(np.eye(1), modulation=lambda t: 1.0 + t)
     x = np.array([2.0])

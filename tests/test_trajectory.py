@@ -46,14 +46,14 @@ def test_summation_by_parts_inequality(rng):
     for _ in range(50):
         traj = random_trajectory(p, 7, rng)
         gap = summation_by_parts_gap(p.triple, traj)
-        # gap = sum <u_k, I du_k> - (|Tu_M|^2 - |w0|^2)/2 = sum |T du_k|^2/2 >= 0
+        # gap = sum <u_k, I du_k> - (|u_M|^2 - |w0|^2)/2 = sum |du_k|^2/2 >= 0
         assert gap >= -1e-10
         direct = sum(
             0.5 * p.triple.h_inner(p.triple.apply_t(d), p.triple.apply_t(d))
             for d in np.diff(traj.states, axis=0)
         )
         assert gap == pytest.approx(direct, abs=1e-10)
-    const = Trajectory(np.tile(p.initial_state(), (8, 1)), 0.0, 0.1, p.initial)
+    const = Trajectory(np.tile(p.initial, (8, 1)), 0.0, 0.1, p.initial)
     assert summation_by_parts_gap(p.triple, const) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -85,7 +85,7 @@ def test_csv_round_trip(rng):
     back = trajectory_from_csv(text, w0=traj.w0)
     assert np.array_equal(back.states, traj.states)   # 17 digits round-trips exactly
     assert back.dt == pytest.approx(traj.dt)
-    # default datum: first row (valid because the builders use t_map = id)
+    # default datum: first row
     assert np.array_equal(trajectory_from_csv(text).w0, traj.states[0])
     with pytest.raises(ValueError):
         trajectory_from_csv("a,b\n1,2\n")

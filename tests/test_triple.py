@@ -43,6 +43,24 @@ def test_x_norm_euclidean_and_power():
     assert tri.x_norm(np.zeros(2)) == 0.0
 
 
+def test_euclidean_norm_has_exponent_two():
+    assert XNorm().q == 2.0
+    for q in (3.0, 4.0, 1.0):
+        with pytest.raises(ValueError, match="exponent"):
+            XNorm(kind="euclidean", q=q)
+    assert XNorm(kind="power", matrix=np.eye(2), q=3.0).q == 3.0
+
+
+def test_x_norm_image_must_match_dim():
+    # a 1-D G is the diagonal of a dim x dim matrix; a 2-D G has dim columns
+    for g in (np.array([2.0]), np.ones(4), np.ones((3, 2)), np.ones((3, 4)), np.array(2.0),
+              np.ones((1, 3, 3))):
+        with pytest.raises(ValueError, match="X-norm image"):
+            EvolutionTriple(dim=3, mass=np.ones(3), xnorm=XNorm(kind="power", matrix=g, q=2.0))
+    for g in (np.ones(3), np.ones((1, 3)), np.ones((5, 3))):
+        EvolutionTriple(dim=3, mass=np.ones(3), xnorm=XNorm(kind="power", matrix=g, q=2.0))
+
+
 def test_x_norm_degenerate_image_is_flagged():
     g = np.array([[1.0, -1.0]])
     xnorm = XNorm(kind="power", matrix=g, q=2.0)
@@ -50,21 +68,24 @@ def test_x_norm_degenerate_image_is_flagged():
     assert tri.x_norm(np.array([2.0, 2.0])) == 0.0
 
 
+def _dense_mass(rng, n):
+    """A dense SPD mass T^T M T, for an SPD M and an injective T."""
+    a = rng.standard_normal((n, n))
+    t = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    m = t.T @ (a @ a.T + n * np.eye(n)) @ t
+    return 0.5 * (m + m.T)
+
+
 def test_mass_validation():
     with pytest.raises(ValueError):
         EvolutionTriple(dim=2, mass=np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(ValueError):
         EvolutionTriple(dim=2, mass=np.diag([1.0, -1.0]))  # not positive definite
-    with pytest.raises(ValueError):
-        EvolutionTriple(dim=2, mass=np.eye(2), t_map=np.zeros((2, 2)))  # not injective
 
 
 def test_self_adjointness_and_positivity(rng):
     n = 7
-    a = rng.standard_normal((n, n))
-    mass = a @ a.T + n * np.eye(n)
-    t_map = rng.standard_normal((n, n)) + 3 * np.eye(n)
-    tri = EvolutionTriple(dim=n, mass=mass, t_map=t_map)
+    tri = EvolutionTriple(dim=n, mass=_dense_mass(rng, n))
     for _ in range(1000):
         x = rng.standard_normal(n)
         z = rng.standard_normal(n)
@@ -80,48 +101,35 @@ def test_self_adjointness_and_positivity(rng):
 
 def test_factorization_identity(rng):
     n = 6
-    a = rng.standard_normal((n, n))
-    mass = a @ a.T + n * np.eye(n)
-    t_map = rng.standard_normal((n, n)) + 3 * np.eye(n)
-    tri = EvolutionTriple(dim=n, mass=mass, t_map=t_map)
+    tri = EvolutionTriple(dim=n, mass=_dense_mass(rng, n))
     for _ in range(200):
         x = rng.standard_normal(n)
         tx, ix = tri.apply_inclusions(x)
-        # <x, I x> = |T x|_H^2 and I = Tt o T entrywise
+        # <x, I x> = |T x|_H^2 = |x|_H^2 and I = Tt o T bit for bit
         assert pairing(x, ix) == pytest.approx(tri.h_inner(tx, tx), rel=1e-12)
-        assert np.max(np.abs(ix - tri.apply_t_adjoint(tx))) < 1e-14 * max(1, np.max(np.abs(ix)))
+        assert np.array_equal(ix, tri.apply_t_adjoint(tri.apply_t(x)))
 
 
-def test_x_representative_inverts_t(rng):
-    n = 5
-    t_map = rng.standard_normal((n, n)) + 3 * np.eye(n)
-    tri = EvolutionTriple(dim=n, mass=np.eye(n), t_map=t_map)
-    w = rng.standard_normal(n)
-    assert np.allclose(tri.apply_t(tri.x_representative(w)), w)
-
-
-def test_omitted_t_map_is_bit_identical_to_identity(rng):
-    # an omitted t_map skips the dense products and solve; the results must be
-    # the bits an explicit identity inclusion gives
+def test_inclusion_is_the_mass_bitwise(rng):
+    # I is the mass: a dense mass as given, a 1-D one as the diagonal matrix
+    # of its entries, applied with the bits of the dense product
     n = 12
     a = rng.standard_normal((n, n))
     for mass in (a @ a.T + n * np.eye(n), rng.uniform(1.0, 50.0, n), np.full(n, 0.1)):
         tri = EvolutionTriple(dim=n, mass=mass)
-        explicit = EvolutionTriple(dim=n, mass=mass, t_map=np.eye(n))
-        assert np.array_equal(tri.inclusion_matrix, explicit.inclusion_matrix)
-        assert tri.t_map is None
         if mass.ndim == 1:
+            assert np.array_equal(tri.inclusion_matrix, np.diag(mass))
             assert np.array_equal(tri.inclusion_diagonal, mass)
         else:
+            assert np.array_equal(tri.inclusion_matrix, mass)
             assert tri.inclusion_diagonal is None
         for _ in range(20):
             x = rng.standard_normal(n)
             assert np.array_equal(tri.inclusion_matrix @ x, tri.apply_i(x))
-            assert np.array_equal(tri.x_representative(x), explicit.x_representative(x))
             xs = rng.standard_normal((5, n))
             assert np.array_equal(xs @ tri.inclusion_matrix.T, tri.apply_i(xs))
         w = rng.standard_normal(n)
-        u = tri.x_representative(w)
+        u = tri.apply_t(w)
         u[0] += 1.0
         assert w[0] != u[0]
 
@@ -151,11 +159,9 @@ def test_dense_nonsymmetric_mass_raises():
         EvolutionTriple(dim=2, mass=np.array([[2.0, 0.5], [0.0, 2.0]]))
 
 
-def test_apply_i_with_t_map_is_the_dense_product_bitwise(rng):
+def test_apply_i_with_dense_mass_is_the_dense_product_bitwise(rng):
     n = 10
-    a = rng.standard_normal((n, n))
-    tri = EvolutionTriple(dim=n, mass=a @ a.T + n * np.eye(n),
-                          t_map=rng.standard_normal((n, n)) + 3 * np.eye(n))
+    tri = EvolutionTriple(dim=n, mass=_dense_mass(rng, n))
     assert tri.inclusion_diagonal is None
     x = rng.standard_normal(n)
     xs = rng.standard_normal((7, n))
