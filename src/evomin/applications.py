@@ -154,7 +154,7 @@ def build_parabolic_divergence(
     """
     if n < 3:
         raise ValueError("need at least 3 interior points")
-    if q < 2.0:
+    if not q >= 2.0:
         raise ValueError("q must be >= 2")
     h, x_nodes = _grid(n)
     g_mat = _difference_matrix(n) / h

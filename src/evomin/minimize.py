@@ -1,11 +1,15 @@
 """Trajectory-space minimization of the energy.
 
 Limited-memory BFGS with Armijo backtracking over the free states
-u_1..u_M (u_0 carries the initial datum and never moves).  A positive-J
-stationary point is reported, never silently accepted: under the growth
-and monotonicity hypotheses it cannot exist, so reaching one means a
-hypothesis is violated or the discretization is too coarse, and the
-status message says which checker to run.
+u_1..u_M (u_0 carries the initial datum and never moves).  When J is
+exactly quadratic (Lambda declared zero, D^2Psi one constant matrix A), the
+initial inverse Hessian of the two-loop recursion is J's exact inverse
+Hessian, a backward and a forward sweep in time (see _inverse_hessian), and
+the first step is the exact Newton step; otherwise it is the usual scaled
+identity.  A positive-J stationary point is reported, never silently
+accepted: under the growth and monotonicity hypotheses it cannot exist, so
+reaching one means a hypothesis is violated or the discretization is too
+coarse, and the status message says which checker to run.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .energy import energy_breakdown, energy_gradient
 from .operator import OperatorEvaluationError
 from .potential import ConjugateFailure
 from .problem import ProblemSpec
 from .trajectory import Trajectory, constant_trajectory, residual
+from .triple import times_matrix
 
 __all__ = ["MinimizeOptions", "SolveResult", "minimize", "verify_equivalence", "trace_to_csv"]
 
@@ -120,6 +126,7 @@ def minimize(
     s_list: deque = deque(maxlen=HISTORY)
     y_list: deque = deque(maxlen=HISTORY)
     gamma = 1.0
+    h0 = _inverse_hessian(problem, m, traj.dt)
     no_progress = 0
     j_floor = max(opts.j_tol, J_FLOOR * max(1.0, abs(j)))
     g_floor = max(opts.g_tol, G_FLOOR)
@@ -141,7 +148,7 @@ def minimize(
             result.status = exit_status(j, gnorm)
             break
 
-        direction = _lbfgs_direction(g, s_list, y_list, gamma)
+        direction = _lbfgs_direction(g, s_list, y_list, gamma, h0)
         dg = float(direction @ g)
         if not np.isfinite(dg) or dg >= 0.0:
             s_list.clear()
@@ -204,9 +211,15 @@ def minimize(
     return result
 
 
-def _lbfgs_direction(g, s_list, y_list, gamma):
+def _lbfgs_direction(g, s_list, y_list, gamma, h0=None):
+    """The L-BFGS two-loop direction -H g.
+
+    The initial inverse Hessian is h0 (a callable) when given, else gamma
+    times the identity, and with no pairs stored the step -g scaled to at
+    most unit length.
+    """
     q = -g.copy()
-    if not s_list:
+    if not s_list and h0 is None:
         return q / max(1.0, np.linalg.norm(g))
     alphas = []
     rhos = [1.0 / float(s @ y) for s, y in zip(s_list, y_list)]
@@ -214,11 +227,52 @@ def _lbfgs_direction(g, s_list, y_list, gamma):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    q *= gamma
+    if h0 is None:
+        q *= gamma
+    else:
+        q = h0(q)
     for (s, y, rho), a in zip(zip(s_list, y_list, rhos), reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return q
+
+
+def _inverse_hessian(problem: ProblemSpec, m: int, dt: float):
+    """v -> P^-1 v for J's exact Hessian P, or None unless J is exactly quadratic.
+
+    J is quadratic when Lambda is declared zero and D^2Psi is one constant
+    matrix A (Potential.constant_hessian).  Step k's gap is then
+    1/2 |r_k|^2 in the A^-1 norm, r_k = C u_k - (I/dt) u_{k-1} with the SPD
+    C = I/dt + lam A, so P = dt B^T A^-1 B for B block lower bidiagonal in
+    time (C on the diagonal, -I/dt below it), and
+
+        P^-1 v = (1/dt) B^-1 A B^-T v:
+
+    a backward sweep for B^-T, a product with A, and a forward sweep for
+    B^-1.  C is Cholesky-factored once; a sweep solves with C for all M
+    rows at once and then adds K = C^-1 I/dt times the row before it,
+    step by step.
+    """
+    linear, a = problem.lambda_op.linear, problem.potential.constant_hessian
+    if linear is None or np.any(linear) or a is None:
+        return None
+    n = problem.dim
+    i_dt = problem.triple.inclusion_matrix / dt
+    factor = cho_factor(i_dt + problem.lambda_flag * (np.diag(a) if a.ndim == 1 else a))
+    k_mat = cho_solve(factor, i_dt)
+
+    def sweep(rows, order):
+        out = cho_solve(factor, rows.T).T
+        for prev, k in zip(order, order[1:]):
+            out[k] += k_mat @ out[prev]
+        return out
+
+    def apply(v):
+        w = sweep(v.reshape(m, n), range(m - 1, -1, -1))     # B^T w = v
+        x = sweep(times_matrix(w, a), range(m))               # B x = A w (A symmetric)
+        return x.ravel() / dt
+
+    return apply
 
 
 def verify_equivalence(

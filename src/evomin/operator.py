@@ -62,6 +62,9 @@ class OperatorLambda:
     dderiv_adjoint(t, x, v) -> DLambda_t(x)^T v
     jacobian(t, x)          -> dense matrix of DLambda_t(x), for one state
     kind_tag                -- label used by reports only
+    linear                  -- the matrix L when Lambda_t(x) = L x is declared
+                               (a zero matrix declares Lambda = 0); None when
+                               Lambda is not declared linear
 
     eval, dderiv and dderiv_adjoint take one state, or times of shape (M,)
     with rows x, h, v of shape (M, dim), and return the matching rows.
@@ -70,7 +73,8 @@ class OperatorLambda:
 
     The callables need not be written by hand: term_operator derives all four
     from one description as a linear part plus pointwise terms (the 1D
-    families and linear_operator are built that way).
+    families and linear_operator are built that way), and declares linear
+    for a description with no terms.  A hand-built operator declares nothing.
     """
 
     dim: int
@@ -79,6 +83,7 @@ class OperatorLambda:
     dderiv_adjoint: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[float, np.ndarray], np.ndarray]
     kind_tag: str = "custom"
+    linear: Optional[np.ndarray] = None
 
     def __call__(self, t, x: np.ndarray) -> np.ndarray:
         return self._evaluate(self.eval, "", t, x)
@@ -143,7 +148,8 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
         DLambda^T v = scale * (L^T v + sum_i sum_j B_ij^T (df_i/dv_j * (A_i v)))
 
     Everything is written in row form (M @ x as x @ M.T), so the callables
-    take one state or an (M, dim) stack alike.
+    take one state or an (M, dim) stack alike.  With no terms Lambda is
+    declared linear, OperatorLambda.linear = scale * L (zero when L is None).
     """
     terms = tuple(terms)
     if linear is not None:
@@ -184,9 +190,12 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
                 jac += db if term.outer is None else term.outer.T @ db
         return scale * jac
 
+    declared = None
+    if not terms:
+        declared = np.zeros((dim, dim)) if linear is None else scale * linear
     return OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
                           dderiv_adjoint=lam_adjoint, jacobian=lam_jacobian,
-                          kind_tag=kind_tag)
+                          kind_tag=kind_tag, linear=declared)
 
 
 def _outer(term: Term, y: np.ndarray) -> np.ndarray:

@@ -5,27 +5,32 @@ reproduce: each step solves
 
     I (u_k - u_{k-1}) + dt * (Lambda_{t_k}(u_k) + DPsi_{t_k}(lam u_k)) = 0
 
-by a damped Newton iteration.  Its linear solve is chosen from two things
-it can observe, the problem size, which drives the cost of a dense solve,
-and whether the triple and the potential declare the linear part
-lin = I + dt lam D^2Psi(lam u) of the step Jacobian diagonal (1-D inputs,
-see inclusion_diagonal and hess_diagonal), which decides whether a
-diagonal preconditioner can work:
+by a damped Newton iteration.  Its linear solve is chosen from what it
+can observe and what the problem declares: the problem size, which drives
+the cost of a dense solve; whether Lambda is declared linear
+(OperatorLambda.linear), in which case DLambda is one matrix whose
+stiffness a diagonal preconditioner cannot see, while its LU is exact
+(one Newton iteration on a linear step); and whether the triple and the
+potential declare the linear part lin = I + dt lam D^2Psi(lam u) of the
+step Jacobian diagonal (1-D inputs, see inclusion_diagonal and
+hess_diagonal), which decides whether a diagonal preconditioner can work:
 
-* below KRYLOV_MIN_DIM unknowns, or when lin is not declared diagonal, the
-  step Jacobian I + dt (DLambda + lam D^2Psi) is assembled dense and
-  LU-factorized, and a pivot below PIVOT_FLOOR is a step failure;
-* from KRYLOV_MIN_DIM up with a declared diagonal lin (Navier-Stokes), the
-  Newton direction comes from restarted GMRES on the matrix-free action
-  h -> lin h + dt DLambda(u) h, preconditioned by Jacobi, which inverts
-  lin exactly (Jacobian-free Newton-Krylov, Knoll & Keyes, J. Comput.
-  Phys. 2004).  That diagonal is positive (validated masses and quadratic
-  diagonals, a pointwise power's at least HESS_REGULARIZATION), and this
-  path forms no dim x dim matrix unless it falls back.  GMRES stops at the
-  relative residual KRYLOV_RTOL, after restarts of KRYLOV_RESTART inner
-  iterations and at most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or strongly non-normal
-  DLambda), that Newton iteration and the rest of the step take the dense
-  LU direction.
+* below KRYLOV_MIN_DIM unknowns, when Lambda is declared linear (heat_core,
+  whose stiff Laplacian sits in DLambda), or when lin is not declared
+  diagonal, the step Jacobian I + dt (DLambda + lam D^2Psi) is assembled
+  dense and LU-factorized, and a pivot below PIVOT_FLOOR is a step failure;
+* from KRYLOV_MIN_DIM up with a Lambda not declared linear and a declared
+  diagonal lin (Navier-Stokes), the Newton direction comes from restarted
+  GMRES on the matrix-free action h -> lin h + dt DLambda(u) h,
+  preconditioned by Jacobi, which inverts lin exactly (Jacobian-free
+  Newton-Krylov, Knoll & Keyes, J. Comput. Phys. 2004).  That diagonal is
+  positive (validated masses and quadratic diagonals, a pointwise power's
+  at least HESS_REGULARIZATION), and this path forms no dim x dim matrix
+  unless it falls back.  GMRES stops at the relative residual
+  KRYLOV_RTOL, after restarts of KRYLOV_RESTART inner iterations and at
+  most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or
+  strongly non-normal DLambda), that Newton iteration and the rest of the
+  step take the dense LU direction.
 
 The size threshold sits at the measured crossover on Navier-Stokes (10
 steps from a random start, one BLAS thread, best of 3 to 5 runs; seeds
@@ -34,6 +39,9 @@ steps from a random start, one BLAS thread, best of 3 to 5 runs; seeds
 1.93 s against 0.31 s at 960).  The 1D families other than heat_core
 couple neighbours in lin; forced onto GMRES with the dense lin they ran 2
 to 1800 times slower than on the LU, or failed a step the LU solves.
+heat_core at 320 unknowns and 5 steps took 11 Newton iterations, 447 GMRES
+iterations and one LU fallback on GMRES, against 5 Newton iterations and
+about 8x less time on the LU.
 
 Both paths end on the same scaled residual test and the same damped line
 search, so every returned state satisfies |r|_inf < newton_tol * scale.
@@ -157,13 +165,14 @@ def newton_solve_step(
     against the magnitude of the step's own terms, so the returned state
     satisfies |r|_inf < newton_tol * max(1, term scale).  The Newton
     direction comes from GMRES on large problems with a diagonal linear
-    part and from a dense LU otherwise (see the module docstring).
+    part and a Lambda not declared linear, and from a dense LU otherwise
+    (see the module docstring).
 
     counter, when given, accumulates "newton_iters" and the per-step list
     "per_step"; from KRYLOV_MIN_DIM unknowns up also "krylov_iters" (GMRES
     inner iterations), its per-step list "krylov_per_step", and
-    "krylov_fallbacks" (steps that went on with the LU: lin not declared
-    diagonal, or GMRES missed the forcing term).
+    "krylov_fallbacks" (steps that went on with the LU: Lambda declared
+    linear, lin not declared diagonal, or GMRES missed the forcing term).
     """
     lam = problem.lambda_flag
     u = np.array(u_prev if init is None else init, dtype=float)
@@ -179,7 +188,9 @@ def newton_solve_step(
     scale = max(1.0, float(np.max(np.abs(iu_prev))) / dt, lam_scale)
     tol = dt * newton_tol * scale
     krylov = problem.dim >= KRYLOV_MIN_DIM
-    lu_only = not krylov
+    # a declared linear Lambda: the LU direction is exact in DLambda, where
+    # Jacobi-preconditioned GMRES struggles on a stiff one (heat_core)
+    lu_only = not krylov or problem.lambda_op.linear is not None
     iters = inner = 0
     for _ in range(MAX_NEWTON_ITER):
         if fnorm < tol:

@@ -67,6 +67,9 @@ class Potential:
         self.params = params
         self._chol = None
         self._inv_sqrt = None
+        # D^2Psi_t when it is one matrix at every t and x (1-D: its diagonal):
+        # an unmodulated quadratic or q = 2 composed power; None otherwise
+        self.constant_hessian = None
         if kind == "quadratic":
             a_mat = params["matrix"]
             if a_mat.ndim == 1:
@@ -76,6 +79,8 @@ class Potential:
                 self._inv_sqrt = 1.0 / np.sqrt(a_mat)
             else:
                 self._chol = cho_factor(a_mat)
+            if modulation is None:
+                self.constant_hessian = a_mat
         elif kind == "composed_power" and params["q"] == 2.0:
             g = params["matrix"]
             gram = params["scale"] * (g.T @ g)
@@ -83,6 +88,8 @@ class Potential:
                 self._chol = cho_factor(gram)
             except np.linalg.LinAlgError:
                 self._chol = None  # conjugate will report failure on use
+            if modulation is None:
+                self.constant_hessian = gram
         elif kind == "custom":
             at_zero = float(params["psi"](np.zeros(dim)))
             if abs(at_zero) > 1e-12:
@@ -105,12 +112,12 @@ class Potential:
     @classmethod
     def pointwise_power(cls, q: float, dim: int, weight=None, modulation=None) -> "Potential":
         """Psi(x) = sum_i w_i |x_i|^q / q with q >= 2."""
-        if q < 2.0:
+        if not q >= 2.0:
             raise ValueError("pointwise power needs q >= 2")
         w = np.ones(dim) if weight is None else np.broadcast_to(
             np.asarray(weight, dtype=float), (dim,)
         ).copy()
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValueError("weights must be positive")
         return cls("pointwise_power", dim, modulation, q=float(q), weight=w)
 
@@ -118,7 +125,7 @@ class Potential:
     def composed_power(cls, matrix: np.ndarray, q: float, scale: float = 1.0,
                        modulation=None) -> "Potential":
         """Psi(x) = scale * ||G x||_q^q / q with q >= 2 and scale > 0."""
-        if q < 2.0:
+        if not q >= 2.0:
             raise ValueError("composed power needs q >= 2")
         scale = float(scale)
         if not (np.isfinite(scale) and scale > 0.0):

@@ -49,7 +49,7 @@ class XNorm:
         if self.kind == "power":
             if self.matrix is None:
                 raise ValueError("power norm needs a matrix G")
-            if self.q < 2.0:
+            if not self.q >= 2.0:
                 raise ValueError("power norm exponent must satisfy q >= 2")
             object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
 

@@ -122,6 +122,12 @@ def test_divergence_builder_validation():
         build_parabolic_divergence(8, q=1.5)
 
 
+def test_divergence_builder_rejects_a_nan_exponent():
+    # NaN compares false with everything, so "q < 2" let it through
+    with pytest.raises(ValueError, match="^q must be >= 2"):
+        build_parabolic_divergence(8, q=np.nan)
+
+
 def test_nondivergence_biharmonic_audit():
     p = build_parabolic_nondivergence(10, q=2.0)
     traj = implicit_euler_solve(p, 15)

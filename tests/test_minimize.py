@@ -4,16 +4,27 @@ import importlib
 import numpy as np
 import pytest
 
-from conftest import random_trajectory, scalar_problem, zero_operator
+from conftest import random_trajectory, scalar_problem, zero_lambda_problem, zero_operator
 from evomin import (
+    EvolutionTriple,
     MinimizeOptions,
+    OperatorLambda,
+    Potential,
+    ProblemSpec,
     Trajectory,
     energy,
+    energy_gradient,
     implicit_euler_solve,
     minimize,
     verify_equivalence,
 )
-from evomin.applications import build_heat
+from evomin.applications import (
+    build_heat,
+    build_navier_stokes_2d,
+    build_parabolic_divergence,
+    build_parabolic_nondivergence,
+    build_scalar_decay,
+)
 from evomin.minimize import trace_to_csv
 from evomin.trajectory import constant_trajectory
 
@@ -390,3 +401,71 @@ def test_floor_exit_below_the_relative_j_floor_is_zero_energy():
     assert res.iterations == 5
     assert 0.0 < res.j_history[-1] <= J_FLOOR * max(1.0, res.j_history[0])
     assert res.grad_norm_history[-1] > 1e-9
+
+
+# -- the exact inverse Hessian as the initial L-BFGS matrix --------------------
+
+def _diagonal_potential_flow():
+    """Lambda = 0 against Psi with the 1-D (diagonal) matrix diag(1, 2, 3)."""
+    return ProblemSpec(triple=EvolutionTriple(dim=3, mass=np.array([0.5, 1.0, 2.0])),
+                       potential=Potential.quadratic(np.array([1.0, 2.0, 3.0])),
+                       lambda_op=zero_operator(3), lambda_flag=1, horizon=(0.0, 1.0),
+                       initial=np.array([1.0, -1.0, 0.5]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_heat(8),                                # diagonal mass, 2-D G^T G
+    lambda: build_parabolic_nondivergence(6),             # dense mass
+    _diagonal_potential_flow,                             # diagonal mass and A
+    lambda: zero_lambda_problem(lam=0),                   # lam = 0: C = I/dt
+], ids=["heat", "nondivergence", "diagonal", "lam0"])
+def test_inverse_hessian_inverts_the_hessian_of_a_quadratic_energy(build, rng):
+    # J is exactly quadratic, so its gradient is affine in z and a step by
+    # P^-1 v moves it by exactly v
+    p = build()
+    steps = 6
+    traj = random_trajectory(p, steps, rng)
+    inverse = minimize_module._inverse_hessian(p, steps, traj.dt)
+    assert inverse is not None
+
+    def grad(z):
+        t = traj.copy()
+        t.states[1:] = z.reshape(steps, p.dim)
+        return energy_gradient(p, t).ravel()
+
+    z = traj.states[1:].ravel()
+    for _ in range(3):
+        v = rng.standard_normal(z.size)
+        moved = grad(z + inverse(v)) - grad(z)
+        assert np.linalg.norm(moved - v) <= 1e-8 * np.linalg.norm(v)
+
+
+def test_heat_converges_in_one_preconditioned_step():
+    # the first direction is the exact Newton step to the implicit-Euler solution
+    p = build_heat(32)
+    res = minimize(p, steps=50, opts=MinimizeOptions(require_gradient=True))
+    assert res.status == "converged-zero-energy"
+    assert res.iterations <= 3
+    report = verify_equivalence(p, res.trajectory, implicit_euler_solve(p, 50))
+    assert report["pass"]
+    assert report["state_discrepancy"] <= 1e-12
+
+
+def _hand_built_zero_lambda():
+    p = build_heat(8)
+    op = OperatorLambda(dim=8, eval=lambda t, x: np.zeros_like(x),
+                        dderiv=lambda t, x, h: np.zeros_like(h),
+                        dderiv_adjoint=lambda t, x, v: np.zeros_like(v),
+                        jacobian=lambda t, x: np.zeros((8, 8)))
+    return dataclasses.replace(p, lambda_op=op)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_parabolic_divergence(8, q=2.0, time_scale=1.0),   # modulated Psi
+    lambda: build_parabolic_divergence(8, q=4.0),                   # D^2Psi not constant
+    build_scalar_decay,                                             # Lambda = I
+    lambda: build_navier_stokes_2d(8),                              # declares nothing
+    _hand_built_zero_lambda,                                        # declares nothing
+], ids=["modulated", "q4", "scalar_decay", "navier_stokes", "hand_built"])
+def test_no_inverse_hessian_unless_the_energy_is_declared_quadratic(build):
+    assert minimize_module._inverse_hessian(build(), 4, 0.1) is None

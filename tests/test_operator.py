@@ -10,6 +10,7 @@ from conftest import (
 )
 from evomin import (
     EvolutionTriple,
+    OperatorLambda,
     Potential,
     ProblemSpec,
     check_coercivity,
@@ -153,6 +154,19 @@ def test_linear_operator_is_the_linear_part_alone(rng):
     assert np.array_equal(op.dlambda(0.0, x, h), h @ mat.T)
     assert np.array_equal(op.dlambda_adjoint(0.0, x, v), v @ mat)
     assert np.array_equal(op.jacobian_matrix(0.0, x), mat)
+
+
+def test_term_operator_declares_a_linear_lambda_only_without_terms(rng):
+    mat = rng.standard_normal((4, 4))
+    assert np.array_equal(term_operator(4, linear=mat, scale=0.5).linear, 0.5 * mat)
+    # no terms and no linear part: Lambda is declared zero
+    assert np.array_equal(term_operator(4).linear, np.zeros((4, 4)))
+    assert np.array_equal(build_heat(6).lambda_op.linear, np.zeros((6, 6)))
+    assert term_operator(4, [PointwiseMap.arctan(1.0).term()], linear=mat).linear is None
+    x = rng.standard_normal(4)
+    hand = OperatorLambda(dim=4, eval=lambda t, x: x @ mat.T, dderiv=lambda t, x, h: h @ mat.T,
+                          dderiv_adjoint=lambda t, x, v: v @ mat, jacobian=lambda t, x: mat)
+    assert hand.linear is None and np.array_equal(hand(0.0, x), linear_operator(mat)(0.0, x))
 
 
 def test_skew_tag_property(rng):

@@ -20,6 +20,7 @@ from evomin import (
 )
 from evomin.applications import (
     build_heat,
+    build_heat_core,
     build_hyperbolic,
     build_navier_stokes_2d,
     exact_heat_solution,
@@ -196,11 +197,14 @@ def test_coupled_linear_part_keeps_the_lu_path(monkeypatch):
 def test_krylov_path_falls_back_to_lu_on_stiff_operator():
     # u + dt L u = u_prev with L the 1D Dirichlet Laplacian:
     # Jacobi-preconditioned GMRES(30) cannot reach the forcing term at this
-    # stiffness, and the dense LU solves the linear step in one iteration
+    # stiffness, and the dense LU solves the linear step in one iteration.
+    # The operator is written by hand, so it declares no linear part and the
+    # step tries GMRES first (a declared linear Lambda goes straight to the LU)
     n = oracle.KRYLOV_MIN_DIM
     lap = (n + 1) ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     tri = EvolutionTriple(dim=n, mass=np.ones(n))
-    op = linear_operator(lap)
+    op = OperatorLambda(dim=n, eval=lambda t, x: x @ lap.T, dderiv=lambda t, x, h: h @ lap.T,
+                        dderiv_adjoint=lambda t, x, v: v @ lap, jacobian=lambda t, x: lap)
     x = np.linspace(0.0, 1.0, n + 2)[1:-1]
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(n)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.sin(np.pi * x) + x)
@@ -211,6 +215,20 @@ def test_krylov_path_falls_back_to_lu_on_stiff_operator():
     assert counter["newton_iters"] == 1
     exact = np.linalg.solve(np.eye(n) + lap, p.initial)
     assert np.max(np.abs(u - exact)) < 1e-10 * np.max(np.abs(exact))
+
+
+def test_declared_linear_operator_takes_the_lu_path():
+    # heat_core carries its stiff Laplacian in a Lambda declared linear: every
+    # step goes straight to the dense LU, where Jacobi-preconditioned GMRES
+    # needed 447 inner iterations, 11 Newton iterations and one fallback
+    p = build_heat_core(320)
+    assert p.dim >= oracle.KRYLOV_MIN_DIM and p.lambda_op.linear is not None
+    counter = {}
+    traj = implicit_euler_solve(p, 5, counter=counter)
+    assert counter["krylov_iters"] == 0 and counter["krylov_fallbacks"] == 5
+    assert counter["newton_iters"] <= 5
+    r = np.max(np.abs(residual(p, traj)), axis=1)
+    assert np.all(r < DEFAULT_NEWTON_TOL * _oracle_scale(p, traj))
 
 
 def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):

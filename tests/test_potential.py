@@ -181,6 +181,21 @@ def test_composed_power_scale_must_be_positive_and_finite(q, scale):
         Potential.composed_power(np.eye(2), q=q, scale=scale)
 
 
+def test_nan_exponent_rejected_by_pointwise_power():
+    with pytest.raises(ValueError, match="q >= 2"):
+        Potential.pointwise_power(q=np.nan, dim=2)
+
+
+def test_nan_weight_rejected_by_pointwise_power():
+    with pytest.raises(ValueError, match="weights must be positive"):
+        Potential.pointwise_power(q=4.0, dim=2, weight=[np.nan, 1.0])
+
+
+def test_nan_exponent_rejected_by_composed_power():
+    with pytest.raises(ValueError, match="q >= 2"):
+        Potential.composed_power(np.eye(2), q=np.nan)
+
+
 def test_time_modulation():
     pot = Potential.quadratic(np.eye(1), modulation=lambda t: 1.0 + t)
     x = np.array([2.0])

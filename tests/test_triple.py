@@ -134,6 +134,11 @@ def test_inclusion_is_the_mass_bitwise(rng):
         assert w[0] != u[0]
 
 
+def test_power_norm_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="q >= 2"):
+        XNorm(kind="power", matrix=np.ones(2), q=np.nan)
+
+
 @pytest.mark.parametrize("entries", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0], [1.0, 1e-13, 1.0],
                                      [np.nan, 1.0, 1.0], [0.0, 0.0, 0.0]])
 def test_diagonal_mass_must_be_positive_definite(entries):
