@@ -95,9 +95,28 @@ def _difference_matrix(n: int) -> np.ndarray:
     return d
 
 
-def _grid(n: int) -> tuple[float, np.ndarray]:
+def _grid(n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mesh width h, the n interior nodes and the scaled differences G = D / h."""
+    if n < 3:
+        raise ValueError("need at least 3 interior points")
     h = 1.0 / (n + 1)
-    return h, h * np.arange(1, n + 1)
+    return h, h * np.arange(1, n + 1), _difference_matrix(n) / h
+
+
+def _cubic(c: float) -> Optional[PointwiseMap]:
+    """The saturated cubic of strength c; absent at c = 0, so no term evaluates it."""
+    return None if c == 0.0 else PointwiseMap.saturated_cubic(c)
+
+
+def _dirichlet_problem(name: str, n: int, triple: EvolutionTriple, potential: Potential,
+                       lam_op: OperatorLambda, initial: np.ndarray, t1: float,
+                       q: float = 2.0, lambda_flag: int = 1) -> ProblemSpec:
+    """The ProblemSpec of a 1D family on the Dirichlet grid with n interior nodes."""
+    return ProblemSpec(
+        triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=lambda_flag,
+        horizon=(0.0, t1), initial=np.asarray(initial, dtype=float),
+        metadata={"name": name, "grid": f"1d-dirichlet-n{n}", "bc": "dirichlet", "q": q},
+    )
 
 
 def _default_bump(x: np.ndarray) -> np.ndarray:
@@ -152,12 +171,9 @@ def build_parabolic_divergence(
     matrix, so phi'(s) = |s|^{q-1} sgn s.  gamma must be monotone for the
     operator's monotonicity hypothesis to hold.
     """
-    if n < 3:
-        raise ValueError("need at least 3 interior points")
+    h, x_nodes, g_mat = _grid(n)
     if not q >= 2.0:
         raise ValueError("q must be >= 2")
-    h, x_nodes = _grid(n)
-    g_mat = _difference_matrix(n) / h
     avg = np.abs(_difference_matrix(n)) / 2.0        # node values -> cell midpoints
     triple = EvolutionTriple(
         dim=n,
@@ -171,12 +187,8 @@ def build_parabolic_divergence(
                    (None if theta is None else -theta, None, None))
     lam_op = term_operator(n, terms, scale=h,
                            kind_tag="quasilinear" if terms else "linear")
-    u0 = (initial or _default_bump)(x_nodes)
-    return ProblemSpec(
-        triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
-        horizon=(0.0, t1), initial=np.asarray(u0, dtype=float),
-        metadata={"name": name, "grid": f"1d-dirichlet-n{n}", "bc": "dirichlet", "q": q},
-    )
+    return _dirichlet_problem(name, n, triple, potential, lam_op,
+                              (initial or _default_bump)(x_nodes), t1, q=q)
 
 
 def build_heat(n: int, t1: float = 0.1,
@@ -205,10 +217,7 @@ def build_parabolic_nondivergence(
     (u', u) with partial derivatives theta_derivs, all three applied
     componentwise to arrays of any shape.
     """
-    if n < 3:
-        raise ValueError("need at least 3 interior points for a 3-point Laplacian")
-    h, x_nodes = _grid(n)
-    g_mat = _difference_matrix(n) / h
+    h, x_nodes, g_mat = _grid(n)
     lap = -(g_mat.T @ g_mat)                      # 3-point Dirichlet Laplacian
     cen = np.zeros((n, n))                        # centered slopes at nodes
     idx = np.arange(n)
@@ -225,13 +234,8 @@ def build_parabolic_nondivergence(
         terms.append(Term(theta, tuple(theta_derivs), inner=(cen, None), outer=lap))
     lam_op = term_operator(n, terms, scale=h,
                            kind_tag="quasilinear" if terms else "linear")
-    u0 = (initial or _default_bump)(x_nodes)
-    return ProblemSpec(
-        triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
-        horizon=(0.0, t1), initial=np.asarray(u0, dtype=float),
-        metadata={"name": "parabolic_nondivergence", "grid": f"1d-dirichlet-n{n}",
-                  "bc": "dirichlet", "q": q},
-    )
+    return _dirichlet_problem("parabolic_nondivergence", n, triple, potential, lam_op,
+                              (initial or _default_bump)(x_nodes), t1, q=q)
 
 
 # -- hyperbolic, first-order block form ----------------------------------------
@@ -254,13 +258,9 @@ def build_hyperbolic(
     is exactly skew; the potential is a small multiple of the squared
     H-norm so the variational energy stays finite off solutions.
     """
-    if n < 3:
-        raise ValueError("need at least 3 interior points")
-    h, x_nodes = _grid(n)
-    g_mat = _difference_matrix(n) / h
+    h, x_nodes, g_mat = _grid(n)
     stiff = h * (g_mat.T @ g_mat)
     lap = -(g_mat.T @ g_mat)
-    theta = PointwiseMap.saturated_cubic(nonlinearity)
     dim = 2 * n
     mass = np.zeros((dim, dim))
     mass[:n, :n] = stiff
@@ -271,22 +271,18 @@ def build_hyperbolic(
     triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
     potential = Potential.quadratic(psi_weight * mass)
 
-    # the linear blocks, and h * (-Theta)(u) into the v block through selections
+    # the linear blocks, and h * (-Theta)(u) into the v block unless Theta = 0
     linear = np.zeros((dim, dim))
     linear[:n, :n] = damping * stiff
     linear[:n, n:] = stiff
     linear[n:, :n] = h * lap
     e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
     tag = "skew" if (damping == 0.0 and nonlinearity == 0.0) else "semilinear"
-    lam_op = term_operator(dim, [(-theta).term(e_u, h * e_v)], linear=linear, kind_tag=tag)
-    u0 = (initial_u or _default_bump)(x_nodes)
+    lam_op = term_operator(dim, _terms((_cubic(-nonlinearity), e_u, h * e_v)),
+                           linear=linear, kind_tag=tag)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
-    return ProblemSpec(
-        triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
-        horizon=(0.0, t1), initial=np.concatenate([u0, v0]),
-        metadata={"name": "hyperbolic", "grid": f"1d-dirichlet-n{n}", "bc": "dirichlet",
-                  "q": 2.0},
-    )
+    return _dirichlet_problem("hyperbolic", n, triple, potential, lam_op,
+                              np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
 
 
 # -- Schrodinger-type block system ---------------------------------------------
@@ -308,14 +304,9 @@ def build_schrodinger(
     couplings = (c_theta, c_xi).  Both components live in the W^{1,2}
     geometry (stiffness + mass); the skew coupling pairs to zero exactly.
     """
-    if n < 3:
-        raise ValueError("need at least 3 interior points")
-    h, x_nodes = _grid(n)
-    g_mat = _difference_matrix(n) / h
+    h, x_nodes, g_mat = _grid(n)
     lap = -(g_mat.T @ g_mat)
     w_mat = h * (g_mat.T @ g_mat + np.eye(n))   # stiffness + mass
-    theta = PointwiseMap.saturated_cubic(couplings[0])
-    xi = PointwiseMap.saturated_cubic(couplings[1])
     dim = 2 * n
     mass = np.zeros((dim, dim))
     mass[:n, :n] = w_mat
@@ -326,22 +317,18 @@ def build_schrodinger(
     triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
     potential = Potential.quadratic(psi_weight * mass)
 
-    # W (-Delta_h v, Delta_h u) as the linear part, W Theta(u) and W Xi(v) as terms
+    # W (-Delta_h v, Delta_h u) as the linear part, nonzero W Theta(u), W Xi(v) as terms
     linear = np.zeros((dim, dim))
     linear[:n, n:] = -(w_mat @ lap)
     linear[n:, :n] = w_mat @ lap
     e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
-    terms = [theta.term(e_u, w_mat.T @ e_u), xi.term(e_v, w_mat.T @ e_v)]
+    terms = _terms((_cubic(couplings[0]), e_u, w_mat.T @ e_u),
+                   (_cubic(couplings[1]), e_v, w_mat.T @ e_v))
     tag = "skew" if couplings == (0.0, 0.0) else "semilinear"
     lam_op = term_operator(dim, terms, linear=linear, kind_tag=tag)
-    u0 = (initial_u or _default_bump)(x_nodes)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
-    return ProblemSpec(
-        triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
-        horizon=(0.0, t1), initial=np.concatenate([u0, v0]),
-        metadata={"name": "schrodinger", "grid": f"1d-dirichlet-n{n}", "bc": "dirichlet",
-                  "q": 2.0},
-    )
+    return _dirichlet_problem("schrodinger", n, triple, potential, lam_op,
+                              np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
 
 
 # -- 2D incompressible Navier-Stokes -------------------------------------------
@@ -670,23 +657,15 @@ def build_heat_core(n: int, t1: float = 0.1,
     (its conjugate of the residual) and the regularizer family for the
     vanishing-potential continuation.
     """
-    if n < 3:
-        raise ValueError("need at least 3 interior points")
-    h, x_nodes = _grid(n)
-    g_mat = _difference_matrix(n) / h
+    h, x_nodes, g_mat = _grid(n)
     mass = np.full(n, h)
     triple = EvolutionTriple(
         dim=n, mass=mass,
         xnorm=XNorm(kind="power", matrix=np.sqrt(h) * g_mat, q=2.0),
     )
     lam_op = linear_operator(h * (g_mat.T @ g_mat))
-    u0 = (initial or _default_bump)(x_nodes)
-    return ProblemSpec(
-        triple=triple, potential=Potential.quadratic(mass), lambda_op=lam_op,
-        lambda_flag=0, horizon=(0.0, t1), initial=np.asarray(u0, dtype=float),
-        metadata={"name": "heat_core", "grid": f"1d-dirichlet-n{n}", "bc": "dirichlet",
-                  "q": 2.0},
-    )
+    return _dirichlet_problem("heat_core", n, triple, Potential.quadratic(mass), lam_op,
+                              (initial or _default_bump)(x_nodes), t1, lambda_flag=0)
 
 
 # -- analytic references ---------------------------------------------------------
@@ -697,7 +676,7 @@ def exact_heat_solution(n: int, steps: int, t1: float = 0.1) -> Trajectory:
     States carry interior nodes only; the zero boundary values are implied
     by the Dirichlet representation and never stored.
     """
-    _, x_nodes = _grid(n)
+    _, x_nodes, _ = _grid(n)
     times = np.linspace(0.0, t1, steps + 1)
     states = np.exp(-np.pi**2 * times)[:, None] * np.sin(np.pi * x_nodes)[None, :]
     return Trajectory(states, 0.0, t1, states[0].copy())

@@ -28,7 +28,7 @@ from .continuation import continuation_solve, continuation_to_csv, default_sched
 from .energy import breakdown_to_csv, energy_balance_audit, energy_breakdown
 from .minimize import MinimizeOptions, minimize, trace_to_csv, verify_equivalence
 from .operator import OperatorEvaluationError, check_coercivity, check_monotonicity
-from .oracle import StepFailure, implicit_euler_solve
+from .oracle import DEFAULT_NEWTON_TOL, StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential, check_growth
 from .trajectory import residual, trajectory_to_csv
 
@@ -183,22 +183,22 @@ def build_problem(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
+def _set_options(section: dict, **casts) -> dict:
+    """{key: cast(value)} for the keys that a config section sets; the library
+    defaults stand for the others."""
+    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
+
+
 def _eps_schedule(cfg: RunConfig) -> list[float]:
     spec = cfg.solver.get("eps_schedule")
-    if spec is None:
-        return default_schedule()
     if isinstance(spec, list):
         return [float(e) for e in spec]
-    return default_schedule(start=float(spec.get("start", 1.0)),
-                            factor=float(spec.get("factor", 0.5)),
-                            levels=int(spec.get("levels", 12)))
+    return default_schedule(**_set_options(spec or {}, start=float, factor=float, levels=int))
 
 
 def _minimize_options(cfg: RunConfig, require_gradient: bool = False) -> MinimizeOptions:
-    return MinimizeOptions(j_tol=float(cfg.solver.get("j_tol", 1e-10)),
-                           g_tol=float(cfg.solver.get("g_tol", 1e-9)),
-                           max_iterations=int(cfg.solver.get("max_iterations", 100_000)),
-                           require_gradient=require_gradient)
+    return MinimizeOptions(require_gradient=require_gradient, **_set_options(
+        cfg.solver, j_tol=float, g_tol=float, max_iterations=int))
 
 
 def _json_dump(path: Path, payload: dict) -> None:
@@ -214,7 +214,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     method = cfg.solver.get("method", "ben")
-    newton_tol = float(cfg.solver.get("newton_tol", 1e-12))
+    newton_tol = float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL))
     t_start = time.perf_counter()
     status = "completed"
     iterations = 0
@@ -297,18 +297,13 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     # the verification wants zero energy and a zero gradient at once, so the
     # minimizer must certify both before stopping
     res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg, require_gradient=True))
-    oracle = implicit_euler_solve(problem, cfg.steps,
-                                  newton_tol=float(cfg.solver.get("newton_tol", 1e-12)))
+    oracle = implicit_euler_solve(
+        problem, cfg.steps, newton_tol=float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL)))
     perturb = float(cfg.compare.get("perturb", 0.0))
     if perturb:
         oracle.states[oracle.steps // 2 + 1] += perturb
-    report = verify_equivalence(
-        problem, res.trajectory, oracle,
-        j_tol=float(cfg.compare.get("j_tol", 1e-10)),
-        g_tol=float(cfg.compare.get("g_tol", 1e-8)),
-        state_tol=float(cfg.compare.get("state_tol", 1e-5)),
-        residual_tol=float(cfg.compare.get("residual_tol", 1e-6)),
-    )
+    report = verify_equivalence(problem, res.trajectory, oracle, **_set_options(
+        cfg.compare, j_tol=float, g_tol=float, state_tol=float, residual_tol=float))
     if perturb:
         # a designed failure must also show up as positive energy at the perturbation
         report["oracle_perturbed_J"] = report["oracle"]["J"]
@@ -354,12 +349,12 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, refinements: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem_kind = cfg.problem["kind"]
     n = _n(cfg)
+    problem = build_problem(cfg)
+    newton_tol = float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL))
     levels = []
     for level in range(refinements + 1):
         steps = cfg.steps * (2**level)
-        problem = build_problem(cfg)
-        traj = implicit_euler_solve(problem, steps,
-                                    newton_tol=float(cfg.solver.get("newton_tol", 1e-12)))
+        traj = implicit_euler_solve(problem, steps, newton_tol=newton_tol)
         audit = energy_balance_audit(problem, traj)
         entry = {
             "steps": steps,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import energy, energy_balance_audit
-from .oracle import StepFailure, implicit_euler_solve
+from .oracle import DEFAULT_NEWTON_TOL, StepFailure, implicit_euler_solve
 from .potential import Potential
 from .problem import ProblemSpec
 from .trajectory import Trajectory
@@ -58,7 +58,7 @@ def continuation_solve(
     reg_potential: Potential,
     eps_schedule: list[float],
     steps: int,
-    newton_tol: float = 1e-12,
+    newton_tol: float = DEFAULT_NEWTON_TOL,
 ) -> ContinuationResult:
     """Run the oracle across the epsilon schedule with warm starts.
 

@@ -63,8 +63,9 @@ def energy_breakdown(problem: ProblemSpec, traj: Trajectory,
     start, an (M, n) stack such as the argmax of a nearby trajectory's
     breakdown, is where the conjugate's Newton solve begins (see
     Potential.conjugate_argmax); None starts it from the residual rows.
+    u_0 must carry the problem's initial datum (ValueError otherwise).
     """
-    traj.validate_initial(problem.triple)
+    traj.validate_initial(problem.triple, problem.initial)
     lam = problem.lambda_flag
     pot = problem.potential
     times, states = traj.times[1:], traj.states[1:]

@@ -103,7 +103,6 @@ def minimize(
         if steps is None:
             raise ValueError("provide either an initial trajectory or a step count")
         init = constant_trajectory(problem, steps)
-    init.validate_initial(problem.triple)
     traj = init.copy()
     m, n = traj.steps, traj.dim
 

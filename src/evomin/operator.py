@@ -71,9 +71,10 @@ class OperatorLambda:
     Calling the operator, dlambda or dlambda_adjoint on a stack with a
     shared scalar time broadcasts the time over the rows.
 
-    The callables need not be written by hand: term_operator derives all four
-    from one description as a linear part plus pointwise terms (the 1D
-    families and linear_operator are built that way), and declares linear
+    The callables need not be written by hand: term_operator derives eval,
+    dderiv and dderiv_adjoint from one description as a linear part plus
+    pointwise terms (the 1D families and linear_operator are built that way),
+    takes the Jacobian as dderiv applied to the identity, and declares linear
     for a description with no terms.  A hand-built operator declares nothing.
     """
 
@@ -141,11 +142,13 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
                   scale: float = 1.0, kind_tag: str = "custom") -> OperatorLambda:
     """Lambda(x) = scale * (L x + sum_i A_i^T f_i(B_i1 x, ..., B_ik x)).
 
-    L (linear) is optional; every term is a Term.  The derivative, its
-    adjoint and the Jacobian all follow from this one description:
+    L (linear) is optional; every term is a Term.  The derivative and its
+    adjoint follow from this one description:
 
         DLambda h   = scale * (L h + sum_i A_i^T sum_j df_i/dv_j * (B_ij h))
         DLambda^T v = scale * (L^T v + sum_i sum_j B_ij^T (df_i/dv_j * (A_i v)))
+
+    and the dense Jacobian is DLambda applied to the rows of the identity.
 
     Everything is written in row form (M @ x as x @ M.T), so the callables
     take one state or an (M, dim) stack alike.  With no terms Lambda is
@@ -181,20 +184,12 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
                 out += w if b is None else w @ b
         return scale * out
 
-    def lam_jacobian(t, x):
-        jac = np.zeros((dim, dim)) if linear is None else linear.copy()
-        for term in terms:
-            args = term.args(x)
-            for d, b in zip(term.partials, term.inner):
-                db = np.diag(d(*args)) if b is None else d(*args)[:, None] * b
-                jac += db if term.outer is None else term.outer.T @ db
-        return scale * jac
-
     declared = None
     if not terms:
         declared = np.zeros((dim, dim)) if linear is None else scale * linear
     return OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
-                          dderiv_adjoint=lam_adjoint, jacobian=lam_jacobian,
+                          dderiv_adjoint=lam_adjoint,
+                          jacobian=lambda t, x: lam_dderiv(t, x, np.eye(dim)).T,
                           kind_tag=kind_tag, linear=declared)
 
 

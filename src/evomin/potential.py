@@ -362,9 +362,9 @@ class Potential:
         return None
 
     def scaled(self, factor: float) -> "Potential":
-        """A new potential factor * Psi_t (factor > 0)."""
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
+        """A new potential factor * Psi_t (factor > 0 and finite)."""
+        if not (np.isfinite(factor) and factor > 0.0):
+            raise ValueError(f"scale factor must be positive and finite, got {factor}")
         base = self.modulation
         if base is None:
             modulation = (lambda t, f=factor: f)

@@ -87,13 +87,15 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
-    def validate_initial(self, triple: EvolutionTriple) -> None:
-        defect = self.states[0] - self.w0
-        if triple.h_norm(defect) >= INITIAL_DATUM_TOL:
-            raise ValueError(
-                f"initial state does not carry the datum: |u0 - w0|_H = "
-                f"{triple.h_norm(defect):.3e}"
-            )
+    def validate_initial(self, triple: EvolutionTriple, datum: np.ndarray | None = None) -> None:
+        """u_0 must be w0, and datum when given, up to INITIAL_DATUM_TOL in the H-norm."""
+        for name, target in (("w0", self.w0), ("the problem's datum", datum)):
+            if target is None:
+                continue
+            defect = triple.h_norm(self.states[0] - target)
+            if defect >= INITIAL_DATUM_TOL:
+                raise ValueError(f"initial state does not carry the datum: "
+                                 f"|u0 - {name}|_H = {defect:.3e}")
 
     def copy(self) -> "Trajectory":
         return Trajectory(self.states.copy(), self.t0, self.t1, self.w0.copy())

@@ -221,6 +221,22 @@ def test_schrodinger_saturated_coupling_runs():
     assert np.max(np.abs(residual(p, traj))) < 1e-8
 
 
+@pytest.mark.parametrize("build, strong", [
+    (build_hyperbolic, dict(nonlinearity=0.5)),
+    (build_schrodinger, dict(couplings=(0.0, 0.5))),
+])
+def test_zero_strength_pair_families_declare_their_skew_linear_part(build, strong, rng):
+    lam = build(8).lambda_op
+    mat = lam.linear
+    assert mat is not None and np.any(mat)
+    assert np.max(np.abs(mat + mat.T)) <= 1e-12 * np.max(np.abs(mat))
+    x = rng.standard_normal(16)
+    assert np.array_equal(mat, lam.jacobian_matrix(0.0, x))
+    assert np.allclose(lam(0.0, x), mat @ x, rtol=1e-13, atol=0.0)
+    # a nonzero strength is a term, so Lambda is no longer declared linear
+    assert build(8, **strong).lambda_op.linear is None
+
+
 # -- Navier-Stokes ----------------------------------------------------------------
 
 def test_ns_builder_validation():

@@ -132,6 +132,19 @@ def test_trace_csv():
     assert len(lines) == len(res.j_history) + 1
 
 
+def test_minimize_rejects_an_init_that_does_not_carry_the_problems_datum():
+    # the trajectory is consistent with its own w0, but that is not the problem's
+    p = build_heat(8)
+    init = constant_trajectory(p, 6)
+    init.states *= 2.0
+    init.w0 = init.states[0].copy()
+    init.validate_initial(p.triple)
+    with pytest.raises(ValueError, match="problem's datum"):
+        energy(p, init)
+    with pytest.raises(ValueError, match="problem's datum"):
+        minimize(p, init=init)
+
+
 def test_minimize_needs_init_or_steps():
     p = scalar_problem()
     with pytest.raises(ValueError):

@@ -262,8 +262,12 @@ def test_scaled_potential():
     x = np.array([2.0])
     assert scaled.psi(0.0, x) == pytest.approx(2.0)
     assert scaled.grad(0.0, x) == pytest.approx([4.0])
-    with pytest.raises(ValueError):
-        pot.scaled(-1.0)
+
+
+@pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_scaled_potential_rejects_a_factor_that_is_not_positive_and_finite(factor):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Potential.quadratic(np.eye(2)).scaled(factor)
 
 
 def _spd(rng, n):
