@@ -18,12 +18,13 @@ from .applications import (
     build_schrodinger,
     exact_heat_solution,
 )
+from .checks import ConditionReport, check_coercivity, check_growth, check_monotonicity
 from .continuation import continuation_solve, default_schedule, energy_inequality_check
 from .energy import energy, energy_balance_audit, energy_breakdown, energy_gradient
 from .minimize import MinimizeOptions, SolveResult, minimize, verify_equivalence
-from .operator import ConditionReport, OperatorLambda, check_coercivity, check_monotonicity
+from .operator import OperatorLambda
 from .oracle import implicit_euler_solve, newton_solve_step
-from .potential import ConjugateFailure, Potential, check_growth
+from .potential import ConjugateFailure, Potential
 from .problem import ProblemSpec
 from .trajectory import Trajectory, residual, time_derivative
 from .triple import EvolutionTriple, XNorm, pairing
@@ -32,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvolutionTriple", "XNorm", "pairing",
-    "Potential", "ConjugateFailure", "check_growth",
-    "OperatorLambda", "ConditionReport", "check_monotonicity", "check_coercivity",
+    "Potential", "ConjugateFailure", "OperatorLambda",
+    "ConditionReport", "check_growth", "check_monotonicity", "check_coercivity",
     "ProblemSpec", "Trajectory", "residual", "time_derivative",
     "energy", "energy_breakdown", "energy_gradient", "energy_balance_audit",
     "MinimizeOptions", "SolveResult", "minimize", "verify_equivalence",

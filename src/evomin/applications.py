@@ -143,7 +143,7 @@ def build_anticoercive_fixture(t1: float = 1.0) -> ProblemSpec:
     )
     potential = Potential.pointwise_power(q=4.0, dim=1)
     minus_cube = PointwiseMap(lambda v: -v**3, lambda v: -3.0 * v**2)
-    lam_op = term_operator(1, [minus_cube.term()], kind_tag="semilinear")
+    lam_op = term_operator(1, [minus_cube.term()])
     return ProblemSpec(
         triple=triple, potential=potential, lambda_op=lam_op, lambda_flag=1,
         horizon=(0.0, t1), initial=np.array([1.0]),
@@ -185,8 +185,7 @@ def build_parabolic_divergence(
 
     terms = _terms((gamma, g_mat, g_mat), (xi, avg, g_mat),
                    (None if theta is None else -theta, None, None))
-    lam_op = term_operator(n, terms, scale=h,
-                           kind_tag="quasilinear" if terms else "linear")
+    lam_op = term_operator(n, terms, scale=h)
     return _dirichlet_problem(name, n, triple, potential, lam_op,
                               (initial or _default_bump)(x_nodes), t1, q=q)
 
@@ -232,8 +231,7 @@ def build_parabolic_nondivergence(
     terms = _terms((gamma, lap, lap))
     if theta is not None:
         terms.append(Term(theta, tuple(theta_derivs), inner=(cen, None), outer=lap))
-    lam_op = term_operator(n, terms, scale=h,
-                           kind_tag="quasilinear" if terms else "linear")
+    lam_op = term_operator(n, terms, scale=h)
     return _dirichlet_problem("parabolic_nondivergence", n, triple, potential, lam_op,
                               (initial or _default_bump)(x_nodes), t1, q=q)
 
@@ -277,9 +275,7 @@ def build_hyperbolic(
     linear[:n, n:] = stiff
     linear[n:, :n] = h * lap
     e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
-    tag = "skew" if (damping == 0.0 and nonlinearity == 0.0) else "semilinear"
-    lam_op = term_operator(dim, _terms((_cubic(-nonlinearity), e_u, h * e_v)),
-                           linear=linear, kind_tag=tag)
+    lam_op = term_operator(dim, _terms((_cubic(-nonlinearity), e_u, h * e_v)), linear=linear)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
     return _dirichlet_problem("hyperbolic", n, triple, potential, lam_op,
                               np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
@@ -324,8 +320,7 @@ def build_schrodinger(
     e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
     terms = _terms((_cubic(couplings[0]), e_u, w_mat.T @ e_u),
                    (_cubic(couplings[1]), e_v, w_mat.T @ e_v))
-    tag = "skew" if couplings == (0.0, 0.0) else "semilinear"
-    lam_op = term_operator(dim, terms, linear=linear, kind_tag=tag)
+    lam_op = term_operator(dim, terms, linear=linear)
     v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
     return _dirichlet_problem("schrodinger", n, triple, potential, lam_op,
                               np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
@@ -620,8 +615,7 @@ def build_navier_stokes_2d(
         eval=lambda t, x: basis.convection_dual(x) - f_dual,
         dderiv=lambda t, x, h: basis.convection_dual_linearized(x, h),
         dderiv_adjoint=lambda t, x, v: basis.convection_dual_adjoint(x, v),
-        jacobian=lambda t, x: basis.convection_jacobian(x),
-        kind_tag="convective")
+        jacobian=lambda t, x: basis.convection_jacobian(x))
     if isinstance(initial, str):
         if initial == "taylor-green":
             w0 = taylor_green_stream(basis)

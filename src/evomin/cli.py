@@ -24,24 +24,29 @@ import numpy as np
 import yaml
 
 from . import applications as apps
+from .checks import check_coercivity, check_growth, check_monotonicity
 from .continuation import continuation_solve, continuation_to_csv, default_schedule
 from .energy import breakdown_to_csv, energy_balance_audit, energy_breakdown
 from .minimize import MinimizeOptions, minimize, trace_to_csv, verify_equivalence
-from .operator import OperatorEvaluationError, check_coercivity, check_monotonicity
+from .operator import OperatorEvaluationError
 from .oracle import DEFAULT_NEWTON_TOL, StepFailure, implicit_euler_solve
-from .potential import ConjugateFailure, Potential, check_growth
+from .potential import ConjugateFailure, Potential
 from .trajectory import residual, trajectory_to_csv
+
+SECTIONS = ("problem", "grid", "time", "solver", "checks", "output", "compare")
 
 # options that the commands read as numbers (INTEGER_OPTIONS as integers),
 # checked here so that a bad value is a config error and not a failure in the
 # middle of a run or a silently truncated grid
 NUMERIC_OPTIONS = {
+    "problem": ("q", "reaction", "flux", "gamma", "damping", "nonlinearity", "viscosity"),
     "grid": ("n", "k"),
+    "time": ("t1",),
     "solver": ("j_tol", "g_tol", "newton_tol", "max_iterations"),
     "compare": ("j_tol", "g_tol", "state_tol", "residual_tol", "perturb"),
-    "checks": ("samples", "c0", "q"),
+    "checks": ("samples", "c0"),
 }
-INTEGER_OPTIONS = ("n", "k", "max_iterations", "samples")
+INTEGER_OPTIONS = ("n", "k", "max_iterations", "samples", "levels")
 
 
 class ConfigError(Exception):
@@ -73,10 +78,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         cfg = cls()
-        known = {"problem", "grid", "time", "solver", "checks", "output", "compare", "seed"}
+        known = {*SECTIONS, "seed"}
         unknown = set(raw) - known
         if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+            raise ConfigError(f"unknown config sections: {sorted(unknown, key=str)}")
         for key in known:
             if key in raw and raw[key] is not None:
                 setattr(cfg, key, raw[key])
@@ -84,6 +89,9 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        for name in SECTIONS:
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
         kind = self.problem.get("kind")
         if kind not in BUILDERS:
             raise ConfigError(f"problem.kind must be one of {tuple(BUILDERS)}, got {kind!r}")
@@ -101,19 +109,38 @@ class RunConfig:
             for key in keys:
                 if key not in section:
                     continue
-                raw = section[key]
-                try:
-                    value = float(raw)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{name}.{key} must be a number, got {raw!r}") from None
-                if key in INTEGER_OPTIONS and type(raw) is not int:
-                    raise ConfigError(f"{name}.{key} must be an integer, got {raw!r}")
+                value = _number(f"{name}.{key}", section[key])
                 if name == "solver" and key != "max_iterations" and not value > 0:
                     raise ConfigError(f"solver.{key} must be positive")
+        couplings = self.problem.get("couplings", [0.0, 0.0])
+        if not (isinstance(couplings, list) and len(couplings) == 2):
+            raise ConfigError("problem.couplings must be a list of two numbers, "
+                              f"got {couplings!r}")
+        for value in couplings:
+            _number("problem.couplings", value)
         schedule = self.solver.get("eps_schedule")
-        if schedule is not None and not isinstance(schedule, (list, dict)):
-            raise ConfigError("solver.eps_schedule must be a list of eps values or a mapping "
-                              f"of start, factor and levels, got {schedule!r}")
+        if isinstance(schedule, dict):
+            unknown = set(schedule) - {"start", "factor", "levels"}
+            if unknown:
+                raise ConfigError(f"unknown solver.eps_schedule keys: {sorted(unknown, key=str)}")
+            for key, raw in schedule.items():
+                _number(f"solver.eps_schedule.{key}", raw)
+        elif isinstance(schedule, list) and schedule:
+            for raw in schedule:
+                _number("solver.eps_schedule", raw)
+        elif schedule is not None:
+            raise ConfigError("solver.eps_schedule must be a non-empty list of eps values or "
+                              f"a mapping of start, factor and levels, got {schedule!r}")
+        unknown = set(self.checks) - {"run", "samples", "c0"}
+        if unknown:
+            raise ConfigError(f"unknown checks options: {sorted(unknown, key=str)}")
+        if self.checks.get("samples", 0) < 0:
+            raise ConfigError(f"checks.samples must be >= 0, got {self.checks['samples']}")
+        run = self.checks.get("run", list(CHECKS))
+        if not (isinstance(run, list)
+                and all(isinstance(name, str) and name in CHECKS for name in run)):
+            raise ConfigError(f"checks.run must be a list of checker names from "
+                              f"{tuple(CHECKS)}, got {run!r}")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
         oracle_steps = self.compare.get("oracle_steps", steps)
@@ -133,6 +160,18 @@ class RunConfig:
         env = os.environ.get("EVOMIN_OUT")
         directory = override or env or self.output.get("directory", "out")
         return Path(directory)
+
+
+def _number(what: str, raw) -> float:
+    """raw as a float; a ConfigError unless it is a number, or an integer for the
+    options named in INTEGER_OPTIONS."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+    if what.rsplit(".", 1)[-1] in INTEGER_OPTIONS and type(raw) is not int:
+        raise ConfigError(f"{what} must be an integer, got {raw!r}")
+    return value
 
 
 def _n(cfg: RunConfig) -> int:
@@ -175,6 +214,16 @@ BUILDERS = {
 }
 
 
+# checks.run name -> checker call on (problem, cfg, samples, rng); validation
+# reads the names from here.  The checkers are looked up in this module on
+# every call.
+CHECKS = {
+    "growth": lambda p, cfg, n, rng: check_growth(p, n, float(cfg.checks.get("c0", 10.0)), rng),
+    "monotonicity": lambda p, cfg, n, rng: check_monotonicity(p, n, rng),
+    "coercivity": lambda p, cfg, n, rng: check_coercivity(p, n, rng),
+}
+
+
 def build_problem(cfg: RunConfig):
     """Instantiate the configured ProblemSpec; a builder's ValueError is a ConfigError."""
     try:
@@ -193,7 +242,11 @@ def _eps_schedule(cfg: RunConfig) -> list[float]:
     spec = cfg.solver.get("eps_schedule")
     if isinstance(spec, list):
         return [float(e) for e in spec]
-    return default_schedule(**_set_options(spec or {}, start=float, factor=float, levels=int))
+    try:
+        return default_schedule(**_set_options(spec or {}, start=float, factor=float,
+                                               levels=int))
+    except ValueError as exc:
+        raise ConfigError(f"solver.eps_schedule: {exc}") from exc
 
 
 def _minimize_options(cfg: RunConfig, require_gradient: bool = False) -> MinimizeOptions:
@@ -319,21 +372,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     samples = int(cfg.checks.get("samples", 1000))
-    which = cfg.checks.get("run", ["growth", "monotonicity", "coercivity"])
     rng = np.random.default_rng(cfg.seed)
-    reports = []
-    for name in which:
-        if name == "growth":
-            rep = check_growth(problem.potential, problem.triple, problem.horizon,
-                               samples, c0=float(cfg.checks.get("c0", 10.0)),
-                               q=float(cfg.checks.get("q", problem.triple.xnorm.q)), rng=rng)
-        elif name == "monotonicity":
-            rep = check_monotonicity(problem, problem.lambda_flag, samples, rng=rng)
-        elif name == "coercivity":
-            rep = check_coercivity(problem, samples, rng=rng)
-        else:
-            raise ConfigError(f"unknown check {name!r}")
-        reports.append(rep)
+    reports = [CHECKS[name](problem, cfg, samples, rng)
+               for name in cfg.checks.get("run", list(CHECKS))]
     payload = {
         "problem": problem.name,
         "samples": samples,

@@ -1,15 +1,8 @@
-"""Time-dependent nonlinear maps X -> X* and finite-sample hypothesis checkers.
-
-The checkers can only falsify universally quantified inequalities; on
-samples that do not violate them they fit the smallest certifying
-constants and report those.  Reports always say which constants were
-fitted so downstream consumers never mistake a finite-sample pass for a
-proof.
-"""
+"""Time-dependent nonlinear maps X -> X* with their derivatives and adjoints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,21 +13,7 @@ __all__ = [
     "term_operator",
     "linear_operator",
     "OperatorEvaluationError",
-    "ConditionReport",
-    "sample_states",
-    "check_monotonicity",
-    "check_coercivity",
 ]
-
-# Sampling: growth conditions live at large radii, so radii are drawn
-# log-uniformly over four decades instead of from a uniform box.
-RADIUS_RANGE = (1e-2, 1e2)
-
-# The checkers evaluate their samples in blocks of about this many entries
-# (rows x dim), one stacked call per layer and block.  One call on all
-# samples at once would hold every temporary of every layer for all of
-# them and raise the peak memory; blocks keep it at the per-sample level.
-CHECK_BLOCK_ENTRIES = 32768
 
 
 class OperatorEvaluationError(RuntimeError):
@@ -61,7 +40,6 @@ class OperatorLambda:
     dderiv(t, x, h)         -> dual vector DLambda_t(x) . h
     dderiv_adjoint(t, x, v) -> DLambda_t(x)^T v
     jacobian(t, x)          -> dense matrix of DLambda_t(x), for one state
-    kind_tag                -- label used by reports only
     linear                  -- the matrix L when Lambda_t(x) = L x is declared
                                (a zero matrix declares Lambda = 0); None when
                                Lambda is not declared linear
@@ -83,7 +61,6 @@ class OperatorLambda:
     dderiv: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     dderiv_adjoint: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[float, np.ndarray], np.ndarray]
-    kind_tag: str = "custom"
     linear: Optional[np.ndarray] = None
 
     def __call__(self, t, x: np.ndarray) -> np.ndarray:
@@ -106,13 +83,13 @@ class OperatorLambda:
             t = row_times(t, len(x))
         out = np.asarray(fn(t, x, *args), dtype=float)
         if out.shape != np.shape(x):
-            raise ValueError(f"operator '{self.kind_tag}'{what} returned shape {out.shape} "
+            raise ValueError(f"operator{what} returned shape {out.shape} "
                              f"for a state of shape {np.shape(x)}")
         bad = ~np.isfinite(out.reshape(len(x) if stack else 1, -1)).all(axis=1)
         if bad.any():
             row = int(np.argmax(bad)) if stack else None
             raise OperatorEvaluationError(
-                f"operator '{self.kind_tag}'{what} returned a non-finite value "
+                f"operator{what} returned a non-finite value "
                 f"at t={t if row is None else t[row]}",
                 row=row,
             )
@@ -139,7 +116,7 @@ class Term:
 
 
 def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
-                  scale: float = 1.0, kind_tag: str = "custom") -> OperatorLambda:
+                  scale: float = 1.0) -> OperatorLambda:
     """Lambda(x) = scale * (L x + sum_i A_i^T f_i(B_i1 x, ..., B_ik x)).
 
     L (linear) is optional; every term is a Term.  The derivative and its
@@ -190,7 +167,7 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
     return OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
                           dderiv_adjoint=lam_adjoint,
                           jacobian=lambda t, x: lam_dderiv(t, x, np.eye(dim)).T,
-                          kind_tag=kind_tag, linear=declared)
+                          linear=declared)
 
 
 def _outer(term: Term, y: np.ndarray) -> np.ndarray:
@@ -198,154 +175,7 @@ def _outer(term: Term, y: np.ndarray) -> np.ndarray:
     return y if term.outer is None else y @ term.outer
 
 
-def linear_operator(matrix: np.ndarray, kind_tag: str = "linear") -> OperatorLambda:
+def linear_operator(matrix: np.ndarray) -> OperatorLambda:
     """Lambda(x) = M x: the term operator with a linear part only."""
     matrix = np.asarray(matrix, dtype=float)
-    return term_operator(matrix.shape[0], linear=matrix, kind_tag=kind_tag)
-
-
-@dataclass
-class ConditionReport:
-    """Outcome of a finite-sample hypothesis check.
-
-    A report with no violations means "not falsified on these samples";
-    fitted_constants carry the smallest certifying constants observed.
-    """
-
-    name: str
-    samples: int
-    violations: list = field(default_factory=list)
-    fitted_constants: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return len(self.violations) == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "passed": self.passed,
-            "violation_count": len(self.violations),
-            "fitted_constants": {k: float(v) for k, v in self.fitted_constants.items()},
-        }
-
-
-def sample_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """Draw count states r*xi, xi uniform on the sphere, r log-uniform."""
-    xi = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(xi, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    xi /= norms
-    lo, hi = np.log(RADIUS_RANGE[0]), np.log(RADIUS_RANGE[1])
-    r = np.exp(rng.uniform(lo, hi, size=(count, 1)))
-    return r * xi
-
-
-def sample_blocks(count: int, dim: int) -> list:
-    """Slices of range(count), each at most max(1, CHECK_BLOCK_ENTRIES // dim) rows long."""
-    size = max(1, CHECK_BLOCK_ENTRIES // dim)
-    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
-def _sample_times(rng: np.random.Generator, horizon: tuple[float, float], count: int) -> np.ndarray:
-    t0, t1 = horizon
-    return rng.uniform(t0, t1, size=count)
-
-
-def check_monotonicity(
-    problem,
-    lambda_flag: int,
-    samples: int,
-    rng: Optional[np.random.Generator] = None,
-    big: float = 1e6,
-) -> ConditionReport:
-    """Sample the joint monotonicity condition on the potential and operator.
-
-    For random (t, x, h) the quantity
-
-        lhs = <h, lam*(DPsi_t(lam*x + h) - DPsi_t(lam*x)) + DLambda_t(x).h>
-
-    must admit a lower bound of the form -ghat*(||x||_X^q + mu)*||h||_H^2.
-    A sample is a violation when lhs < -big * ||h||_H^2; otherwise the
-    smallest certifying ghat (with mu := 1) is recorded.
-    """
-    rng = rng or np.random.default_rng(0)
-    tri = problem.triple
-    lam = int(lambda_flag)
-    q = tri.xnorm.q
-    report = ConditionReport(name="monotonicity", samples=samples)
-    if samples < 1:
-        return report
-    xs = sample_states(rng, tri.dim, samples)
-    hs = sample_states(rng, tri.dim, samples)
-    ts = _sample_times(rng, problem.horizon, samples)
-
-    lhs, th2, xq = np.empty(samples), np.empty(samples), np.empty(samples)
-    for blk in sample_blocks(samples, tri.dim):
-        t, x, h = ts[blk], xs[blk], hs[blk]
-        term = problem.lambda_op.dlambda(t, x, h)
-        if lam:
-            term = term + (
-                problem.potential.grad(t, lam * x + h) - problem.potential.grad(t, lam * x)
-            )
-        lhs[blk] = np.einsum("ij,ij->i", h, term)
-        th2[blk] = tri.t_norm_sq(h)
-        xq[blk] = tri.x_norm(x) ** q
-
-    bound = -big * th2
-    bad = lhs < bound
-    fit = ~bad & (lhs < 0.0) & (th2 > 0.0)
-    report.violations = [(ts[i], xs[i], hs[i], lhs[i], bound[i]) for i in np.flatnonzero(bad)]
-    report.fitted_constants["ghat"] = float(
-        np.max(-lhs[fit] / (th2[fit] * (xq[fit] + 1.0)), initial=0.0))
-    report.fitted_constants["mu_hat"] = 1.0
-    return report
-
-
-def check_coercivity(
-    problem,
-    samples: int,
-    rng: Optional[np.random.Generator] = None,
-    safety: float = 10.0,
-    alpha_floor: float = 1e-8,
-) -> ConditionReport:
-    """Sample the positivity condition Psi + <x, Lambda x> >= a/Ctilde - mu*(...).
-
-    Constants (1/Ctilde, mu) are fitted on the lower half of sampled radii
-    and then tested, with a factor-`safety` margin, on all samples; an
-    anti-coercive operator breaks any constants fitted at moderate radius
-    once the radius grows, which is exactly the observable failure mode.
-    """
-    rng = rng or np.random.default_rng(0)
-    tri = problem.triple
-    q = tri.xnorm.q
-    report = ConditionReport(name="coercivity", samples=samples)
-    if samples < 1:
-        return report
-    xs = sample_states(rng, tri.dim, samples)
-    ts = _sample_times(rng, problem.horizon, samples)
-
-    lhs, a, b = np.empty(samples), np.empty(samples), np.empty(samples)
-    for blk in sample_blocks(samples, tri.dim):
-        t, x = ts[blk], xs[blk]
-        lhs[blk] = (problem.potential.psi(t, x)
-                    + np.einsum("ij,ij->i", x, problem.lambda_op(t, x)))
-        a[blk] = tri.x_norm(x) ** q
-        b[blk] = tri.t_norm_sq(x) + 1.0
-
-    order = np.argsort(a)
-    train = order[: max(1, samples // 2)]
-    mu_hat = float(max(0.0, np.max(-lhs[train] / b[train])))
-    good = a[train] > 1e-300
-    ratios = (lhs[train][good] + mu_hat * b[train][good]) / a[train][good]
-    alpha_hat = float(max(0.0, np.min(ratios))) if ratios.size else 0.0
-    bound = alpha_hat * a / safety - safety * mu_hat * b - 1e-12 * (1.0 + a + b)
-    bad = lhs < bound
-    if alpha_hat <= alpha_floor:
-        bad |= a > np.median(a)
-    report.violations = [(ts[i], xs[i], None, lhs[i], bound[i]) for i in np.flatnonzero(bad)]
-    report.fitted_constants["alpha"] = alpha_hat
-    report.fitted_constants["ctilde"] = (1.0 / alpha_hat) if alpha_hat > 0 else np.inf
-    report.fitted_constants["mu_bar"] = mu_hat
-    return report
+    return term_operator(matrix.shape[0], linear=matrix)

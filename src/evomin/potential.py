@@ -24,10 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .operator import ConditionReport, row_times, sample_blocks, sample_states
-from .triple import check_symmetric, times_matrix
+from .operator import row_times
+from .triple import require_symmetric, times_matrix
 
-__all__ = ["Potential", "ConjugateFailure", "check_growth"]
+__all__ = ["Potential", "ConjugateFailure"]
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -106,7 +106,7 @@ class Potential:
         if matrix.ndim > 2 or matrix.shape[0] != matrix.shape[-1]:
             raise ValueError("quadratic potential needs a square matrix or a diagonal")
         if matrix.ndim == 2:
-            check_symmetric(matrix, "quadratic potential matrix")
+            require_symmetric(matrix, "quadratic potential matrix")
         return cls("quadratic", matrix.shape[0], modulation, matrix=matrix)
 
     @classmethod
@@ -393,52 +393,3 @@ class Potential:
         if not np.all(np.isfinite(vs)):
             raise ValueError("potential input must be finite")
         return vs
-
-
-def check_growth(
-    potential: Potential,
-    triple,
-    horizon: tuple[float, float],
-    samples: int,
-    c0: float,
-    q: float,
-    rng: Optional[np.random.Generator] = None,
-) -> ConditionReport:
-    """Sample the growth envelope of the potential against C0 and q.
-
-    Pass/fail per sample tests the upper bound Psi_t(x) <= C0 ||x||_X^q + C0
-    with the declared constants (the coercive lower bound is the business of
-    the coercivity checker); fitted_constants report the smallest C0 that
-    certifies both bounds on the samples, plus the gradient-bound constant
-    in ||DPsi(x)|| <= Cbar (||x||^{q-1} + 1).
-    """
-    rng = rng or np.random.default_rng(0)
-    report = ConditionReport(name="growth", samples=samples)
-    if samples < 1:
-        return report
-    xs = sample_states(rng, triple.dim, samples)
-    ts = rng.uniform(horizon[0], horizon[1], size=samples)
-
-    p, nx, gn = np.empty(samples), np.empty(samples), np.empty(samples)
-    for blk in sample_blocks(samples, triple.dim):
-        t, x = ts[blk], xs[blk]
-        p[blk] = potential.psi(t, x)
-        nx[blk] = triple.x_norm(x)
-        gn[blk] = np.linalg.norm(potential.grad(t, x), axis=1)
-
-    nxq = nx**q
-    upper = c0 * nxq + c0
-    bad = p > upper * (1.0 + 1e-12)
-    report.violations = [(ts[i], xs[i], None, p[i], upper[i]) for i in np.flatnonzero(bad)]
-    # smallest C satisfying both (1/C)a - C <= p and p <= C a + C; the root
-    # (-p + sqrt(p^2 + 4a)) / 2 is taken as 2a / (p + sqrt(p^2 + 4a)) for p > 0,
-    # which does not cancel at large p
-    root = np.sqrt(p * p + 4.0 * nxq)
-    c_low = 0.5 * (root - p)
-    pos = p > 0.0
-    c_low[pos] = 2.0 * nxq[pos] / (p[pos] + root[pos])
-    c_up = p / (nxq + 1.0)
-    report.fitted_constants["c0_min"] = float(np.max(np.maximum(c_low, c_up), initial=0.0))
-    report.fitted_constants["grad_bound"] = float(
-        np.max(gn / (nx ** (q - 1.0) + 1.0), initial=0.0))
-    return report

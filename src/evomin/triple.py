@@ -75,7 +75,7 @@ class EvolutionTriple:
             # a diagonal mass is symmetric, and its eigenvalues are its entries
             low, high = np.min(mass), np.max(mass)
         elif mass.shape == (self.dim, self.dim):
-            check_symmetric(mass, "mass matrix")
+            require_symmetric(mass, "mass matrix")
             eigs = np.linalg.eigvalsh(mass)
             low, high = eigs[0], eigs[-1]
         else:
@@ -180,7 +180,7 @@ def times_matrix(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     return rows * m if m.ndim == 1 else rows @ m
 
 
-def check_symmetric(a: np.ndarray, what: str) -> None:
+def require_symmetric(a: np.ndarray, what: str) -> None:
     """Raise ValueError unless the square matrix a is symmetric to 1e-12 of
     max(1, max |a_ij|)."""
     scale = max(float(np.max(np.abs(a))) if a.size else 0.0, 1.0)

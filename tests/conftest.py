@@ -10,7 +10,8 @@ from evomin import (
     pairing,
 )
 from evomin.applications import PointwiseMap
-from evomin.operator import Term, linear_operator, sample_states, term_operator
+from evomin.checks import sample_states
+from evomin.operator import Term, linear_operator, term_operator
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ def rotation_problem(t1=1.0, psi_weight=0.5):
     pot = Potential.quadratic(psi_weight * np.eye(2))
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     return ProblemSpec(triple=triple, potential=pot,
-                       lambda_op=linear_operator(rot, kind_tag="skew"), lambda_flag=1,
+                       lambda_op=linear_operator(rot), lambda_flag=1,
                        horizon=(0.0, t1), initial=np.array([1.0, 0.0]))
 
 
@@ -48,19 +49,19 @@ def rotation_problem(t1=1.0, psi_weight=0.5):
 
 def zero_operator(dim):
     """Lambda = 0."""
-    return term_operator(dim, kind_tag="linear")
+    return term_operator(dim)
 
 
-def pointwise_operator(dim, value, deriv, kind_tag="custom"):
+def pointwise_operator(dim, value, deriv):
     """Lambda(x) = f(x) componentwise, with f' = deriv."""
-    return term_operator(dim, [PointwiseMap(value, deriv).term()], kind_tag=kind_tag)
+    return term_operator(dim, [PointwiseMap(value, deriv).term()])
 
 
 def roll_product_operator(dim):
     """Lambda(x) = x * roll(x, 1): f(s, v) = s v of (x, R x), R the cyclic shift."""
     shift = np.roll(np.eye(dim), 1, axis=0)
     prod = Term(lambda s, v: s * v, (lambda s, v: v, lambda s, v: s), inner=(None, shift))
-    return term_operator(dim, [prod], kind_tag="convective")
+    return term_operator(dim, [prod])
 
 
 def random_trajectory(problem, steps, rng, scale=0.5):
@@ -74,10 +75,12 @@ def random_trajectory(problem, steps, rng, scale=0.5):
 # -- per-sample references for the hypothesis checkers ---------------------------
 #
 # Each draws the same samples in the same order as its checker and evaluates
-# them one at a time through the single-state calls.  Each returns the sample
-# times, the indices of the violating samples and the fitted constants.
+# them one at a time through the single-state calls.  Each returns the
+# indices of the violating samples and the fitted constants.
 
-def reference_growth(potential, triple, horizon, samples, c0, q, rng):
+def reference_growth(problem, samples, c0, rng):
+    potential, triple, horizon = problem.potential, problem.triple, problem.horizon
+    q = triple.xnorm.q if triple.xnorm.kind == "power" else 2.0
     xs = sample_states(rng, triple.dim, samples)
     ts = rng.uniform(horizon[0], horizon[1], size=samples)
     bad, c_needed, cbar = [], 0.0, 0.0
@@ -93,11 +96,11 @@ def reference_growth(potential, triple, horizon, samples, c0, q, rng):
         c_low = 2.0 * nxq / (p + root) if p > 0.0 else 0.5 * (root - p)
         c_needed = max(c_needed, c_low, p / (nxq + 1.0))
         cbar = max(cbar, gn / (nx ** (q - 1.0) + 1.0))
-    return ts, bad, {"c0_min": c_needed, "grad_bound": cbar}
+    return bad, {"c0_min": c_needed, "grad_bound": cbar}
 
 
-def reference_monotonicity(problem, lambda_flag, samples, rng, big=1e6):
-    tri, lam = problem.triple, int(lambda_flag)
+def reference_monotonicity(problem, samples, rng, big=1e6):
+    tri, lam = problem.triple, int(problem.lambda_flag)
     q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
     xs = sample_states(rng, tri.dim, samples)
     hs = sample_states(rng, tri.dim, samples)
@@ -115,7 +118,7 @@ def reference_monotonicity(problem, lambda_flag, samples, rng, big=1e6):
             bad.append(i)
         elif lhs < 0.0 and th2 > 0.0:
             ghat = max(ghat, -lhs / (th2 * (tri.x_norm(x) ** q + 1.0)))
-    return ts, bad, {"ghat": ghat, "mu_hat": 1.0}
+    return bad, {"ghat": ghat, "mu_hat": 1.0}
 
 
 def reference_coercivity(problem, samples, rng, safety=10.0, alpha_floor=1e-8):
@@ -138,5 +141,5 @@ def reference_coercivity(problem, samples, rng, safety=10.0, alpha_floor=1e-8):
         bound = alpha_hat * a[i] / safety - safety * mu_hat * b[i] - 1e-12 * (1.0 + a[i] + b[i])
         if lhs[i] < bound or (alpha_hat <= alpha_floor and a[i] > np.median(a)):
             bad.append(i)
-    return ts, bad, {"alpha": alpha_hat, "ctilde": 1.0 / alpha_hat if alpha_hat > 0 else np.inf,
+    return bad, {"alpha": alpha_hat, "ctilde": 1.0 / alpha_hat if alpha_hat > 0 else np.inf,
                  "mu_bar": mu_hat}

@@ -223,7 +223,7 @@ def test_criterion_09_hypothesis_checkers(rng):
     }
     ok = True
     for name, problem in builders.items():
-        mono = check_monotonicity(problem, problem.lambda_flag, 1000, rng=rng)
+        mono = check_monotonicity(problem, 1000, rng=rng)
         coer = check_coercivity(problem, 1000, rng=rng)
         finite = (np.isfinite(mono.fitted_constants["ghat"])
                   and np.isfinite(coer.fitted_constants["ctilde"]))

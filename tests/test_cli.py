@@ -384,3 +384,53 @@ def test_ben_summary_has_no_krylov_counts(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "krylov_iters" not in summary and "krylov_fallbacks" not in summary
+
+
+def test_check_growth_designed_failure(tmp_path):
+    # Psi = u^4/4 cannot stay under 0.1 |u|^4 + 0.1 at large radii
+    cfg = write_config(tmp_path, problem={"kind": "anticoercive_fixture"},
+                       checks={"run": ["growth"], "samples": 400, "c0": 0.1},
+                       time={"t0": 0.0, "t1": 1.0, "steps": 2})
+    assert main(["check", "--config", str(cfg)]) == 2
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    jsonschema.validate(report, schema("check"))
+    [growth] = report["reports"]
+    assert growth["name"] == "growth" and not growth["passed"] and not report["pass"]
+    assert growth["violation_count"] == 203
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("check", {"checks": {"samples": -3}}),
+    ("check", {"checks": {"run": "growth"}}),
+    ("check", {"checks": {"run": ["growth", "bogus"]}}),
+    ("check", {"checks": {"q": 2.0}}),
+    ("solve", {"problem": {"kind": "schrodinger", "couplings": [0.5]}}),
+    ("solve", {"problem": {"kind": "schrodinger", "couplings": 0.5}}),
+    ("solve", {"problem": {"kind": "heat_core"},
+               "solver": {"method": "continuation", "eps_schedule": {"start": "abc"}}}),
+    ("solve", {"problem": {"kind": "heat_core"},
+               "solver": {"method": "continuation", "eps_schedule": {"start": 1.0, "bogus": 2}}}),
+    ("solve", {"problem": {"kind": "heat_core"},
+               "solver": {"method": "continuation", "eps_schedule": []}}),
+    ("solve", {"problem": {"kind": "hyperbolic", "damping": [0.1]}}),
+    ("solve", {"grid": [32]}),
+], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
+        "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
+        "damping-list", "section-list"])
+def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
+        tmp_path, capsys, monkeypatch, command, overrides):
+    def no_build(cfg):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "build_problem", no_build)
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eps_schedule_out_of_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, problem={"kind": "heat_core"},
+                       solver={"method": "continuation", "eps_schedule": {"start": -1.0}})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "config error: solver.eps_schedule" in capsys.readouterr().err

@@ -95,7 +95,7 @@ def test_partial_result_on_step_failure():
     blow_up = PointwiseMap(lambda v: -1e8 * (1.0 + v**2), lambda v: -2e8 * v)
     bad = ProblemSpec(
         triple=core.triple, potential=core.potential,
-        lambda_op=term_operator(3, [blow_up.term(e0, e0)], kind_tag="custom"),
+        lambda_op=term_operator(3, [blow_up.term(e0, e0)]),
         lambda_flag=0, horizon=(0.0, 1.0), initial=core.initial)
     reg = Potential.quadratic(core.triple.mass)
     res = continuation_solve(bad, reg, [1e6, 1.0], steps=2)

@@ -186,7 +186,7 @@ def test_programming_error_in_a_trial_point_propagates():
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
                         dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.eye(1), kind_tag="linear")
+                        jacobian=lambda t, x: np.eye(1))
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     with pytest.raises(TypeError, match="broken operator"):
@@ -207,7 +207,7 @@ def test_operator_blow_up_in_a_trial_point_is_a_rejected_trial():
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
                         dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.eye(1), kind_tag="linear")
+                        jacobian=lambda t, x: np.eye(1))
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     res = minimize(p, steps=3)
@@ -317,7 +317,7 @@ def test_error_status_when_the_line_search_rejects_every_trial(evaluations):
     op = OperatorLambda(dim=1, eval=lambda t, x: np.where(np.all(x == 1.0), x, np.inf),
                         dderiv=lambda t, x, h: h.copy(),
                         dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.eye(1), kind_tag="linear")
+                        jacobian=lambda t, x: np.eye(1))
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     res = minimize(p, steps=3)

@@ -52,7 +52,7 @@ def test_cubic_step_against_root_oracle():
     # u' = -u^3 with lambda = 0: one implicit step solves u + dt u^3 = u_prev
     tri = EvolutionTriple(dim=1, mass=np.eye(1))
     pot = Potential.quadratic(np.eye(1))
-    op = pointwise_operator(1, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
+    op = pointwise_operator(1, lambda v: v**3, lambda v: 3 * v**2)
     p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=0,
                     horizon=(0.0, 1.0), initial=np.array([1.0]))
     u = newton_solve_step(p, np.array([1.0]), t=1.0, dt=1.0)
@@ -101,7 +101,7 @@ def test_step_failure_signals_blowup():
     # backward-in-time quartic growth: residual has no root, Newton must stall
     tri = EvolutionTriple(dim=1, mass=np.eye(1))
     pot = Potential.quadratic(np.eye(1))
-    op = pointwise_operator(1, lambda v: -1.0 - v**2, lambda v: -2 * v, kind_tag="semilinear")
+    op = pointwise_operator(1, lambda v: -1.0 - v**2, lambda v: -2 * v)
     p = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=0,
                     horizon=(0.0, 10.0), initial=np.array([0.0]))
     with pytest.raises(StepFailure) as err:
@@ -238,7 +238,7 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
     op = OperatorLambda(dim=4, eval=lambda t, x: 3.0 * x,
                         dderiv=lambda t, x, h: -3.0 * h,
                         dderiv_adjoint=lambda t, x, v: -3.0 * v,
-                        jacobian=lambda t, x: -3.0 * np.eye(4), kind_tag="custom")
+                        jacobian=lambda t, x: -3.0 * np.eye(4))
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(4)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.array([1.0, -2.0, 0.5, 3.0]))
     with pytest.raises(StepFailure, match="line search stalled") as err:
@@ -249,7 +249,7 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
 def test_krylov_path_solves_custom_operator(krylov_everywhere):
     # u + dt (u^3 + u) = u_prev componentwise
     tri = EvolutionTriple(dim=3, mass=np.ones(3))
-    op = pointwise_operator(3, lambda v: v**3, lambda v: 3 * v**2, kind_tag="semilinear")
+    op = pointwise_operator(3, lambda v: v**3, lambda v: 3 * v**2)
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(3)), lambda_op=op,
                     lambda_flag=1, horizon=(0.0, 0.5), initial=np.array([1.0, -0.5, 2.0]))
     counter = {}

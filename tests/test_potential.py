@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from evomin import ConjugateFailure, EvolutionTriple, Potential, XNorm, check_growth
+from evomin import ConjugateFailure, EvolutionTriple, Potential, ProblemSpec, XNorm, check_growth
+from evomin.operator import linear_operator
 from evomin.potential import Potential as P
 
 
@@ -229,20 +230,28 @@ def test_conjugate_failure_reports_residual():
     assert err.value.residual > 0.0
 
 
+def _growth_problem(potential, triple):
+    """Psi = potential on the triple, Lambda = 0, over (0, 1)."""
+    dim = triple.dim
+    return ProblemSpec(triple=triple, potential=potential,
+                       lambda_op=linear_operator(np.zeros((dim, dim))), lambda_flag=1,
+                       horizon=(0.0, 1.0), initial=np.zeros(dim))
+
+
 def test_check_growth_pass_and_fail(rng):
-    tri = EvolutionTriple(dim=3, mass=np.eye(3))
+    tri = EvolutionTriple(dim=3, mass=np.eye(3))      # euclidean X-norm, q = 2
     pot = Potential.pointwise_power(q=2.0, dim=3)   # Psi = |x|^2/2 in the X norm
-    rep = check_growth(pot, tri, (0.0, 1.0), 500, c0=1.0, q=2.0, rng=rng)
+    rep = check_growth(_growth_problem(pot, tri), 500, c0=1.0, rng=rng)
     assert rep.passed
     assert rep.fitted_constants["c0_min"] == pytest.approx(2.0, rel=1e-2)
 
-    # q = 4 growth declared as q = 2 must be falsified at large radii:
-    # at |x| = 10, x^4/4 > x^2 + c0
+    # q = 4 growth against the q = 2 of the X-norm must be falsified at large
+    # radii: at |x| = 10, x^4/4 > x^2 + c0
     pot4 = Potential.pointwise_power(q=4.0, dim=3)
-    rep = check_growth(pot4, tri, (0.0, 1.0), 500, c0=1.0, q=2.0, rng=rng)
+    rep = check_growth(_growth_problem(pot4, tri), 500, c0=1.0, rng=rng)
     assert not rep.passed
 
-    rep = check_growth(pot, tri, (0.0, 1.0), 0, c0=1.0, q=2.0, rng=rng)
+    rep = check_growth(_growth_problem(pot, tri), 0, c0=1.0, rng=rng)
     assert rep.passed and rep.samples == 0
 
 
@@ -250,7 +259,7 @@ def test_check_growth_gradient_bound(rng):
     tri = EvolutionTriple(dim=2, mass=np.eye(2),
                           xnorm=XNorm(kind="power", matrix=np.eye(2), q=4.0))
     pot = Potential.pointwise_power(q=4.0, dim=2)
-    rep = check_growth(pot, tri, (0.0, 1.0), 400, c0=4.0, q=4.0, rng=rng)
+    rep = check_growth(_growth_problem(pot, tri), 400, c0=4.0, rng=rng)
     assert rep.passed
     # |DPsi(x)| <= Cbar (|x|^3 + 1) holds with a modest constant
     assert 0.0 < rep.fitted_constants["grad_bound"] < 10.0
