@@ -19,7 +19,7 @@ from .applications import (
     exact_heat_solution,
 )
 from .checks import ConditionReport, check_coercivity, check_growth, check_monotonicity
-from .continuation import continuation_solve, default_schedule, energy_inequality_check
+from .continuation import continuation_solve, default_schedule
 from .energy import energy, energy_balance_audit, energy_breakdown, energy_gradient
 from .minimize import MinimizeOptions, SolveResult, minimize, verify_equivalence
 from .operator import OperatorLambda
@@ -39,7 +39,7 @@ __all__ = [
     "energy", "energy_breakdown", "energy_gradient", "energy_balance_audit",
     "MinimizeOptions", "SolveResult", "minimize", "verify_equivalence",
     "implicit_euler_solve", "newton_solve_step",
-    "continuation_solve", "default_schedule", "energy_inequality_check",
+    "continuation_solve", "default_schedule",
     "build_heat", "build_heat_core", "build_parabolic_divergence", "build_parabolic_nondivergence",
     "build_hyperbolic", "build_schrodinger", "build_navier_stokes_2d",
     "build_scalar_decay", "build_anticoercive_fixture", "exact_heat_solution",

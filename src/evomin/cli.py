@@ -25,7 +25,8 @@ import yaml
 
 from . import applications as apps
 from .checks import check_coercivity, check_growth, check_monotonicity
-from .continuation import continuation_solve, continuation_to_csv, default_schedule
+from .continuation import (checked_schedule, continuation_solve, continuation_to_csv,
+                           default_schedule)
 from .energy import breakdown_to_csv, energy_balance_audit, energy_breakdown
 from .minimize import MinimizeOptions, minimize, trace_to_csv, verify_equivalence
 from .operator import OperatorEvaluationError
@@ -131,6 +132,7 @@ class RunConfig:
         elif schedule is not None:
             raise ConfigError("solver.eps_schedule must be a non-empty list of eps values or "
                               f"a mapping of start, factor and levels, got {schedule!r}")
+        _eps_schedule(self)     # the values: a decreasing list, or default_schedule's ranges
         unknown = set(self.checks) - {"run", "samples", "c0"}
         if unknown:
             raise ConfigError(f"unknown checks options: {sorted(unknown, key=str)}")
@@ -240,9 +242,9 @@ def _set_options(section: dict, **casts) -> dict:
 
 def _eps_schedule(cfg: RunConfig) -> list[float]:
     spec = cfg.solver.get("eps_schedule")
-    if isinstance(spec, list):
-        return [float(e) for e in spec]
     try:
+        if isinstance(spec, list):
+            return checked_schedule(spec)
         return default_schedule(**_set_options(spec or {}, start=float, factor=float,
                                                levels=int))
     except ValueError as exc:
@@ -451,6 +453,10 @@ def main(argv=None) -> int:
             sp.add_argument("--refinements", type=int, default=3,
                             help="number of step doublings")
     args = parser.parse_args(argv)
+    if getattr(args, "refinements", 0) < 0:
+        print(f"usage error: --refinements must be >= 0, got {args.refinements}",
+              file=sys.stderr)
+        return 1
     try:
         cfg = RunConfig.from_file(args.config)
     except (ConfigError, ValueError) as exc:

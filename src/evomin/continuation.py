@@ -1,10 +1,11 @@
-"""Vanishing-regularization continuation and the limiting energy inequality.
+"""Vanishing-regularization continuation.
 
 Solves d/dt(I u) + Lambda_t(u) + eps * DPsi_t(u) = 0 for a decreasing
 schedule of eps values, warm-starting each level from the previous one.
 Weak-topology limits are not observable in finite precision, so the
-scheme reports Cauchy evidence (successive trajectory distances) and the
-energy-inequality defect instead of claiming convergence.
+scheme reports Cauchy evidence (successive trajectory distances) instead
+of claiming convergence; the defect of the limiting energy inequality is
+energy_balance_audit of the core problem, whose lambda_flag is 0.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy, energy_balance_audit
+from .energy import energy
 from .oracle import DEFAULT_NEWTON_TOL, StepFailure, implicit_euler_solve
 from .potential import Potential
 from .problem import ProblemSpec
@@ -23,8 +24,8 @@ from .trajectory import Trajectory
 __all__ = [
     "ContinuationResult",
     "default_schedule",
+    "checked_schedule",
     "continuation_solve",
-    "energy_inequality_check",
     "continuation_to_csv",
 ]
 
@@ -33,6 +34,16 @@ def default_schedule(start: float = 1.0, factor: float = 0.5, levels: int = 12) 
     if not (start > 0 and 0 < factor < 1 and levels >= 1):
         raise ValueError("need start > 0, factor in (0,1), levels >= 1")
     return [start * factor**i for i in range(levels)]
+
+
+def checked_schedule(eps_schedule) -> list[float]:
+    """eps_schedule as floats; ValueError unless positive and strictly decreasing."""
+    eps = [float(e) for e in eps_schedule]
+    if any(e <= 0 for e in eps):
+        raise ValueError("epsilon schedule must be positive")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilon schedule must be strictly decreasing")
+    return eps
 
 
 @dataclass
@@ -47,10 +58,6 @@ class ContinuationResult:
     @property
     def completed(self) -> bool:
         return self.status == "completed"
-
-    @property
-    def converged(self) -> bool:
-        return self.completed and len(self.distances) > 1 and self.distances[-1] < 1e-7
 
 
 def continuation_solve(
@@ -67,11 +74,7 @@ def continuation_solve(
     eps * reg_potential switched on.  A step failure aborts the schedule
     and the partial result is returned with a failure status.
     """
-    eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule):
-        raise ValueError("epsilon schedule must be positive")
-    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("epsilon schedule must be strictly decreasing")
+    eps_schedule = checked_schedule(eps_schedule)
     if problem_core.lambda_flag != 0:
         raise ValueError(
             "continuation regularizes a potential-free evolution; "
@@ -99,25 +102,6 @@ def continuation_solve(
             result.distances.append(float(np.max(np.abs(traj.states - prev.states))))
         prev = traj
     return result
-
-
-def energy_inequality_check(problem: ProblemSpec, traj: Trajectory,
-                            pass_tol: float = 1e-8) -> dict:
-    """Defect of the limiting energy inequality at every grid time.
-
-        s(t_m) = |u_m|_H^2 / 2 + dt * sum_{k<=m} <u_k, Lambda(u_k)> - |w_0|_H^2 / 2
-
-    This is energy_balance_audit without the potential term.  On
-    trajectories that approximately solve the discrete equation the defect
-    must be nonpositive up to pass_tol.
-    """
-    s = energy_balance_audit(problem.with_potential(problem.potential, lambda_flag=0), traj)
-    return {
-        "defect": s,
-        "max_defect": float(np.max(s)),
-        "pass": bool(np.all(s <= pass_tol)),
-        "pass_tol": pass_tol,
-    }
 
 
 def continuation_to_csv(result: ContinuationResult) -> str:

@@ -6,10 +6,13 @@ exactly quadratic (Lambda declared zero, D^2Psi one constant matrix A), the
 initial inverse Hessian of the two-loop recursion is J's exact inverse
 Hessian, a backward and a forward sweep in time (see _inverse_hessian), and
 the first step is the exact Newton step; otherwise it is the usual scaled
-identity.  A positive-J stationary point is reported, never silently
-accepted: under the growth and monotonicity hypotheses it cannot exist, so
-reaching one means a hypothesis is violated or the discretization is too
-coarse, and the status message says which checker to run.
+identity.  The line search halves the step until Armijo holds; it ends
+without a step, a floor exit, once a trial's predicted decrease
+alpha * -<d, g> is round-off or after MAX_BACKTRACKS halvings.  A
+positive-J stationary point is reported, never silently accepted: under
+the growth and monotonicity hypotheses it cannot exist, so reaching one
+means a hypothesis is violated or the discretization is too coarse, and
+the status message says which checker to run.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ HISTORY = 10            # L-BFGS pairs kept
 ARMIJO_C1 = 1e-4        # sufficient-decrease constant of the line search
 MAX_BACKTRACKS = 50     # step halvings before the line search gives up
 ROUNDOFF = 1e-18        # a decrease below ROUNDOFF * (1 + |J|) is round-off
-NO_PROGRESS_LIMIT = 3   # round-off decreases in a row that end the run
 J_FLOOR = 1e-15         # J <= J_FLOOR * max(1, |J(init)|) is zero to working precision
 G_FLOOR = 1e-7          # a floor exit above max(g_tol, G_FLOOR) in |g|_inf is an error
 
@@ -93,10 +95,11 @@ def minimize(
     initial state is used (needs `steps`).
 
     Stopping rule: the run stops at the top of an iteration once
-    |g|_inf <= g_tol, or J <= j_tol without require_gradient; at a floor
-    exit, where J cannot decrease further; or at the iteration cap.  Every
-    exit but the cap is classified by `exit_status`: zero-energy iff J is at most
-    the J floor max(j_tol, J_FLOOR * max(1, |J(init)|)).
+    |g|_inf <= g_tol, or J <= j_tol without require_gradient; at one of the
+    line search's two floor exits, where J cannot decrease further; or at
+    the iteration cap.  Every exit but the cap is classified by
+    `exit_status`: zero-energy iff J is at most the J floor
+    max(j_tol, J_FLOOR * max(1, |J(init)|)).
     """
     opts = opts or MinimizeOptions()
     if init is None:
@@ -126,14 +129,13 @@ def minimize(
     y_list: deque = deque(maxlen=HISTORY)
     gamma = 1.0
     h0 = _inverse_hessian(problem, m, traj.dt)
-    no_progress = 0
     j_floor = max(opts.j_tol, J_FLOOR * max(1.0, abs(j)))
     g_floor = max(opts.g_tol, G_FLOOR)
 
     def exit_status(jv, gv):
         """Status of an exit other than the cap: the top-of-loop test, or a floor
-        exit (a predicted decrease below round-off, a line search out of
-        backtracks, or NO_PROGRESS_LIMIT round-off decreases)."""
+        exit (a trial's predicted decrease below round-off, or a line search
+        out of backtracks)."""
         if jv <= j_floor:
             return STATUS_ZERO
         return STATUS_STATIONARY if gv <= g_floor else STATUS_ERROR
@@ -154,12 +156,11 @@ def minimize(
             y_list.clear()
             direction = -g / max(1.0, np.linalg.norm(g))
             dg = float(direction @ g)
-        if -dg < ROUNDOFF * (1.0 + abs(j)):
-            result.status = exit_status(j, gnorm)
-            break
 
-        alpha = 1.0
+        alpha, accepted = 1.0, False
         for _ in range(MAX_BACKTRACKS):
+            if alpha * -dg < ROUNDOFF * (1.0 + abs(j)):
+                break           # the predicted decrease alpha * -<d, g> is round-off
             z_new = z + alpha * direction
             if not np.all(np.isfinite(z_new)):
                 alpha *= 0.5
@@ -174,15 +175,10 @@ def minimize(
                 alpha *= 0.5
                 continue
             if j_new <= j + ARMIJO_C1 * alpha * dg:
+                accepted = True
                 break
             alpha *= 0.5
-        else:  # no trial point accepted
-            result.status = exit_status(j, gnorm)
-            break
-
-        no_progress = no_progress + 1 if j - j_new <= ROUNDOFF * (1.0 + abs(j)) else 0
-        if no_progress >= NO_PROGRESS_LIMIT:
-            z, j, gnorm = z_new, j_new, float(np.linalg.norm(g_new, np.inf))
+        if not accepted:        # a floor exit: round-off, or out of backtracks
             result.status = exit_status(j, gnorm)
             break
 

@@ -208,6 +208,13 @@ def test_convergence_single_level(tmp_path):
     assert len(csv_lines) == 2
 
 
+def test_negative_refinements_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver={"method": "euler"})
+    assert main(["convergence", "--config", str(cfg), "--refinements", "-1"]) == 1
+    assert "--refinements must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_convergence_ns_energy_defect_halves(tmp_path):
     cfg = write_config(tmp_path, problem={"kind": "navier_stokes", "initial": "random"},
                        grid={"k": 8}, time={"t0": 0.0, "t1": 0.5, "steps": 5},
@@ -412,11 +419,15 @@ def test_check_growth_designed_failure(tmp_path):
                "solver": {"method": "continuation", "eps_schedule": {"start": 1.0, "bogus": 2}}}),
     ("solve", {"problem": {"kind": "heat_core"},
                "solver": {"method": "continuation", "eps_schedule": []}}),
+    ("solve", {"problem": {"kind": "heat_core"},
+               "solver": {"method": "continuation", "eps_schedule": [-1.0]}}),
+    ("solve", {"problem": {"kind": "heat_core"},
+               "solver": {"method": "continuation", "eps_schedule": [0.5, 1.0]}}),
     ("solve", {"problem": {"kind": "hyperbolic", "damping": [0.1]}}),
     ("solve", {"grid": [32]}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
-        "damping-list", "section-list"])
+        "eps-negative-list", "eps-increasing-list", "damping-list", "section-list"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):
