@@ -27,12 +27,12 @@ from .oracle import implicit_euler_solve, newton_solve_step
 from .potential import ConjugateFailure, Potential
 from .problem import ProblemSpec
 from .trajectory import Trajectory, residual, time_derivative
-from .triple import EvolutionTriple, XNorm, pairing
+from .triple import EvolutionTriple, XNorm
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvolutionTriple", "XNorm", "pairing",
+    "EvolutionTriple", "XNorm",
     "Potential", "ConjugateFailure", "OperatorLambda",
     "ConditionReport", "check_growth", "check_monotonicity", "check_coercivity",
     "ProblemSpec", "Trajectory", "residual", "time_derivative",

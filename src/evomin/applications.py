@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .operator import OperatorLambda, Term, linear_operator, term_operator
 from .potential import Potential
@@ -236,7 +237,24 @@ def build_parabolic_nondivergence(
                               (initial or _default_bump)(x_nodes), t1, q=q)
 
 
-# -- hyperbolic, first-order block form ----------------------------------------
+# -- two-field block systems: hyperbolic and Schrodinger -------------------------
+
+def _two_field_problem(name: str, x_nodes: np.ndarray, mass: np.ndarray, gx: np.ndarray,
+                       linear: np.ndarray, specs: Callable, psi_weight: float, t1: float,
+                       initial_u: Optional[Callable], initial_v: Optional[Callable]):
+    """The pair z = (u, v) on the Dirichlet grid: H-mass `mass`, X-norm image gx
+    (q = 2), Psi = psi_weight * |z|_H^2 / 2 and Lambda the linear part plus the
+    terms of the (map, inner, outer) specs(e_u, e_v), with e_u, e_v the rows
+    that select u and v.  v starts at zero unless initial_v is given."""
+    n, dim = len(x_nodes), 2 * len(x_nodes)
+    triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
+    potential = Potential.quadratic(psi_weight * mass)
+    e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
+    lam_op = term_operator(dim, _terms(*specs(e_u, e_v)), linear=linear)
+    v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
+    return _dirichlet_problem(name, n, triple, potential, lam_op,
+                              np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
+
 
 def build_hyperbolic(
     n: int,
@@ -259,29 +277,15 @@ def build_hyperbolic(
     h, x_nodes, g_mat = _grid(n)
     stiff = h * (g_mat.T @ g_mat)
     lap = -(g_mat.T @ g_mat)
-    dim = 2 * n
-    mass = np.zeros((dim, dim))
-    mass[:n, :n] = stiff
-    mass[n:, n:] = h * np.eye(n)
-    gx = np.zeros((2 * n + 1, dim))
-    gx[:n, :n] = np.sqrt(h) * lap
-    gx[n:, n:] = np.sqrt(h) * g_mat
-    triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
-    potential = Potential.quadratic(psi_weight * mass)
-
+    mass = block_diag(stiff, h * np.eye(n))
+    gx = block_diag(np.sqrt(h) * lap, np.sqrt(h) * g_mat)
     # the linear blocks, and h * (-Theta)(u) into the v block unless Theta = 0
-    linear = np.zeros((dim, dim))
-    linear[:n, :n] = damping * stiff
-    linear[:n, n:] = stiff
-    linear[n:, :n] = h * lap
-    e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
-    lam_op = term_operator(dim, _terms((_cubic(-nonlinearity), e_u, h * e_v)), linear=linear)
-    v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
-    return _dirichlet_problem("hyperbolic", n, triple, potential, lam_op,
-                              np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
+    linear = np.block([[damping * stiff, stiff], [h * lap, np.zeros((n, n))]])
+    return _two_field_problem(
+        "hyperbolic", x_nodes, mass, gx, linear,
+        lambda e_u, e_v: [(_cubic(-nonlinearity), e_u, h * e_v)],
+        psi_weight, t1, initial_u, initial_v)
 
-
-# -- Schrodinger-type block system ---------------------------------------------
 
 def build_schrodinger(
     n: int,
@@ -303,27 +307,15 @@ def build_schrodinger(
     h, x_nodes, g_mat = _grid(n)
     lap = -(g_mat.T @ g_mat)
     w_mat = h * (g_mat.T @ g_mat + np.eye(n))   # stiffness + mass
-    dim = 2 * n
-    mass = np.zeros((dim, dim))
-    mass[:n, :n] = w_mat
-    mass[n:, n:] = w_mat
-    gx = np.zeros((dim, dim))
-    gx[:n, :n] = np.sqrt(h) * lap
-    gx[n:, n:] = np.sqrt(h) * lap
-    triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
-    potential = Potential.quadratic(psi_weight * mass)
-
+    gx = block_diag(np.sqrt(h) * lap, np.sqrt(h) * lap)
     # W (-Delta_h v, Delta_h u) as the linear part, nonzero W Theta(u), W Xi(v) as terms
-    linear = np.zeros((dim, dim))
-    linear[:n, n:] = -(w_mat @ lap)
-    linear[n:, :n] = w_mat @ lap
-    e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
-    terms = _terms((_cubic(couplings[0]), e_u, w_mat.T @ e_u),
-                   (_cubic(couplings[1]), e_v, w_mat.T @ e_v))
-    lam_op = term_operator(dim, terms, linear=linear)
-    v0 = initial_v(x_nodes) if initial_v is not None else np.zeros(n)
-    return _dirichlet_problem("schrodinger", n, triple, potential, lam_op,
-                              np.concatenate([(initial_u or _default_bump)(x_nodes), v0]), t1)
+    zero = np.zeros((n, n))
+    linear = np.block([[zero, -(w_mat @ lap)], [w_mat @ lap, zero]])
+    return _two_field_problem(
+        "schrodinger", x_nodes, block_diag(w_mat, w_mat), gx, linear,
+        lambda e_u, e_v: [(_cubic(couplings[0]), e_u, w_mat.T @ e_u),
+                          (_cubic(couplings[1]), e_v, w_mat.T @ e_v)],
+        psi_weight, t1, initial_u, initial_v)
 
 
 # -- 2D incompressible Navier-Stokes -------------------------------------------
@@ -406,17 +398,6 @@ class StreamFunctionBasis:
                 raise ValueError("grid must divide the padded size")
             vel = vel[:, ::step, ::step]
         return vel
-
-    def project_dual(self, w: np.ndarray) -> np.ndarray:
-        """Dual coefficients of velocity fields w, stacked (2, ..., pad, pad):
-        integrals against basis fields, (..., dim)."""
-        area = (2.0 * np.pi) ** 2
-        f = np.fft.rfft2(w, norm="forward")[..., self._ix, self._iy]
-        m1 = self.modes[:, 0]
-        m2 = self.modes[:, 1]
-        a = area * (m2 * f[0].imag - m1 * f[1].imag)
-        b = area * (m2 * f[0].real - m1 * f[1].real)
-        return np.concatenate([a, b], axis=-1)
 
     def _dual(self, f: np.ndarray) -> np.ndarray:
         """Dual coefficients int psi_m g, (..., dim), of real scalar fields g
@@ -541,15 +522,28 @@ class StreamFunctionBasis:
                           + 1j * self.wy * (-1j * self.wx * z))
         return float(np.max(np.abs(div)))
 
+    def _sampled(self, fields: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+        """Fourier coefficients at the resolved modes of real fields of the
+        given shape, sampled on the k x k grid (its last two axes)."""
+        if fields.shape != shape:
+            raise ValueError(f"{what} must be sampled on the k x k grid, shape {shape}")
+        ix, iy = np.mod(self.modes, self.k).T
+        return np.fft.fft2(fields)[..., ix, iy] / (self.k**2)
+
     def project_stream(self, psi_grid: np.ndarray) -> np.ndarray:
         """Coefficients of a stream function sampled on the k x k grid."""
-        if psi_grid.shape != (self.k, self.k):
-            raise ValueError(f"stream function must be sampled on a {self.k} x {self.k} grid")
-        zz = np.fft.fft2(psi_grid) / (self.k**2)
-        ix = np.mod(self.modes[:, 0], self.k)
-        iy = np.mod(self.modes[:, 1], self.k)
-        sel = zz[ix, iy]
+        sel = self._sampled(psi_grid, (self.k, self.k), "stream function")
         return np.concatenate([2.0 * sel.real, -2.0 * sel.imag])
+
+    def project_velocity(self, vel_grid: np.ndarray) -> np.ndarray:
+        """Dual coefficients, the integrals against the basis fields, of a
+        velocity field w sampled on the k x k grid as (2, k, k) components.
+
+        A basis field is the curl of psi_m, so int u_m . w = int psi_m curl w:
+        the dual of w is that of its vorticity d1 w2 - d2 w1.
+        """
+        f = self._sampled(vel_grid, (2, self.k, self.k), "velocity")
+        return self._dual(1j * (self.modes[:, 0] * f[1] - self.modes[:, 1] * f[0]))
 
     def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
         pts = 2.0 * np.pi * np.arange(self.k) / self.k
@@ -582,7 +576,8 @@ def build_navier_stokes_2d(
     The evolution is du/dt + P(u . grad u) - f + nu * (-Laplace) u = 0 with
     the viscous term entering through the quadratic potential
     Psi(u) = (nu/2) * ||grad u||^2.  forcing, when given, is a (2, k, k)
-    array of velocity-space components sampled on the grid.
+    array of velocity-space components sampled on the grid; f is its
+    projection, read off the resolved modes of its FFT.
     """
     basis = StreamFunctionBasis(k)
     n = basis.dim
@@ -592,24 +587,8 @@ def build_navier_stokes_2d(
         xnorm=XNorm(kind="power", matrix=np.sqrt(basis.stiff_diag), q=2.0),
     )
     potential = Potential.quadratic(viscosity * basis.stiff_diag)
-    if forcing is not None:
-        forcing = np.asarray(forcing, dtype=float)
-        if forcing.shape != (2, k, k):
-            raise ValueError(f"forcing must have shape (2, {k}, {k})")
-        # re-expand the sampled field spectrally onto the padded grid before projecting
-        half = k // 2
-        sel_k = np.mod(np.r_[0:half, -half:0], k)
-        sel_p = np.mod(np.r_[0:half, -half:0], basis.pad)
-        w = []
-        for comp in forcing:
-            spec_k = np.fft.fft2(comp) / k**2
-            spec_p = np.zeros((basis.pad, basis.pad), dtype=complex)
-            spec_p[np.ix_(sel_p, sel_p)] = spec_k[np.ix_(sel_k, sel_k)]
-            w.append(np.real(np.fft.ifft2(spec_p)) * basis.pad**2)
-        f_dual = basis.project_dual(np.stack(w))
-    else:
-        f_dual = np.zeros(n)
-
+    f_dual = np.zeros(n) if forcing is None else basis.project_velocity(
+        np.asarray(forcing, dtype=float))
     lam_op = OperatorLambda(
         dim=n,
         eval=lambda t, x: basis.convection_dual(x) - f_dual,

@@ -34,20 +34,24 @@ from .oracle import DEFAULT_NEWTON_TOL, StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential
 from .trajectory import residual, trajectory_to_csv
 
-SECTIONS = ("problem", "grid", "time", "solver", "checks", "output", "compare")
-
-# options that the commands read as numbers (INTEGER_OPTIONS as integers),
-# checked here so that a bad value is a config error and not a failure in the
-# middle of a run or a silently truncated grid
-NUMERIC_OPTIONS = {
-    "problem": ("q", "reaction", "flux", "gamma", "damping", "nonlinearity", "viscosity"),
-    "grid": ("n", "k"),
-    "time": ("t1",),
-    "solver": ("j_tol", "g_tol", "newton_tol", "max_iterations"),
-    "compare": ("j_tol", "g_tol", "state_tol", "residual_tol", "perturb"),
-    "checks": ("samples", "c0"),
+# every option that a command reads, by section, with the type it is read as;
+# a kind takes "kind" and the problem keys that its BUILDERS entry reads.  Any
+# other key is a config error, so that a misspelt option does not silently
+# stand for its default, and float and int values are checked before any run
+# (None: checked on its own in `validate`, or read as it is).
+OPTIONS = {
+    "problem": {"kind": None, "q": float, "reaction": float, "flux": float, "gamma": float,
+                "damping": float, "nonlinearity": float, "couplings": None,
+                "viscosity": float, "initial": None},
+    "grid": {"n": int, "k": int},
+    "time": {"t0": None, "t1": float, "steps": None},
+    "solver": {"method": None, "j_tol": float, "g_tol": float, "newton_tol": float,
+               "max_iterations": int, "eps_schedule": None},
+    "compare": {"j_tol": float, "g_tol": float, "state_tol": float, "residual_tol": float,
+                "perturb": float, "oracle_steps": None},
+    "checks": {"run": None, "samples": int, "c0": float},
+    "output": {"directory": None, "formats": None, "timing": None, "workers": None},
 }
-INTEGER_OPTIONS = ("n", "k", "max_iterations", "samples", "levels")
 
 
 class ConfigError(Exception):
@@ -79,7 +83,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         cfg = cls()
-        known = {*SECTIONS, "seed"}
+        known = {*OPTIONS, "seed"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown, key=str)}")
@@ -90,12 +94,24 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        for name in SECTIONS:
+        for name in OPTIONS:
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
         kind = self.problem.get("kind")
         if kind not in BUILDERS:
             raise ConfigError(f"problem.kind must be one of {tuple(BUILDERS)}, got {kind!r}")
+        for name, options in OPTIONS.items():
+            section = getattr(self, name)
+            unknown = set(section) - ({"kind", *BUILDERS[kind][0]} if name == "problem"
+                                      else set(options))
+            if unknown:
+                where = f"problem kind {kind}" if name == "problem" else name
+                raise ConfigError(f"unknown {where} options: {sorted(unknown, key=str)}")
+            for key, raw in section.items():
+                if options[key] is not None:
+                    value = _number(f"{name}.{key}", raw, options[key])
+                    if name == "solver" and key != "max_iterations" and not value > 0:
+                        raise ConfigError(f"solver.{key} must be positive")
         steps = self.time.get("steps")
         if not isinstance(steps, int) or steps < 1:
             raise ConfigError("time.steps must be an integer >= 1")
@@ -105,37 +121,26 @@ class RunConfig:
         method = self.solver.get("method", "ben")
         if method not in ("ben", "euler", "continuation"):
             raise ConfigError(f"solver.method must be ben|euler|continuation, got {method!r}")
-        for name, keys in NUMERIC_OPTIONS.items():
-            section = getattr(self, name)
-            for key in keys:
-                if key not in section:
-                    continue
-                value = _number(f"{name}.{key}", section[key])
-                if name == "solver" and key != "max_iterations" and not value > 0:
-                    raise ConfigError(f"solver.{key} must be positive")
         couplings = self.problem.get("couplings", [0.0, 0.0])
         if not (isinstance(couplings, list) and len(couplings) == 2):
             raise ConfigError("problem.couplings must be a list of two numbers, "
                               f"got {couplings!r}")
         for value in couplings:
-            _number("problem.couplings", value)
+            _number("problem.couplings", value, float)
         schedule = self.solver.get("eps_schedule")
         if isinstance(schedule, dict):
             unknown = set(schedule) - {"start", "factor", "levels"}
             if unknown:
                 raise ConfigError(f"unknown solver.eps_schedule keys: {sorted(unknown, key=str)}")
             for key, raw in schedule.items():
-                _number(f"solver.eps_schedule.{key}", raw)
+                _number(f"solver.eps_schedule.{key}", raw, int if key == "levels" else float)
         elif isinstance(schedule, list) and schedule:
             for raw in schedule:
-                _number("solver.eps_schedule", raw)
+                _number("solver.eps_schedule", raw, float)
         elif schedule is not None:
             raise ConfigError("solver.eps_schedule must be a non-empty list of eps values or "
                               f"a mapping of start, factor and levels, got {schedule!r}")
         _eps_schedule(self)     # the values: a decreasing list, or default_schedule's ranges
-        unknown = set(self.checks) - {"run", "samples", "c0"}
-        if unknown:
-            raise ConfigError(f"unknown checks options: {sorted(unknown, key=str)}")
         if self.checks.get("samples", 0) < 0:
             raise ConfigError(f"checks.samples must be >= 0, got {self.checks['samples']}")
         run = self.checks.get("run", list(CHECKS))
@@ -164,14 +169,14 @@ class RunConfig:
         return Path(directory)
 
 
-def _number(what: str, raw) -> float:
-    """raw as a float; a ConfigError unless it is a number, or an integer for the
-    options named in INTEGER_OPTIONS."""
+def _number(what: str, raw, cast: type) -> float:
+    """raw as a float; a ConfigError unless it is a number, and an integer when
+    cast is int."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {raw!r}") from None
-    if what.rsplit(".", 1)[-1] in INTEGER_OPTIONS and type(raw) is not int:
+    if cast is int and type(raw) is not int:
         raise ConfigError(f"{what} must be an integer, got {raw!r}")
     return value
 
@@ -190,29 +195,31 @@ def _schrodinger(cfg: RunConfig):
     return apps.build_schrodinger(_n(cfg), couplings=(float(c[0]), float(c[1])), t1=cfg.t1)
 
 
-# problem.kind -> builder of its ProblemSpec from the config; validation reads
-# the kinds from here.  The builders are looked up in `apps` on every call.
+# problem.kind -> (the problem keys it reads, builder of its ProblemSpec from the
+# config); validation reads the kinds and their keys from here.  The builders
+# are looked up in `apps` on every call.
 BUILDERS = {
-    "heat": lambda cfg: apps.build_heat(_n(cfg), t1=cfg.t1),
-    "parabolic_divergence": lambda cfg: apps.build_parabolic_divergence(
+    "heat": ((), lambda cfg: apps.build_heat(_n(cfg), t1=cfg.t1)),
+    "parabolic_divergence": (("q", "reaction", "flux", "gamma"), lambda cfg:
+        apps.build_parabolic_divergence(
+            _n(cfg), q=float(cfg.problem.get("q", 2.0)),
+            theta=_map(cfg, "reaction", apps.PointwiseMap.linear),
+            xi=_map(cfg, "flux", apps.PointwiseMap.saturated_cubic),
+            gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1)),
+    "parabolic_nondivergence": (("q", "gamma"), lambda cfg: apps.build_parabolic_nondivergence(
         _n(cfg), q=float(cfg.problem.get("q", 2.0)),
-        theta=_map(cfg, "reaction", apps.PointwiseMap.linear),
-        xi=_map(cfg, "flux", apps.PointwiseMap.saturated_cubic),
-        gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1),
-    "parabolic_nondivergence": lambda cfg: apps.build_parabolic_nondivergence(
-        _n(cfg), q=float(cfg.problem.get("q", 2.0)),
-        gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1),
-    "hyperbolic": lambda cfg: apps.build_hyperbolic(
+        gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1)),
+    "hyperbolic": (("damping", "nonlinearity"), lambda cfg: apps.build_hyperbolic(
         _n(cfg), damping=float(cfg.problem.get("damping", 0.0)),
-        nonlinearity=float(cfg.problem.get("nonlinearity", 0.0)), t1=cfg.t1),
-    "schrodinger": _schrodinger,
-    "navier_stokes": lambda cfg: apps.build_navier_stokes_2d(
+        nonlinearity=float(cfg.problem.get("nonlinearity", 0.0)), t1=cfg.t1)),
+    "schrodinger": (("couplings",), _schrodinger),
+    "navier_stokes": (("viscosity", "initial"), lambda cfg: apps.build_navier_stokes_2d(
         int(cfg.grid.get("k", 16)), viscosity=float(cfg.problem.get("viscosity", 0.1)),
-        initial=cfg.problem.get("initial", "taylor-green"), t1=cfg.t1, seed=cfg.seed),
-    "scalar_decay": lambda cfg: apps.build_scalar_decay(t1=float(cfg.time.get("t1", 1.0))),
-    "anticoercive_fixture": lambda cfg: apps.build_anticoercive_fixture(
-        t1=float(cfg.time.get("t1", 1.0))),
-    "heat_core": lambda cfg: apps.build_heat_core(_n(cfg), t1=cfg.t1),
+        initial=cfg.problem.get("initial", "taylor-green"), t1=cfg.t1, seed=cfg.seed)),
+    "scalar_decay": ((), lambda cfg: apps.build_scalar_decay(t1=float(cfg.time.get("t1", 1.0)))),
+    "anticoercive_fixture": ((), lambda cfg: apps.build_anticoercive_fixture(
+        t1=float(cfg.time.get("t1", 1.0)))),
+    "heat_core": ((), lambda cfg: apps.build_heat_core(_n(cfg), t1=cfg.t1)),
 }
 
 
@@ -229,7 +236,7 @@ CHECKS = {
 def build_problem(cfg: RunConfig):
     """Instantiate the configured ProblemSpec; a builder's ValueError is a ConfigError."""
     try:
-        return BUILDERS[cfg.problem["kind"]](cfg)
+        return BUILDERS[cfg.problem["kind"]][1](cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -251,9 +258,9 @@ def _eps_schedule(cfg: RunConfig) -> list[float]:
         raise ConfigError(f"solver.eps_schedule: {exc}") from exc
 
 
-def _minimize_options(cfg: RunConfig, require_gradient: bool = False) -> MinimizeOptions:
-    return MinimizeOptions(require_gradient=require_gradient, **_set_options(
-        cfg.solver, j_tol=float, g_tol=float, max_iterations=int))
+def _minimize_options(cfg: RunConfig) -> MinimizeOptions:
+    return MinimizeOptions(**_set_options(cfg.solver, j_tol=float, g_tol=float,
+                                          max_iterations=int))
 
 
 def _json_dump(path: Path, payload: dict) -> None:
@@ -349,9 +356,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
-    # the verification wants zero energy and a zero gradient at once, so the
-    # minimizer must certify both before stopping
-    res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg, require_gradient=True))
+    res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg))
     oracle = implicit_euler_solve(
         problem, cfg.steps, newton_tol=float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL)))
     perturb = float(cfg.compare.get("perturb", 0.0))

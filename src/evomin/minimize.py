@@ -56,16 +56,16 @@ G_FLOOR = 1e-7          # a floor exit above max(g_tol, G_FLOOR) in |g|_inf is a
 class MinimizeOptions:
     """Tolerances of the stopping rule (see `minimize`).
 
-    require_gradient=True makes the j_tol exit demand |g|_inf <= g_tol as
-    well, so a result certifies the critical-point statement at the same
-    time; the default keeps the cheaper either/or exit.  It binds only that
-    exit: the floor exits classify by J and |g|_inf without it.
+    require_gradient=True (the default) makes the j_tol exit demand
+    |g|_inf <= g_tol as well, so a result certifies the critical-point
+    statement at the same time; False gives the cheaper either/or exit.  It
+    binds only that exit: the floor exits classify by J and |g|_inf without it.
     """
 
     j_tol: float = 1e-10
     g_tol: float = 1e-9
     max_iterations: int = 100_000
-    require_gradient: bool = False
+    require_gradient: bool = True
 
 
 @dataclass

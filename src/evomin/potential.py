@@ -142,19 +142,17 @@ class Potential:
 
     # -- core evaluations ----------------------------------------------------
 
-    def _a(self, t: float) -> float:
-        if self.modulation is None:
-            return 1.0
-        a = float(self.modulation(t))
-        if not (a > 0.0) or not np.isfinite(a):
-            raise ValueError(f"time modulation must be positive and finite, got {a} at t={t}")
-        return a
-
     def _a_rows(self, t, rows: int) -> np.ndarray:
-        """a(t_k) for each of `rows` rows, t one time per row or one shared time."""
+        """a(t_k) for each of `rows` rows, t one time per row or one shared time;
+        a ValueError unless every a(t_k) is positive and finite."""
         if self.modulation is None:
             return np.ones(rows)
-        return np.array([self._a(tk) for tk in row_times(t, rows)])
+        ts = row_times(t, rows)
+        a = np.array([float(self.modulation(tk)) for tk in ts])
+        for ak, tk in zip(a, ts):
+            if not (ak > 0.0 and np.isfinite(ak)):
+                raise ValueError(f"time modulation must be positive and finite: {ak} at t={tk}")
+        return a
 
     def psi(self, t, x: np.ndarray):
         xs = self._rows(x)
@@ -228,7 +226,7 @@ class Potential:
             zs = None
             if start is not None:
                 try:
-                    zs = self._newton_argmax_batch(t, ys, self._mat(np.reshape(start, ys.shape)))
+                    zs = self._newton_argmax_batch(t, ys, self._rows(np.reshape(start, ys.shape)))
                 except ConjugateFailure:
                     pass
             if zs is None:
@@ -325,9 +323,9 @@ class Potential:
     # -- second derivative ----------------------------------------------------
 
     def hess_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Dense matrix of D^2 Psi_t(x); finite differences for custom kinds."""
-        x = self._vec(x)
-        a = self._a(t)
+        """Dense matrix of D^2 Psi_t(x) at one state; finite differences for custom kinds."""
+        x = self._rows(x, stack=False)[0]
+        a = self._a_rows(t, 1)[0]
         if self.kind == "quadratic":
             m = self.params["matrix"]
             return np.diag(a * m) if m.ndim == 1 else a * m
@@ -351,14 +349,15 @@ class Potential:
     def hess_diagonal(self, t: float, x: np.ndarray) -> Optional[np.ndarray]:
         """The diagonal of D^2 Psi_t(x) for the kinds diagonal by construction,
         a quadratic with a 1-D matrix and the pointwise power; None for every
-        other kind.  No matrix is formed.
+        other kind, at one state x.  No matrix is formed.
         """
-        x = self._vec(x)
+        x = self._rows(x, stack=False)[0]
+        a = self._a_rows(t, 1)[0]
         if self.kind == "quadratic" and self.params["matrix"].ndim == 1:
-            return self._a(t) * self.params["matrix"]
+            return a * self.params["matrix"]
         if self.kind == "pointwise_power":
             q, w = self.params["q"], self.params["weight"]
-            return self._a(t) * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
+            return a * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
         return None
 
     def scaled(self, factor: float) -> "Potential":
@@ -372,24 +371,15 @@ class Potential:
             modulation = (lambda t, f=factor, b=base: f * b(t))
         return Potential(self.kind, self.dim, modulation, **self.params)
 
-    def _vec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 0:
-            v = v.reshape(1)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+    def _rows(self, x, stack: bool = True) -> np.ndarray:
+        """x as checked rows: an (M, dim) stack as it is (unless stack is False),
+        one state as one row."""
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim < 2:
+            xs = xs.reshape(1, -1)
+        if xs.ndim != 2 or xs.shape[1] != self.dim or (not stack and np.ndim(x) > 1):
+            raise ValueError(f"expected {'rows or ' if stack else ''}one state of length "
+                             f"{self.dim}, got shape {np.shape(x)}")
+        if not np.all(np.isfinite(xs)):
             raise ValueError("potential input must be finite")
-        return v
-
-    def _rows(self, x) -> np.ndarray:
-        """x as checked rows: an (M, dim) stack as it is, one state as one row."""
-        return self._mat(x) if np.ndim(x) == 2 else self._vec(x)[None]
-
-    def _mat(self, vs) -> np.ndarray:
-        vs = np.asarray(vs, dtype=float)
-        if vs.ndim != 2 or vs.shape[1] != self.dim:
-            raise ValueError(f"expected rows of length {self.dim}, got shape {vs.shape}")
-        if not np.all(np.isfinite(vs)):
-            raise ValueError("potential input must be finite")
-        return vs
+        return xs

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "XNorm",
     "EvolutionTriple",
-    "pairing",
 ]
 
 _SPD_TOL = 1e-12
@@ -164,15 +163,6 @@ class EvolutionTriple:
             raise ValueError(f"expected a vector or rows of length {self.dim}, "
                              f"got shape {v.shape}")
         return v
-
-
-def pairing(x: np.ndarray, f: np.ndarray) -> float:
-    """Duality pairing <x, f>_{X x X*}: Euclidean dot product of coefficients."""
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x.shape != f.shape or x.ndim != 1:
-        raise ValueError(f"pairing needs two vectors of equal length, got {x.shape} and {f.shape}")
-    return float(x @ f)
 
 
 def times_matrix(rows: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ from evomin import (
     ProblemSpec,
     Trajectory,
     XNorm,
-    pairing,
 )
 from evomin.applications import PointwiseMap
 from evomin.checks import sample_states
@@ -112,7 +111,7 @@ def reference_monotonicity(problem, samples, rng, big=1e6):
         if lam:
             term = term + (problem.potential.grad(t, lam * x + h)
                            - problem.potential.grad(t, lam * x))
-        lhs = pairing(h, term)
+        lhs = h @ term
         th2 = tri.h_inner(tri.apply_t(h), tri.apply_t(h))
         if lhs < -big * th2:
             bad.append(i)
@@ -129,7 +128,7 @@ def reference_coercivity(problem, samples, rng, safety=10.0, alpha_floor=1e-8):
     lhs, a, b = np.empty(samples), np.empty(samples), np.empty(samples)
     for i in range(samples):
         t, x = ts[i], xs[i]
-        lhs[i] = problem.potential.psi(t, x) + pairing(x, problem.lambda_op(t, x))
+        lhs[i] = problem.potential.psi(t, x) + x @ problem.lambda_op(t, x)
         a[i] = tri.x_norm(x) ** q
         b[i] = tri.h_inner(tri.apply_t(x), tri.apply_t(x)) + 1.0
     train = np.argsort(a)[: max(1, samples // 2)]

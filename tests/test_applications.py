@@ -24,7 +24,6 @@ from evomin.applications import (
     taylor_green_stream,
 )
 from evomin.minimize import MinimizeOptions
-from evomin.triple import pairing
 
 
 def h_norms(problem, traj):
@@ -159,7 +158,7 @@ def test_wave_skew_block(rng):
     p = build_hyperbolic(12)
     for _ in range(100):
         z = rng.standard_normal(p.dim)
-        assert abs(pairing(z, p.lambda_op(0.0, z))) < 1e-10 * np.linalg.norm(z) ** 2
+        assert abs(z @ p.lambda_op(0.0, z)) < 1e-10 * np.linalg.norm(z) ** 2
 
 
 def test_wave_h_norm_nonincreasing_and_damping_faster():
@@ -194,7 +193,7 @@ def test_schrodinger_skew_and_decay(rng):
     p = build_schrodinger(12)
     for _ in range(100):
         z = rng.standard_normal(p.dim)
-        assert abs(pairing(z, p.lambda_op(0.0, z))) < 1e-10 * np.linalg.norm(z) ** 2
+        assert abs(z @ p.lambda_op(0.0, z)) < 1e-10 * np.linalg.norm(z) ** 2
     traj = implicit_euler_solve(p, 25)
     norms = h_norms(p, traj)
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -249,7 +248,7 @@ def test_ns_convection_skew_and_divergence_free(rng):
     for _ in range(20):
         x = rng.standard_normal(p.dim)
         conv = p.lambda_op(0.0, x)
-        assert abs(pairing(x, conv)) < 1e-10 * np.linalg.norm(x) ** 2
+        assert abs(x @ conv) < 1e-10 * np.linalg.norm(x) ** 2
         assert basis.divergence_max(x) < 1e-10
 
 
@@ -413,6 +412,18 @@ def test_ns_forcing_projection():
     traj = implicit_euler_solve(p, 4)
     # forced flow departs from rest
     assert basis.kinetic_energy(traj.states[-1]) > 1e-4
+
+
+@pytest.mark.parametrize("k", [8, 16, 24])
+def test_ns_forcing_projection_is_exact_on_resolved_fields(rng, k):
+    # a basis field pairs with the velocity of x as the mass does: f = M x
+    basis = StreamFunctionBasis(k)
+    x = rng.standard_normal(basis.dim)
+    zero = np.zeros(basis.dim)
+    p = build_navier_stokes_2d(k, forcing=basis.velocity(x, grid=k), initial=zero)
+    expected = basis.mass_diag * x
+    err = np.max(np.abs(-p.lambda_op(0.0, zero) - expected))
+    assert err <= 1e-13 * np.max(np.abs(expected))
 
 
 # -- references and fixtures ------------------------------------------------------

@@ -85,6 +85,21 @@ def test_malformed_config_exits_one(tmp_path):
     assert main(["solve", "--config", str(wrong)]) == 1
 
 
+def test_solve_certifies_the_gradient_and_the_residual_on_a_power_law(tmp_path):
+    # J reaches j_tol long before the residual is small: solve must not stop there
+    cfg = write_config(tmp_path, problem={"kind": "parabolic_divergence", "q": 4.0},
+                       grid={"n": 16}, time={"steps": 20})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "converged-zero-energy"
+    assert summary["max_residual"] <= 1e-6
+
+
+def test_every_problem_key_of_a_kind_is_an_option():
+    for keys, _ in cli.BUILDERS.values():
+        assert set(keys) <= set(cli.OPTIONS["problem"])
+
+
 def test_iteration_cap_exits_two(tmp_path):
     cfg = write_config(tmp_path, solver={"method": "ben", "max_iterations": 1,
                                          "j_tol": 1e-16})
@@ -425,9 +440,15 @@ def test_check_growth_designed_failure(tmp_path):
                "solver": {"method": "continuation", "eps_schedule": [0.5, 1.0]}}),
     ("solve", {"problem": {"kind": "hyperbolic", "damping": [0.1]}}),
     ("solve", {"grid": [32]}),
+    ("solve", {"solver": {"gtol": 1e-3}}),
+    ("solve", {"grid": {"N": 64}}),
+    ("compare", {"compare": {"state_tolerance": 1e-30}}),
+    ("solve", {"time": {"T1": 5}}),
+    ("solve", {"problem": {"kind": "heat", "q": 4}}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
-        "eps-negative-list", "eps-increasing-list", "damping-list", "section-list"])
+        "eps-negative-list", "eps-increasing-list", "damping-list", "section-list",
+        "solver-gtol", "grid-N", "compare-state-tolerance", "time-T1", "heat-q"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):

@@ -19,7 +19,6 @@ from evomin import (
 from evomin.applications import PointwiseMap, build_anticoercive_fixture, build_heat
 from evomin.checks import sample_states
 from evomin.operator import OperatorEvaluationError, Term, linear_operator, term_operator
-from evomin.triple import pairing
 
 
 def test_eval_examples():
@@ -167,7 +166,7 @@ def test_skew_tag_property(rng):
     rot = rotation_problem().lambda_op
     for _ in range(100):
         h = rng.standard_normal(2)
-        assert abs(pairing(h, rot(0.0, h))) < 1e-10 * np.linalg.norm(h) ** 2
+        assert abs(h @ rot(0.0, h)) < 1e-10 * np.linalg.norm(h) ** 2
 
 
 def test_sample_states_radii(rng):

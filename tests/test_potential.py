@@ -213,6 +213,19 @@ def test_modulation_must_be_positive():
         pot.psi(0.0, np.array([1.0]))
 
 
+@pytest.mark.parametrize("method", ["hess_matrix", "hess_diagonal"])
+def test_one_state_reads_check_their_input_and_the_modulation(method):
+    pot = Potential.quadratic(np.ones(2), modulation=lambda t: 1.0 - t)
+    read = getattr(pot, method)
+    assert np.array_equal(np.diag(pot.hess_matrix(0.5, np.zeros(2))), [0.5, 0.5])
+    for bad in (np.zeros((1, 2)), np.zeros(3), np.array([np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            read(0.5, bad)
+    for t in (1.0, 2.0, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            read(t, np.zeros(2))
+
+
 def test_nonfinite_input_rejected():
     pot = Potential.quadratic(np.eye(2))
     with pytest.raises(ValueError):
@@ -380,7 +393,7 @@ def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
         assert np.array_equal(pot.psi(0.4, x), pot.psi(0.4, x[None])[0])
         if kind == "composed_power":
             # the Hessian the conjugate's Newton solve uses on its rows
-            row = pot._composed_hess_rows(np.array([[pot._a(0.4)]]), x[None])[0]
+            row = pot._composed_hess_rows(pot._a_rows(0.4, 1)[:, None], x[None])[0]
             assert np.array_equal(pot.hess_matrix(0.4, x), row)
 
 

@@ -6,7 +6,7 @@ from evomin import Trajectory, residual, time_derivative
 from evomin.applications import build_heat
 from evomin.energy import summation_by_parts_gap
 from evomin.trajectory import trajectory_from_csv, trajectory_to_csv
-from evomin.triple import EvolutionTriple, pairing
+from evomin.triple import EvolutionTriple
 
 
 def test_time_derivative_examples():

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from evomin import EvolutionTriple, Potential, XNorm, pairing
-
-
-def test_pairing_dot_product():
-    assert pairing(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    assert pairing(np.zeros(3), np.array([5.0, -1.0, 2.0])) == 0.0
-    assert pairing(np.array([1.0]), np.array([-2.0])) == -2.0
-
-
-def test_pairing_rejects_mismatch():
-    with pytest.raises(ValueError):
-        pairing(np.ones(2), np.ones(3))
+from evomin import EvolutionTriple, Potential, XNorm
 
 
 def test_h_inner_examples():
@@ -89,14 +78,14 @@ def test_self_adjointness_and_positivity(rng):
     for _ in range(1000):
         x = rng.standard_normal(n)
         z = rng.standard_normal(n)
-        lhs = pairing(x, tri.apply_i(z))
-        rhs = pairing(z, tri.apply_i(x))
+        lhs = x @ tri.apply_i(z)
+        rhs = z @ tri.apply_i(x)
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) < 1e-12 * scale
     for _ in range(1000):
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
-        assert pairing(x, tri.apply_i(x)) > 0.0
+        assert x @ tri.apply_i(x) > 0.0
 
 
 def test_factorization_identity(rng):
@@ -106,7 +95,7 @@ def test_factorization_identity(rng):
         x = rng.standard_normal(n)
         tx, ix = tri.apply_inclusions(x)
         # <x, I x> = |T x|_H^2 = |x|_H^2 and I = Tt o T bit for bit
-        assert pairing(x, ix) == pytest.approx(tri.h_inner(tx, tx), rel=1e-12)
+        assert x @ ix == pytest.approx(tri.h_inner(tx, tx), rel=1e-12)
         assert np.array_equal(ix, tri.apply_t_adjoint(tri.apply_t(x)))
 
 
