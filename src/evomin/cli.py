@@ -38,17 +38,18 @@ from .trajectory import residual, trajectory_to_csv
 # a kind takes "kind" and the problem keys that its BUILDERS entry reads.  Any
 # other key is a config error, so that a misspelt option does not silently
 # stand for its default, and float and int values are checked before any run
-# (None: checked on its own in `validate`, or read as it is).
+# (None: checked on its own in `validate`, or read as it is).  Every solver
+# value, time.steps and checks.c0 must also be positive.
 OPTIONS = {
     "problem": {"kind": None, "q": float, "reaction": float, "flux": float, "gamma": float,
                 "damping": float, "nonlinearity": float, "couplings": None,
                 "viscosity": float, "initial": None},
     "grid": {"n": int, "k": int},
-    "time": {"t0": None, "t1": float, "steps": None},
+    "time": {"t0": None, "t1": float, "steps": int},
     "solver": {"method": None, "j_tol": float, "g_tol": float, "newton_tol": float,
                "max_iterations": int, "eps_schedule": None},
     "compare": {"j_tol": float, "g_tol": float, "state_tol": float, "residual_tol": float,
-                "perturb": float, "oracle_steps": None},
+                "perturb": float},
     "checks": {"run": None, "samples": int, "c0": float},
     "output": {"directory": None, "formats": None, "timing": None, "workers": None},
 }
@@ -110,11 +111,11 @@ class RunConfig:
             for key, raw in section.items():
                 if options[key] is not None:
                     value = _number(f"{name}.{key}", raw, options[key])
-                    if name == "solver" and key != "max_iterations" and not value > 0:
-                        raise ConfigError(f"solver.{key} must be positive")
-        steps = self.time.get("steps")
-        if not isinstance(steps, int) or steps < 1:
-            raise ConfigError("time.steps must be an integer >= 1")
+                    if (name == "solver" or f"{name}.{key}" in ("time.steps", "checks.c0")
+                            ) and not value > 0:
+                        raise ConfigError(f"{name}.{key} must be positive, got {raw!r}")
+        if "steps" not in self.time:
+            raise ConfigError("time.steps must be set")
         if self.time.get("t0", 0.0) != 0:
             raise ConfigError(f"time.t0 must be 0, got {self.time['t0']!r}: every "
                               "problem's horizon starts at t = 0")
@@ -148,12 +149,16 @@ class RunConfig:
                 and all(isinstance(name, str) and name in CHECKS for name in run)):
             raise ConfigError(f"checks.run must be a list of checker names from "
                               f"{tuple(CHECKS)}, got {run!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
-        oracle_steps = self.compare.get("oracle_steps", steps)
-        if oracle_steps != steps:
-            raise ConfigError(f"compare.oracle_steps ({oracle_steps!r}) must equal "
-                              f"time.steps ({steps}): both solves run on one grid")
+        if _number("seed", self.seed, int) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.output.get("timing", False), bool):
+            raise ConfigError(f"output.timing must be true or false, "
+                              f"got {self.output['timing']!r}")
+        formats = self.output.get("formats", ["csv", "json"])
+        if not (isinstance(formats, list) and formats
+                and all(fmt in ("csv", "json") for fmt in formats)):
+            raise ConfigError(f"output.formats must be a non-empty list drawn from csv and "
+                              f"json, got {formats!r}")
 
     @property
     def steps(self) -> int:
@@ -170,9 +175,11 @@ class RunConfig:
 
 
 def _number(what: str, raw, cast: type) -> float:
-    """raw as a float; a ConfigError unless it is a number, and an integer when
-    cast is int."""
+    """raw as a float; a ConfigError unless it is a number (not a boolean), and
+    an integer when cast is int."""
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {raw!r}") from None
@@ -464,11 +471,12 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = RunConfig.from_file(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+            cfg.validate()
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = cfg.out_dir(args.out)
     try:
         if args.command == "solve":

@@ -30,7 +30,7 @@ from .operator import OperatorEvaluationError
 from .potential import ConjugateFailure
 from .problem import ProblemSpec
 from .trajectory import Trajectory, constant_trajectory, residual
-from .triple import times_matrix
+from .triple import dense, times_matrix
 
 __all__ = ["MinimizeOptions", "SolveResult", "minimize", "verify_equivalence", "trace_to_csv"]
 
@@ -253,7 +253,7 @@ def _inverse_hessian(problem: ProblemSpec, m: int, dt: float):
         return None
     n = problem.dim
     i_dt = problem.triple.inclusion_matrix / dt
-    factor = cho_factor(i_dt + problem.lambda_flag * (np.diag(a) if a.ndim == 1 else a))
+    factor = cho_factor(i_dt + problem.lambda_flag * dense(a))
     k_mat = cho_solve(factor, i_dt)
 
     def sweep(rows, order):

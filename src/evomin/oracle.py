@@ -10,10 +10,11 @@ can observe and what the problem declares: the problem size, which drives
 the cost of a dense solve; whether Lambda is declared linear
 (OperatorLambda.linear), in which case DLambda is one matrix whose
 stiffness a diagonal preconditioner cannot see, while its LU is exact
-(one Newton iteration on a linear step); and whether the triple and the
-potential declare the linear part lin = I + dt lam D^2Psi(lam u) of the
-step Jacobian diagonal (1-D inputs, see inclusion_diagonal and
-hess_diagonal), which decides whether a diagonal preconditioner can work:
+(one Newton iteration on a linear step); and whether the triple's mass
+and D^2Psi(lam u) = potential.hess_matrix are both 1-D, which declares the
+linear part lin = I + dt lam D^2Psi(lam u) of the step Jacobian diagonal
+and decides whether a diagonal preconditioner can work.  D^2Psi is read
+once per Newton iteration:
 
 * below KRYLOV_MIN_DIM unknowns, when Lambda is declared linear (heat_core,
   whose stiff Laplacian sits in DLambda), or when lin is not declared
@@ -30,7 +31,8 @@ hess_diagonal), which decides whether a diagonal preconditioner can work:
   KRYLOV_RTOL, after restarts of KRYLOV_RESTART inner iterations and at
   most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or
   strongly non-normal DLambda), that Newton iteration and the rest of the
-  step take the dense LU direction.
+  step take the dense LU direction, which adds triple.dense of the same
+  D^2Psi evaluation.
 
 The size threshold sits at the measured crossover on Navier-Stokes (10
 steps from a random start, one BLAS thread, best of 3 to 5 runs; seeds
@@ -60,6 +62,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .problem import ProblemSpec
 from .trajectory import Trajectory
+from .triple import dense
 
 __all__ = ["StepFailure", "newton_solve_step", "implicit_euler_solve"]
 
@@ -98,11 +101,11 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
                   f: np.ndarray, t: float, dt: float, step_index: int) -> np.ndarray:
     """Exact Newton direction from the dense LU of the step Jacobian.
 
-    hess is D^2Psi(lam u), None when lam = 0.
+    hess is D^2Psi(lam u) as hess_matrix declares it, None when lam = 0.
     """
     jac = problem.triple.inclusion_matrix + dt * problem.lambda_op.jacobian_matrix(t, u)
     if hess is not None:
-        jac = jac + dt * hess
+        jac = jac + dt * dense(hess)
     lu, piv = lu_factor(jac)
     if float(np.min(np.abs(np.diag(lu)))) < PIVOT_FLOOR:
         raise StepFailure(
@@ -112,26 +115,13 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
     return lu_solve((lu, piv), -f)
 
 
-def _linear_diagonal(problem: ProblemSpec, u: np.ndarray, t: float,
-                     dt: float) -> Optional[np.ndarray]:
-    """The diagonal of lin = I + dt lam D^2Psi(lam u), or None when lin is not
-    declared diagonal by the triple and the potential.  No matrix is formed.
-    """
-    diag = problem.triple.inclusion_diagonal
-    lam = problem.lambda_flag
-    if diag is None or not lam:
-        return diag
-    hess = problem.potential.hess_diagonal(t, lam * u)
-    return None if hess is None else diag + dt * hess
-
-
 def _krylov_direction(problem: ProblemSpec, u: np.ndarray, diag: np.ndarray,
                       f: np.ndarray, t: float, dt: float) -> tuple[Optional[np.ndarray], int]:
     """Inexact Newton direction by Jacobi-preconditioned GMRES, and its inner iterations.
 
     The Jacobian acts matrix-free: diag h + dt DLambda(u) h, with diag the
-    diagonal linear part from _linear_diagonal.  The direction is None when
-    GMRES misses the forcing term KRYLOV_RTOL.
+    diagonal of the linear part lin.  The direction is None when GMRES
+    misses the forcing term KRYLOV_RTOL.
     """
     # imported on first use: problems on the LU path never load scipy.sparse,
     # whose import costs about 20 ms and 3.5 MB of resident memory
@@ -191,19 +181,20 @@ def newton_solve_step(
     # a declared linear Lambda: the LU direction is exact in DLambda, where
     # Jacobi-preconditioned GMRES struggles on a stiff one (heat_core)
     lu_only = not krylov or problem.lambda_op.linear is not None
+    mass = problem.triple.mass
     iters = inner = 0
     for _ in range(MAX_NEWTON_ITER):
         if fnorm < tol:
             break
+        hess = problem.potential.hess_matrix(t, lam * u) if lam else None
         direction = None
         if not lu_only:
-            diag = _linear_diagonal(problem, u, t, dt)
-            if diag is not None:
+            if mass.ndim == 1 and (hess is None or hess.ndim == 1):
+                diag = mass if hess is None else mass + dt * hess
                 direction, count = _krylov_direction(problem, u, diag, f, t, dt)
                 inner += count
             lu_only = direction is None
         if direction is None:
-            hess = problem.potential.hess_matrix(t, lam * u) if lam else None
             direction = _lu_direction(problem, u, hess, f, t, dt, step_index)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):

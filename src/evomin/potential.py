@@ -13,8 +13,9 @@ fails is repeated from z = y, so a start can change the iteration count
 and the last bits of z*, never whether the solve succeeds.
 
 A 1-D quadratic matrix declares a diagonal: its formulas are elementwise,
-with the bits of the dense ones.  It and the pointwise power are the kinds
-whose hess_diagonal is not None; a 2-D matrix is used as given.
+with the bits of the dense ones; a 2-D matrix is used as given.  It and
+the pointwise power are the kinds whose hess_matrix answers 1-D, the
+diagonal of D^2Psi (triple.dense gives the matrix).
 """
 
 from __future__ import annotations
@@ -323,14 +324,16 @@ class Potential:
     # -- second derivative ----------------------------------------------------
 
     def hess_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Dense matrix of D^2 Psi_t(x) at one state; finite differences for custom kinds."""
+        """D^2 Psi_t(x) at one state in its declared structure: 1-D (the diagonal)
+        for a quadratic with a 1-D matrix and for the pointwise power, a dense
+        matrix otherwise; finite differences for custom kinds."""
         x = self._rows(x, stack=False)[0]
         a = self._a_rows(t, 1)[0]
         if self.kind == "quadratic":
-            m = self.params["matrix"]
-            return np.diag(a * m) if m.ndim == 1 else a * m
+            return a * self.params["matrix"]
         if self.kind == "pointwise_power":
-            return np.diag(self.hess_diagonal(t, x))
+            q, w = self.params["q"], self.params["weight"]
+            return a * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
         if self.kind == "composed_power":
             return self._composed_hess_rows(np.array([[a]]), x[None])[0]
         if self.params.get("hess_action") is not None:
@@ -345,20 +348,6 @@ class Potential:
         g = self._grad_rows(1.0, np.vstack([x, x + step * np.eye(self.dim)]))
         cols = ((g[1:] - g[0]) / step).T
         return a * cols
-
-    def hess_diagonal(self, t: float, x: np.ndarray) -> Optional[np.ndarray]:
-        """The diagonal of D^2 Psi_t(x) for the kinds diagonal by construction,
-        a quadratic with a 1-D matrix and the pointwise power; None for every
-        other kind, at one state x.  No matrix is formed.
-        """
-        x = self._rows(x, stack=False)[0]
-        a = self._a_rows(t, 1)[0]
-        if self.kind == "quadratic" and self.params["matrix"].ndim == 1:
-            return a * self.params["matrix"]
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            return a * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
-        return None
 
     def scaled(self, factor: float) -> "Potential":
         """A new potential factor * Psi_t (factor > 0 and finite)."""

@@ -9,6 +9,8 @@ inclusion I : X -> X*.  An injective inclusion T with H-mass M is the
 triple with mass T^T M T started from T^-1 w0.  A 1-D mass or X-norm
 image G declares the diagonal matrix of its entries and is applied
 elementwise, bit for bit the dense product; a 2-D one is used as given.
+The rule holds for answers too: a piece whose matrix is diagonal returns
+it 1-D, and dense() builds the matrix where one is needed.
 """
 
 from __future__ import annotations
@@ -92,20 +94,19 @@ class EvolutionTriple:
 
     def h_inner(self, w1: np.ndarray, w2: np.ndarray) -> float:
         """H inner product <w1, w2>_H = w1^T mass w2."""
-        w1 = self._vec(w1)
-        w2 = self._vec(w2)
-        return float(times_matrix(w1, self.mass) @ w2)
+        return float(times_matrix(self._check(w1, stack=False), self.mass)
+                     @ self._check(w2, stack=False))
 
     def h_norm(self, w: np.ndarray) -> float:
         return float(np.sqrt(max(self.h_inner(w, w), 0.0)))
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Inclusion X -> H, the identity: a copy of one checked state."""
-        return self._vec(x).copy()
+        return self._check(x, stack=False).copy()
 
     def apply_t_adjoint(self, w: np.ndarray) -> np.ndarray:
         """Adjoint inclusion H -> X*, w -> mass w: apply_i of one state."""
-        return self.apply_i(self._vec(w))
+        return self.apply_i(self._check(w, stack=False))
 
     def apply_inclusions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (T x, I x) of one state: (a copy of x, mass x)."""
@@ -117,27 +118,18 @@ class EvolutionTriple:
         I is the mass.  The bits are those of inclusion_matrix @ x on a state
         and of rows @ inclusion_matrix.T on a stack; a diagonal I is a multiply.
         """
-        x = self._vec_or_rows(x)
-        mass = self.mass
-        if mass.ndim == 1:
-            return x * mass
-        return x @ mass.T if x.ndim == 2 else mass @ x
+        return times_matrix(self._check(x), self.mass.T)
 
     @property
     def inclusion_matrix(self) -> np.ndarray:
         """Dense matrix of I = mass (SPD); built on each call when the mass is diagonal."""
-        return np.diag(self.mass) if self.mass.ndim == 1 else self.mass
-
-    @property
-    def inclusion_diagonal(self) -> Optional[np.ndarray]:
-        """The diagonal of I when declared diagonal (1-D mass), else None."""
-        return self.mass if self.mass.ndim == 1 else None
+        return dense(self.mass)
 
     # -- norms -------------------------------------------------------------
 
     def x_norm(self, x: np.ndarray):
         """||x||_X of one state, or one norm per row of an (M, dim) stack."""
-        x = self._vec_or_rows(x)
+        x = self._check(x)
         if self.xnorm.kind == "euclidean":
             out = np.linalg.norm(x, axis=-1)
         else:
@@ -147,27 +139,27 @@ class EvolutionTriple:
 
     def t_norm_sq(self, x: np.ndarray):
         """|x|_H^2 = <x, I x> of one state, or one value per row of an (M, dim) stack."""
-        x = self._vec_or_rows(x)
+        x = self._check(x)
         out = np.einsum("...i,...i->...", times_matrix(x, self.mass), x)
         return float(out) if x.ndim == 1 else out
 
-    def _vec(self, v: np.ndarray) -> np.ndarray:
+    def _check(self, v, stack: bool = True) -> np.ndarray:
+        """v as a float array: one state, or an (M, dim) stack unless stack is False."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got shape {v.shape}")
-        return v
-
-    def _vec_or_rows(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
-            raise ValueError(f"expected a vector or rows of length {self.dim}, "
-                             f"got shape {v.shape}")
+        if v.ndim not in ((1, 2) if stack else (1,)) or v.shape[-1] != self.dim:
+            raise ValueError(f"expected {'a vector or rows' if stack else 'one vector'} "
+                             f"of length {self.dim}, got shape {v.shape}")
         return v
 
 
 def times_matrix(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """rows @ m, with a 1-D m the diagonal matrix of its entries (rows * m)."""
     return rows * m if m.ndim == 1 else rows @ m
+
+
+def dense(m: np.ndarray) -> np.ndarray:
+    """The matrix a 1-D m declares (np.diag(m)); a 2-D m as it is."""
+    return np.diag(m) if m.ndim == 1 else m
 
 
 def require_symmetric(a: np.ndarray, what: str) -> None:

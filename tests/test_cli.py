@@ -125,8 +125,6 @@ def test_compare_grid_mismatch_is_found_by_validation():
     with pytest.raises(ConfigError, match="oracle_steps"):
         RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"steps": 15},
                              "compare": {"oracle_steps": 30}})
-    RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"steps": 15},
-                         "compare": {"oracle_steps": 15}})
 
 
 @pytest.mark.parametrize("section,key", [("solver", "max_iterations"), ("compare", "state_tol"),
@@ -445,10 +443,25 @@ def test_check_growth_designed_failure(tmp_path):
     ("compare", {"compare": {"state_tolerance": 1e-30}}),
     ("solve", {"time": {"T1": 5}}),
     ("solve", {"problem": {"kind": "heat", "q": 4}}),
+    ("solve", {"seed": True}),
+    ("solve", {"time": {"steps": True}}),
+    ("solve", {"solver": {"j_tol": True}}),
+    ("solve", {"output": {"timing": "false"}}),
+    ("solve", {"output": {"formats": ["xml"]}}),
+    ("solve", {"output": {"formats": "json"}}),
+    ("solve", {"output": {"formats": []}}),
+    ("solve", {"solver": {"max_iterations": 0}}),
+    ("solve", {"solver": {"max_iterations": -3}}),
+    ("check", {"checks": {"c0": 0.0}}),
+    ("check", {"checks": {"c0": -1.0}}),
+    ("check", {"seed": -1}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
         "eps-negative-list", "eps-increasing-list", "damping-list", "section-list",
-        "solver-gtol", "grid-N", "compare-state-tolerance", "time-T1", "heat-q"])
+        "solver-gtol", "grid-N", "compare-state-tolerance", "time-T1", "heat-q",
+        "seed-bool", "steps-bool", "j-tol-bool", "timing-string", "formats-unknown",
+        "formats-string", "formats-empty", "max-iterations-zero", "max-iterations-negative",
+        "c0-zero", "c0-negative", "seed-negative"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):
@@ -458,6 +471,13 @@ def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_override_is_validated_like_the_config_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["check", "--config", str(cfg), "--seed", "-1"]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

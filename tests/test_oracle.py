@@ -26,6 +26,7 @@ from evomin.applications import (
     exact_heat_solution,
 )
 from evomin import potential as potential_module
+from evomin import triple as triple_module
 from evomin.operator import linear_operator
 from evomin.oracle import DEFAULT_NEWTON_TOL, StepFailure
 
@@ -194,20 +195,28 @@ def test_coupled_linear_part_keeps_the_lu_path(monkeypatch):
     assert np.array_equal(traj.states, implicit_euler_solve(p, 2).states)
 
 
-def test_krylov_path_falls_back_to_lu_on_stiff_operator():
-    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian:
-    # Jacobi-preconditioned GMRES(30) cannot reach the forcing term at this
-    # stiffness, and the dense LU solves the linear step in one iteration.
-    # The operator is written by hand, so it declares no linear part and the
-    # step tries GMRES first (a declared linear Lambda goes straight to the LU)
+def _stiff_hand_built_problem(lambda_flag):
+    """u + dt (L u + lam u) = u_prev with L the 1D Dirichlet Laplacian, at
+    KRYLOV_MIN_DIM unknowns, through an operator that declares no linear part."""
     n = oracle.KRYLOV_MIN_DIM
     lap = (n + 1) ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     tri = EvolutionTriple(dim=n, mass=np.ones(n))
     op = OperatorLambda(dim=n, eval=lambda t, x: x @ lap.T, dderiv=lambda t, x, h: h @ lap.T,
                         dderiv_adjoint=lambda t, x, v: v @ lap, jacobian=lambda t, x: lap)
     x = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(n)), lambda_op=op,
-                    lambda_flag=0, horizon=(0.0, 1.0), initial=np.sin(np.pi * x) + x)
+    return ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(n)), lambda_op=op,
+                       lambda_flag=lambda_flag, horizon=(0.0, 1.0),
+                       initial=np.sin(np.pi * x) + x)
+
+
+def test_krylov_path_falls_back_to_lu_on_stiff_operator():
+    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian:
+    # Jacobi-preconditioned GMRES(30) cannot reach the forcing term at this
+    # stiffness, and the dense LU solves the linear step in one iteration.
+    # The operator is written by hand, so it declares no linear part and the
+    # step tries GMRES first (a declared linear Lambda goes straight to the LU)
+    p = _stiff_hand_built_problem(lambda_flag=0)
+    n, lap = p.dim, p.lambda_op.jacobian_matrix(1.0, p.initial)
     counter = {}
     u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
     assert counter["krylov_fallbacks"] == 1
@@ -229,6 +238,34 @@ def test_declared_linear_operator_takes_the_lu_path():
     assert counter["newton_iters"] <= 5
     r = np.max(np.abs(residual(p, traj)), axis=1)
     assert np.all(r < DEFAULT_NEWTON_TOL * _oracle_scale(p, traj))
+
+
+@pytest.mark.parametrize("path", ["gmres", "lu", "gmres_then_lu"])
+def test_one_hessian_evaluation_per_newton_iteration(path, monkeypatch):
+    # D^2Psi(lam u) is read once per Newton iteration, whichever direction the
+    # iteration takes: GMRES reads its diagonal, the LU its dense form, and a
+    # GMRES miss falls back to the LU on the same evaluation
+    p, steps = {
+        "gmres": (build_navier_stokes_2d(24, initial="random", t1=0.2), 2),
+        "lu": (build_heat(8), 3),
+        "gmres_then_lu": (_stiff_hand_built_problem(lambda_flag=1), 1),
+    }[path]
+    assert p.lambda_flag == 1
+    calls = []
+    read = Potential.hess_matrix
+
+    def counted(self, t, x):
+        calls.append(t)
+        return read(self, t, x)
+
+    monkeypatch.setattr(Potential, "hess_matrix", counted)
+    counter = {}
+    implicit_euler_solve(p, steps, counter=counter)
+    assert counter["newton_iters"] > 0
+    assert len(calls) == counter["newton_iters"]
+    if path != "lu":
+        assert counter["krylov_iters"] > 0
+        assert counter["krylov_fallbacks"] == (path == "gmres_then_lu")
 
 
 def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
@@ -311,13 +348,14 @@ def test_navier_stokes_krylov_path_forms_no_dense_matrix(monkeypatch):
     p = build_navier_stokes_2d(24, initial="random")
     assert p.dim >= oracle.KRYLOV_MIN_DIM
 
-    def dense(*args, **kwargs):
+    def formed(*args, **kwargs):
         raise AssertionError("a dense matrix was formed on the Newton-Krylov path")
 
-    monkeypatch.setattr(Potential, "hess_matrix", dense)
-    monkeypatch.setattr(type(p.metadata["_basis"]), "convection_jacobian", dense)
-    monkeypatch.setattr(oracle, "lu_factor", dense)
-    monkeypatch.setattr(potential_module, "cho_solve", dense)
+    monkeypatch.setattr(oracle, "dense", formed)
+    monkeypatch.setattr(triple_module, "dense", formed)
+    monkeypatch.setattr(type(p.metadata["_basis"]), "convection_jacobian", formed)
+    monkeypatch.setattr(oracle, "lu_factor", formed)
+    monkeypatch.setattr(potential_module, "cho_solve", formed)
     counter = {}
     traj = implicit_euler_solve(p, 2, counter=counter)
     assert counter["krylov_fallbacks"] == 0 and counter["krylov_iters"] > 0

@@ -4,6 +4,7 @@ import pytest
 from evomin import ConjugateFailure, EvolutionTriple, Potential, ProblemSpec, XNorm, check_growth
 from evomin.operator import linear_operator
 from evomin.potential import Potential as P
+from evomin.triple import dense
 
 
 def grid_sup_conjugate(psi, y, lo=-50.0, hi=50.0, num=400001):
@@ -213,17 +214,17 @@ def test_modulation_must_be_positive():
         pot.psi(0.0, np.array([1.0]))
 
 
-@pytest.mark.parametrize("method", ["hess_matrix", "hess_diagonal"])
-def test_one_state_reads_check_their_input_and_the_modulation(method):
-    pot = Potential.quadratic(np.ones(2), modulation=lambda t: 1.0 - t)
-    read = getattr(pot, method)
-    assert np.array_equal(np.diag(pot.hess_matrix(0.5, np.zeros(2))), [0.5, 0.5])
-    for bad in (np.zeros((1, 2)), np.zeros(3), np.array([np.nan, 0.0])):
-        with pytest.raises(ValueError):
-            read(0.5, bad)
-    for t in (1.0, 2.0, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            read(t, np.zeros(2))
+def test_one_state_reads_check_their_input_and_the_modulation():
+    # the check is the same whether the Hessian answers 1-D or 2-D
+    for matrix in (np.ones(2), np.eye(2)):
+        pot = Potential.quadratic(matrix, modulation=lambda t: 1.0 - t)
+        assert np.array_equal(pot.hess_matrix(0.5, np.zeros(2)), 0.5 * matrix)
+        for bad in (np.zeros((1, 2)), np.zeros(3), np.array([np.nan, 0.0])):
+            with pytest.raises(ValueError):
+                pot.hess_matrix(0.5, bad)
+        for t in (1.0, 2.0, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                pot.hess_matrix(t, np.zeros(2))
 
 
 def test_nonfinite_input_rejected():
@@ -400,6 +401,8 @@ def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
 # -- diagonal Hessians and the diagonal quadratic ---------------------------------
 
 def test_hess_diagonal_reads_the_hessian_bitwise(rng):
+    # the kinds diagonal by construction answer 1-D, and dense() of that
+    # answer is the dense Hessian of the same potential with a 2-D matrix
     n = 9
     d = rng.uniform(0.5, 4.0, n)
     modulation = (lambda t: 1.0 + t)
@@ -412,9 +415,11 @@ def test_hess_diagonal_reads_the_hessian_bitwise(rng):
     for pot in kinds:
         for t in (0.0, 0.3):
             x = rng.standard_normal(n)
-            diag = pot.hess_diagonal(t, x)
-            assert diag is not None
-            assert np.array_equal(diag, np.diagonal(pot.hess_matrix(t, x)))
+            assert pot.hess_matrix(t, x).shape == (n,)
+    for matrix in (d, np.diag(d)):
+        pot = Potential.quadratic(matrix, modulation=modulation)
+        x = rng.standard_normal(n)
+        assert np.array_equal(dense(pot.hess_matrix(0.3, x)), 1.3 * np.diag(d))
 
 
 def test_pointwise_power_hessian_is_the_closed_form(rng):
@@ -423,8 +428,10 @@ def test_pointwise_power_hessian_is_the_closed_form(rng):
     pot = Potential.pointwise_power(q=q, dim=n, weight=w, modulation=lambda t: 2.0 + t)
     x = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
     want = 2.5 * w * (q - 1.0) * np.abs(x) ** (q - 2.0)
-    assert np.allclose(pot.hess_diagonal(0.5, x), want, rtol=1e-12, atol=0.0)
-    assert np.allclose(pot.hess_matrix(0.5, x), np.diag(want), rtol=1e-12, atol=0.0)
+    hess = pot.hess_matrix(0.5, x)
+    assert hess.shape == (n,)
+    assert np.allclose(hess, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(dense(hess), np.diag(want), rtol=1e-12, atol=0.0)
 
 
 def test_hess_diagonal_is_none_when_coupled(rng):
@@ -433,7 +440,7 @@ def test_hess_diagonal_is_none_when_coupled(rng):
     g = np.eye(n) - np.eye(n, k=1)
     for pot in (Potential.quadratic(a @ a.T + n * np.eye(n)),
                 Potential.composed_power(g, q=3.0)):
-        assert pot.hess_diagonal(0.0, rng.standard_normal(n)) is None
+        assert pot.hess_matrix(0.0, rng.standard_normal(n)).shape == (n, n)
 
 
 def test_hess_diagonal_is_none_unless_declared(rng):
@@ -445,8 +452,9 @@ def test_hess_diagonal_is_none_unless_declared(rng):
                 Potential.custom(psi=lambda x: 0.5 * x @ (d * x), grad=lambda x: d * x,
                                  dim=n, hess_action=lambda x, h: d * h)):
         x = rng.standard_normal(n)
-        assert pot.hess_diagonal(0.0, x) is None
-        assert np.allclose(pot.hess_matrix(0.0, x), np.diag(d), rtol=1e-6, atol=1e-6)
+        hess = pot.hess_matrix(0.0, x)
+        assert hess.ndim == 2
+        assert np.allclose(hess, np.diag(d), rtol=1e-6, atol=1e-6)
 
 
 def test_diagonal_quadratic_matches_the_dense_formulas_bitwise(rng):
@@ -459,7 +467,7 @@ def test_diagonal_quadratic_matches_the_dense_formulas_bitwise(rng):
         assert np.array_equal(pot.grad(0.0, xs), xs @ a.T)
         assert np.array_equal(pot.grad(0.0, xs[0]), xs[0] @ a.T)
         assert np.array_equal(pot.psi(0.0, xs), 0.5 * np.einsum("ij,ij->i", xs @ a, xs))
-        assert np.array_equal(pot.hess_matrix(0.5, xs[0]), 1.5 * a)
+        assert np.array_equal(dense(pot.hess_matrix(0.5, xs[0])), 1.5 * a)
         # the conjugate is the Cholesky solve with the factor diag(sqrt(d)), bit for bit
         ts = np.linspace(0.0, 1.0, rows)
         want = cho_solve((np.diag(np.sqrt(d)), False), xs.T).T / (1.0 + ts)[:, None]

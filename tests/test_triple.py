@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evomin import EvolutionTriple, Potential, XNorm
+from evomin.triple import dense
 
 
 def test_h_inner_examples():
@@ -106,12 +107,11 @@ def test_inclusion_is_the_mass_bitwise(rng):
     a = rng.standard_normal((n, n))
     for mass in (a @ a.T + n * np.eye(n), rng.uniform(1.0, 50.0, n), np.full(n, 0.1)):
         tri = EvolutionTriple(dim=n, mass=mass)
+        assert np.array_equal(tri.mass, mass) and tri.mass.ndim == mass.ndim
         if mass.ndim == 1:
             assert np.array_equal(tri.inclusion_matrix, np.diag(mass))
-            assert np.array_equal(tri.inclusion_diagonal, mass)
         else:
             assert np.array_equal(tri.inclusion_matrix, mass)
-            assert tri.inclusion_diagonal is None
         for _ in range(20):
             x = rng.standard_normal(n)
             assert np.array_equal(tri.inclusion_matrix @ x, tri.apply_i(x))
@@ -156,13 +156,31 @@ def test_dense_nonsymmetric_mass_raises():
 def test_apply_i_with_dense_mass_is_the_dense_product_bitwise(rng):
     n = 10
     tri = EvolutionTriple(dim=n, mass=_dense_mass(rng, n))
-    assert tri.inclusion_diagonal is None
+    assert tri.mass.ndim == 2
     x = rng.standard_normal(n)
     xs = rng.standard_normal((7, n))
     assert np.array_equal(tri.apply_i(x), tri.inclusion_matrix @ x)
     assert np.array_equal(tri.apply_i(xs), xs @ tri.inclusion_matrix.T)
-    with pytest.raises(ValueError):
-        tri.apply_i(np.ones(n + 1))
+    for bad in (np.ones(n + 1), np.ones((2, 3, n)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            tri.apply_i(bad)
+
+
+def test_single_state_reads_reject_a_stack(rng):
+    # h_inner, apply_t and apply_t_adjoint take one state; apply_i, x_norm
+    # and t_norm_sq take one state or a stack, through the same check
+    n = 4
+    tri = EvolutionTriple(dim=n, mass=np.ones(n))
+    xs = rng.standard_normal((3, n))
+    for read in (lambda v: tri.h_inner(v, v), tri.apply_t, tri.apply_t_adjoint):
+        read(xs[0])
+        for bad in (xs, xs[:, :2], np.ones(n + 1)):
+            with pytest.raises(ValueError, match="one vector"):
+                read(bad)
+    for read in (tri.apply_i, tri.x_norm, tri.t_norm_sq):
+        assert np.array_equal(read(xs)[0], read(xs[0]))
+        with pytest.raises(ValueError, match="vector or rows"):
+            read(np.ones((2, 3, n)))
 
 
 def _diagonals(name, rng):
@@ -189,7 +207,7 @@ def test_vector_diagonal_is_the_dense_diagonal_bitwise(rng, name):
                               xnorm=XNorm(kind="power", matrix=np.diag(g), q=3.0))
     vec_pot = Potential.quadratic(quad, modulation=lambda t: 1.0 + t)
     mat_pot = Potential.quadratic(np.diag(quad), modulation=lambda t: 1.0 + t)
-    assert vec_tri.inclusion_diagonal is not None and mat_tri.inclusion_diagonal is None
+    assert vec_tri.mass.ndim == 1 and mat_tri.mass.ndim == 2
     assert np.array_equal(vec_tri.inclusion_matrix, mat_tri.inclusion_matrix)
     xs = rng.standard_normal((6, n))
     ts = np.linspace(0.0, 1.0, 6)
@@ -202,4 +220,6 @@ def test_vector_diagonal_is_the_dense_diagonal_bitwise(rng, name):
     x, w = xs[0], xs[1]
     assert vec_tri.h_inner(x, w) == mat_tri.h_inner(x, w)
     assert np.array_equal(vec_tri.apply_t_adjoint(x), mat_tri.apply_t_adjoint(x))
-    assert np.array_equal(vec_pot.hess_matrix(0.3, x), mat_pot.hess_matrix(0.3, x))
+    vec_hess, mat_hess = vec_pot.hess_matrix(0.3, x), mat_pot.hess_matrix(0.3, x)
+    assert vec_hess.ndim == 1 and mat_hess.ndim == 2
+    assert np.array_equal(dense(vec_hess), mat_hess)
