@@ -1,10 +1,10 @@
 """Batch front door: config parsing, run orchestration, artifact emission.
 
 Configs are YAML files with sections problem / grid / time / solver /
-checks / output plus a seed; see docs in the README and the JSON schemas
-under evomin/schemas for the emitted artifacts.  With timing disabled
-(the default) a fixed config and seed reproduce every output file byte
-for byte.
+compare / checks / output plus a seed; `OPTIONS` states every key of a
+section with its rule and its default, and the README shows them.  With
+timing disabled (the default) a fixed config and seed reproduce every
+output file byte for byte.
 
 Exit codes: 0 converged / all checks clean, 2 non-convergence, check
 violations or a numerical failure during the run, 1 configuration errors.
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,45 +30,191 @@ from .continuation import (checked_schedule, continuation_solve, continuation_to
 from .energy import breakdown_to_csv, energy_balance_audit, energy_breakdown
 from .minimize import MinimizeOptions, minimize, trace_to_csv, verify_equivalence
 from .operator import OperatorEvaluationError
-from .oracle import DEFAULT_NEWTON_TOL, StepFailure, implicit_euler_solve
+from .oracle import StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential
 from .trajectory import residual, trajectory_to_csv
-
-# every option that a command reads, by section, with the type it is read as;
-# a kind takes "kind" and the problem keys that its BUILDERS entry reads.  Any
-# other key is a config error, so that a misspelt option does not silently
-# stand for its default, and float and int values are checked before any run
-# (None: checked on its own in `validate`, or read as it is).  Every solver
-# value, time.steps and checks.c0 must also be positive.
-OPTIONS = {
-    "problem": {"kind": None, "q": float, "reaction": float, "flux": float, "gamma": float,
-                "damping": float, "nonlinearity": float, "couplings": None,
-                "viscosity": float, "initial": None},
-    "grid": {"n": int, "k": int},
-    "time": {"t0": None, "t1": float, "steps": int},
-    "solver": {"method": None, "j_tol": float, "g_tol": float, "newton_tol": float,
-               "max_iterations": int, "eps_schedule": None},
-    "compare": {"j_tol": float, "g_tol": float, "state_tol": float, "residual_tol": float,
-                "perturb": float},
-    "checks": {"run": None, "samples": int, "c0": float},
-    "output": {"directory": None, "formats": None, "timing": None, "workers": None},
-}
 
 
 class ConfigError(Exception):
     pass
 
 
+# -- rules: each turns the raw YAML value of option `what` into the value a command reads
+
+def _number(cast: type = float, least: float | None = None, positive: bool = False):
+    """A number (not a boolean) of type cast; when asked, >= least or positive."""
+    def rule(what: str, raw):
+        try:
+            if isinstance(raw, bool):
+                raise TypeError
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+        if cast is int and type(raw) is not int:
+            raise ConfigError(f"{what} must be an integer, got {raw!r}")
+        if positive and not value > 0:
+            raise ConfigError(f"{what} must be positive, got {raw!r}")
+        if least is not None and not value >= least:
+            raise ConfigError(f"{what} must be >= {least}, got {raw!r}")
+        return raw if cast is int else value
+    return rule
+
+
+def _one_of(*choices):
+    def rule(what: str, raw):
+        if raw not in choices:
+            raise ConfigError(f"{what} must be one of {choices}, got {raw!r}")
+        return raw
+    return rule
+
+
+def _list_of(*choices, empty: bool = False):
+    """A list drawn from choices, read as a tuple; non-empty unless empty is allowed."""
+    def rule(what: str, raw) -> tuple:
+        if not (isinstance(raw, list) and (raw or empty) and all(v in choices for v in raw)):
+            raise ConfigError(f"{what} must be a {'' if empty else 'non-empty '}list drawn "
+                              f"from {choices}, got {raw!r}")
+        return tuple(raw)
+    return rule
+
+
+def _typed(kind: type, name: str):
+    """A value of the given type, named in the message as name."""
+    def rule(what: str, raw):
+        if not isinstance(raw, kind):
+            raise ConfigError(f"{what} must be {name}, got {raw!r}")
+        return raw
+    return rule
+
+
+def _pair(what: str, raw) -> tuple:
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ConfigError(f"{what} must be a list of two numbers, got {raw!r}")
+    return tuple(_number()(what, value) for value in raw)
+
+
+def _pointwise(make: str):
+    """The PointwiseMap `make` of the given strength."""
+    return lambda what, raw: getattr(apps.PointwiseMap, make)(_number()(what, raw))
+
+
+def _zero(what: str, raw) -> float:
+    if _number()(what, raw) != 0:
+        raise ConfigError(f"{what} must be 0, got {raw!r}: every problem's horizon starts "
+                          "at t = 0")
+    return 0.0
+
+
+def _schedule(what: str, raw) -> tuple:
+    """The eps values of an explicit list, or of default_schedule's keyword arguments."""
+    try:
+        if isinstance(raw, list) and raw:
+            return tuple(checked_schedule([_number()(what, eps) for eps in raw]))
+        if isinstance(raw, dict):
+            unknown = set(raw) - {"start", "factor", "levels"}
+            if unknown:
+                raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+            args = {key: _number(int if key == "levels" else float)(f"{what}.{key}", value)
+                    for key, value in raw.items()}
+            return tuple(default_schedule(**args))
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    raise ConfigError(f"{what} must be a non-empty list of eps values or a mapping of start, "
+                      f"factor and levels, got {raw!r}")
+
+
+def _seed(raw) -> int:
+    """The seed's rule: an integer >= 0, and 0 when unset."""
+    return 0 if raw is None else _number(int, least=0)("seed", raw)
+
+
+def _set(section: dict, *keys: str, **renamed: str) -> dict:
+    """{key: value} for the keys that a resolved section sets, and {name: value}
+    for each name=key; the library's defaults stand for the others."""
+    pairs = [*zip(keys, keys), *renamed.items()]
+    return {name: section[key] for name, key in pairs if section[key] is not None}
+
+
+# problem.kind -> (the problem keys it reads, builder of its ProblemSpec from a
+# resolved config).  The builders are looked up in `apps` on every call.
+BUILDERS = {
+    "heat": ((), lambda cfg: apps.build_heat(cfg.grid["n"], t1=cfg.time["t1"])),
+    "parabolic_divergence": (("q", "reaction", "flux", "gamma"), lambda cfg:
+        apps.build_parabolic_divergence(cfg.grid["n"], t1=cfg.time["t1"], **_set(
+            cfg.problem, "q", "gamma", theta="reaction", xi="flux"))),
+    "parabolic_nondivergence": (("q", "gamma"), lambda cfg: apps.build_parabolic_nondivergence(
+        cfg.grid["n"], t1=cfg.time["t1"], **_set(cfg.problem, "q", "gamma"))),
+    "hyperbolic": (("damping", "nonlinearity"), lambda cfg: apps.build_hyperbolic(
+        cfg.grid["n"], t1=cfg.time["t1"], **_set(cfg.problem, "damping", "nonlinearity"))),
+    "schrodinger": (("couplings",), lambda cfg: apps.build_schrodinger(
+        cfg.grid["n"], t1=cfg.time["t1"], **_set(cfg.problem, "couplings"))),
+    "navier_stokes": (("viscosity", "initial"), lambda cfg: apps.build_navier_stokes_2d(
+        cfg.grid["k"], t1=cfg.time["t1"], seed=cfg.seed,
+        **_set(cfg.problem, "viscosity", "initial"))),
+    "scalar_decay": ((), lambda cfg: apps.build_scalar_decay(t1=cfg.time["t1"])),
+    "anticoercive_fixture": ((), lambda cfg: apps.build_anticoercive_fixture(
+        t1=cfg.time["t1"])),
+    "heat_core": ((), lambda cfg: apps.build_heat_core(cfg.grid["n"], t1=cfg.time["t1"])),
+}
+
+
+# checks.run name -> checker call on (problem, cfg, samples, rng).  The checkers
+# are looked up in this module on every call.
+CHECKS = {
+    "growth": lambda p, cfg, n, rng: check_growth(p, n, cfg.checks["c0"], rng),
+    "monotonicity": lambda p, cfg, n, rng: check_monotonicity(p, n, rng),
+    "coercivity": lambda p, cfg, n, rng: check_coercivity(p, n, rng),
+}
+
+
+# section -> key -> (rule, default): every option that a command reads.  A
+# default of None lets the library's own default stand: `_set` passes the key
+# on only when the config sets it.  A kind takes "kind" and the problem keys
+# of its BUILDERS entry; any other key is a config error, so that a misspelt
+# option does not silently stand for its default.
+OPTIONS = {
+    "problem": {"kind": (_one_of(*BUILDERS), "heat"), "q": (_number(), None),
+                "reaction": (_pointwise("linear"), None),
+                "flux": (_pointwise("saturated_cubic"), None),
+                "gamma": (_pointwise("arctan"), None), "damping": (_number(), None),
+                "nonlinearity": (_number(), None), "couplings": (_pair, None),
+                "viscosity": (_number(), None), "initial": (_typed(str, "a string"), None)},
+    "grid": {"n": (_number(int), 32), "k": (_number(int), 16)},
+    "time": {"t0": (_zero, 0.0), "t1": (_number(), 0.1),
+             "steps": (_number(int, positive=True), 50)},
+    "solver": {"method": (_one_of("ben", "euler", "continuation"), "ben"),
+               "j_tol": (_number(positive=True), None),
+               "g_tol": (_number(positive=True), None),
+               "newton_tol": (_number(positive=True), None),
+               "max_iterations": (_number(int, positive=True), None),
+               "eps_schedule": (_schedule, tuple(default_schedule()))},
+    "compare": {"j_tol": (_number(positive=True), None),
+                "g_tol": (_number(positive=True), None),
+                "state_tol": (_number(positive=True), None),
+                "residual_tol": (_number(positive=True), None),
+                "perturb": (_number(), 0.0)},
+    "checks": {"run": (_list_of(*CHECKS, empty=True), tuple(CHECKS)),
+               "samples": (_number(int, least=0), 1000),
+               "c0": (_number(positive=True), 10.0)},
+    "output": {"directory": (_typed(str, "a string"), "out"),
+               "formats": (_list_of("csv", "json"), ("csv", "json")),
+               "timing": (_typed(bool, "true or false"), False),
+               "workers": (lambda what, raw: raw, None)},      # accepted from older configs
+}
+
+
 @dataclass
 class RunConfig:
-    problem: dict = field(default_factory=lambda: {"kind": "heat"})
-    grid: dict = field(default_factory=lambda: {"n": 32})
-    time: dict = field(default_factory=lambda: {"t0": 0.0, "t1": 0.1, "steps": 50})
-    solver: dict = field(default_factory=lambda: {"method": "ben"})
-    checks: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-    compare: dict = field(default_factory=dict)
-    seed: int = 0
+    """A resolved config: each section holds every key of its OPTIONS entry."""
+
+    problem: dict
+    grid: dict
+    time: dict
+    solver: dict
+    compare: dict
+    checks: dict
+    output: dict
+    seed: int
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -83,161 +229,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        cfg = cls()
-        known = {*OPTIONS, "seed"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {*OPTIONS, "seed"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown, key=str)}")
-        for key in known:
-            if key in raw and raw[key] is not None:
-                setattr(cfg, key, raw[key])
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        for name in OPTIONS:
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
-        kind = self.problem.get("kind")
-        if kind not in BUILDERS:
-            raise ConfigError(f"problem.kind must be one of {tuple(BUILDERS)}, got {kind!r}")
+        sections = {}
         for name, options in OPTIONS.items():
-            section = getattr(self, name)
-            unknown = set(section) - ({"kind", *BUILDERS[kind][0]} if name == "problem"
-                                      else set(options))
+            section = {} if raw.get(name) is None else raw[name]
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name} must be a mapping, got {section!r}")
+            sections[name] = {key: rule(f"{name}.{key}", section[key]) if key in section
+                              else default for key, (rule, default) in options.items()}
+            known, where = options, name
+            if name == "problem":
+                kind = sections[name]["kind"]
+                known, where = ("kind", *BUILDERS[kind][0]), f"problem kind {kind}"
+            unknown = set(section) - set(known)
             if unknown:
-                where = f"problem kind {kind}" if name == "problem" else name
                 raise ConfigError(f"unknown {where} options: {sorted(unknown, key=str)}")
-            for key, raw in section.items():
-                if options[key] is not None:
-                    value = _number(f"{name}.{key}", raw, options[key])
-                    if (name == "solver" or f"{name}.{key}" in ("time.steps", "checks.c0")
-                            ) and not value > 0:
-                        raise ConfigError(f"{name}.{key} must be positive, got {raw!r}")
-        if "steps" not in self.time:
-            raise ConfigError("time.steps must be set")
-        if self.time.get("t0", 0.0) != 0:
-            raise ConfigError(f"time.t0 must be 0, got {self.time['t0']!r}: every "
-                              "problem's horizon starts at t = 0")
-        method = self.solver.get("method", "ben")
-        if method not in ("ben", "euler", "continuation"):
-            raise ConfigError(f"solver.method must be ben|euler|continuation, got {method!r}")
-        couplings = self.problem.get("couplings", [0.0, 0.0])
-        if not (isinstance(couplings, list) and len(couplings) == 2):
-            raise ConfigError("problem.couplings must be a list of two numbers, "
-                              f"got {couplings!r}")
-        for value in couplings:
-            _number("problem.couplings", value, float)
-        schedule = self.solver.get("eps_schedule")
-        if isinstance(schedule, dict):
-            unknown = set(schedule) - {"start", "factor", "levels"}
-            if unknown:
-                raise ConfigError(f"unknown solver.eps_schedule keys: {sorted(unknown, key=str)}")
-            for key, raw in schedule.items():
-                _number(f"solver.eps_schedule.{key}", raw, int if key == "levels" else float)
-        elif isinstance(schedule, list) and schedule:
-            for raw in schedule:
-                _number("solver.eps_schedule", raw, float)
-        elif schedule is not None:
-            raise ConfigError("solver.eps_schedule must be a non-empty list of eps values or "
-                              f"a mapping of start, factor and levels, got {schedule!r}")
-        _eps_schedule(self)     # the values: a decreasing list, or default_schedule's ranges
-        if self.checks.get("samples", 0) < 0:
-            raise ConfigError(f"checks.samples must be >= 0, got {self.checks['samples']}")
-        run = self.checks.get("run", list(CHECKS))
-        if not (isinstance(run, list)
-                and all(isinstance(name, str) and name in CHECKS for name in run)):
-            raise ConfigError(f"checks.run must be a list of checker names from "
-                              f"{tuple(CHECKS)}, got {run!r}")
-        if _number("seed", self.seed, int) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.output.get("timing", False), bool):
-            raise ConfigError(f"output.timing must be true or false, "
-                              f"got {self.output['timing']!r}")
-        formats = self.output.get("formats", ["csv", "json"])
-        if not (isinstance(formats, list) and formats
-                and all(fmt in ("csv", "json") for fmt in formats)):
-            raise ConfigError(f"output.formats must be a non-empty list drawn from csv and "
-                              f"json, got {formats!r}")
-
-    @property
-    def steps(self) -> int:
-        return int(self.time["steps"])
-
-    @property
-    def t1(self) -> float:
-        return float(self.time.get("t1", 0.1))
-
-    def out_dir(self, override: str | None = None) -> Path:
-        env = os.environ.get("EVOMIN_OUT")
-        directory = override or env or self.output.get("directory", "out")
-        return Path(directory)
-
-
-def _number(what: str, raw, cast: type) -> float:
-    """raw as a float; a ConfigError unless it is a number (not a boolean), and
-    an integer when cast is int."""
-    try:
-        if isinstance(raw, bool):
-            raise TypeError
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
-    if cast is int and type(raw) is not int:
-        raise ConfigError(f"{what} must be an integer, got {raw!r}")
-    return value
-
-
-def _n(cfg: RunConfig) -> int:
-    return int(cfg.grid.get("n", 32))
-
-
-def _map(cfg: RunConfig, key: str, make):
-    """make(problem.key) when the config sets problem.key, else None."""
-    return make(float(cfg.problem[key])) if key in cfg.problem else None
-
-
-def _schrodinger(cfg: RunConfig):
-    c = cfg.problem.get("couplings", [0.0, 0.0])
-    return apps.build_schrodinger(_n(cfg), couplings=(float(c[0]), float(c[1])), t1=cfg.t1)
-
-
-# problem.kind -> (the problem keys it reads, builder of its ProblemSpec from the
-# config); validation reads the kinds and their keys from here.  The builders
-# are looked up in `apps` on every call.
-BUILDERS = {
-    "heat": ((), lambda cfg: apps.build_heat(_n(cfg), t1=cfg.t1)),
-    "parabolic_divergence": (("q", "reaction", "flux", "gamma"), lambda cfg:
-        apps.build_parabolic_divergence(
-            _n(cfg), q=float(cfg.problem.get("q", 2.0)),
-            theta=_map(cfg, "reaction", apps.PointwiseMap.linear),
-            xi=_map(cfg, "flux", apps.PointwiseMap.saturated_cubic),
-            gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1)),
-    "parabolic_nondivergence": (("q", "gamma"), lambda cfg: apps.build_parabolic_nondivergence(
-        _n(cfg), q=float(cfg.problem.get("q", 2.0)),
-        gamma=_map(cfg, "gamma", apps.PointwiseMap.arctan), t1=cfg.t1)),
-    "hyperbolic": (("damping", "nonlinearity"), lambda cfg: apps.build_hyperbolic(
-        _n(cfg), damping=float(cfg.problem.get("damping", 0.0)),
-        nonlinearity=float(cfg.problem.get("nonlinearity", 0.0)), t1=cfg.t1)),
-    "schrodinger": (("couplings",), _schrodinger),
-    "navier_stokes": (("viscosity", "initial"), lambda cfg: apps.build_navier_stokes_2d(
-        int(cfg.grid.get("k", 16)), viscosity=float(cfg.problem.get("viscosity", 0.1)),
-        initial=cfg.problem.get("initial", "taylor-green"), t1=cfg.t1, seed=cfg.seed)),
-    "scalar_decay": ((), lambda cfg: apps.build_scalar_decay(t1=float(cfg.time.get("t1", 1.0)))),
-    "anticoercive_fixture": ((), lambda cfg: apps.build_anticoercive_fixture(
-        t1=float(cfg.time.get("t1", 1.0)))),
-    "heat_core": ((), lambda cfg: apps.build_heat_core(_n(cfg), t1=cfg.t1)),
-}
-
-
-# checks.run name -> checker call on (problem, cfg, samples, rng); validation
-# reads the names from here.  The checkers are looked up in this module on
-# every call.
-CHECKS = {
-    "growth": lambda p, cfg, n, rng: check_growth(p, n, float(cfg.checks.get("c0", 10.0)), rng),
-    "monotonicity": lambda p, cfg, n, rng: check_monotonicity(p, n, rng),
-    "coercivity": lambda p, cfg, n, rng: check_coercivity(p, n, rng),
-}
+        return cls(**sections, seed=_seed(raw.get("seed")))
 
 
 def build_problem(cfg: RunConfig):
@@ -246,28 +255,6 @@ def build_problem(cfg: RunConfig):
         return BUILDERS[cfg.problem["kind"]][1](cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _set_options(section: dict, **casts) -> dict:
-    """{key: cast(value)} for the keys that a config section sets; the library
-    defaults stand for the others."""
-    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
-
-
-def _eps_schedule(cfg: RunConfig) -> list[float]:
-    spec = cfg.solver.get("eps_schedule")
-    try:
-        if isinstance(spec, list):
-            return checked_schedule(spec)
-        return default_schedule(**_set_options(spec or {}, start=float, factor=float,
-                                               levels=int))
-    except ValueError as exc:
-        raise ConfigError(f"solver.eps_schedule: {exc}") from exc
-
-
-def _minimize_options(cfg: RunConfig) -> MinimizeOptions:
-    return MinimizeOptions(**_set_options(cfg.solver, j_tol=float, g_tol=float,
-                                          max_iterations=int))
 
 
 def _json_dump(path: Path, payload: dict) -> None:
@@ -279,20 +266,21 @@ def _sanitize_metadata(meta: dict) -> dict:
             if not k.startswith("_") and isinstance(v, (str, int, float, bool))}
 
 
-def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(cfg)
-    method = cfg.solver.get("method", "ben")
-    newton_tol = float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL))
+def cmd_solve(cfg: RunConfig, problem, out_dir: Path) -> int:
+    method = cfg.solver["method"]
+    steps = cfg.time["steps"]
+    newton = _set(cfg.solver, "newton_tol")
     t_start = time.perf_counter()
     status = "completed"
     iterations = 0
     trace_csv = "iter,J,grad_norm,step_size\n"
     cont_csv = None
     counts = {}
+    ok = True
 
     if method == "ben":
-        res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg))
+        res = minimize(problem, steps=steps, opts=MinimizeOptions(
+            **_set(cfg.solver, "j_tol", "g_tol", "max_iterations")))
         traj = res.trajectory
         status = res.status
         iterations = res.iterations
@@ -301,23 +289,16 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     elif method == "euler":
         try:
             counter: dict = {}
-            traj = implicit_euler_solve(problem, cfg.steps, newton_tol=newton_tol,
-                                        counter=counter)
+            traj = implicit_euler_solve(problem, steps, counter=counter, **newton)
             iterations = counter.get("newton_iters", 0)
             # GMRES inner iterations and LU fallbacks; both 0 on the dense LU path
             counts = {key: counter.get(key, 0) for key in ("krylov_iters", "krylov_fallbacks")}
-            ok = True
         except StepFailure as exc:
             print(f"solve failed: {exc}", file=sys.stderr)
             return 2
     else:  # continuation
-        if problem.lambda_flag != 0:
-            raise ConfigError(
-                "solver.method continuation needs a potential-free core problem "
-                "(problem.kind heat_core)")
         reg = Potential.quadratic(problem.triple.mass)
-        res = continuation_solve(problem, reg, _eps_schedule(cfg), cfg.steps,
-                                 newton_tol=newton_tol)
+        res = continuation_solve(problem, reg, cfg.solver["eps_schedule"], steps, **newton)
         cont_csv = continuation_to_csv(res)
         if not res.completed:
             (out_dir / "continuation.csv").write_text(cont_csv, encoding="utf-8")
@@ -326,8 +307,6 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         traj = res.trajectories[-1]
         iterations = int(sum(res.newton_iters))
         problem = problem.with_potential(reg.scaled(res.eps[-1]), lambda_flag=1)
-        status = "completed"
-        ok = True
 
     runtime_ms = 1e3 * (time.perf_counter() - t_start)
     bd = energy_breakdown(problem, traj)
@@ -340,7 +319,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "max_residual": res_max,
         "iterations": iterations,
         "energy_balance_max": float(np.max(np.abs(audit))),
-        "runtime_ms": runtime_ms if cfg.output.get("timing", False) else None,
+        "runtime_ms": runtime_ms if cfg.output["timing"] else None,
         "status": status,
         "seed": cfg.seed,
         "steps": traj.steps,
@@ -348,7 +327,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "metadata": _sanitize_metadata(problem.metadata),
         **counts,
     }
-    formats = cfg.output.get("formats", ["csv", "json"])
+    formats = cfg.output["formats"]
     if "csv" in formats:
         (out_dir / "trajectory.csv").write_text(trajectory_to_csv(traj), encoding="utf-8")
         (out_dir / "convergence.csv").write_text(trace_csv, encoding="utf-8")
@@ -360,17 +339,16 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if ok else 2
 
 
-def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(cfg)
-    res = minimize(problem, steps=cfg.steps, opts=_minimize_options(cfg))
-    oracle = implicit_euler_solve(
-        problem, cfg.steps, newton_tol=float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL)))
-    perturb = float(cfg.compare.get("perturb", 0.0))
+def cmd_compare(cfg: RunConfig, problem, out_dir: Path) -> int:
+    steps = cfg.time["steps"]
+    res = minimize(problem, steps=steps, opts=MinimizeOptions(
+        **_set(cfg.solver, "j_tol", "g_tol", "max_iterations")))
+    oracle = implicit_euler_solve(problem, steps, **_set(cfg.solver, "newton_tol"))
+    perturb = cfg.compare["perturb"]
     if perturb:
         oracle.states[oracle.steps // 2 + 1] += perturb
-    report = verify_equivalence(problem, res.trajectory, oracle, **_set_options(
-        cfg.compare, j_tol=float, g_tol=float, state_tol=float, residual_tol=float))
+    report = verify_equivalence(problem, res.trajectory, oracle, **_set(
+        cfg.compare, "j_tol", "g_tol", "state_tol", "residual_tol"))
     if perturb:
         # a designed failure must also show up as positive energy at the perturbation
         report["oracle_perturbed_J"] = report["oracle"]["J"]
@@ -382,13 +360,10 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if report["pass"] else 2
 
 
-def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(cfg)
-    samples = int(cfg.checks.get("samples", 1000))
+def cmd_check(cfg: RunConfig, problem, out_dir: Path) -> int:
+    samples = cfg.checks["samples"]
     rng = np.random.default_rng(cfg.seed)
-    reports = [CHECKS[name](problem, cfg, samples, rng)
-               for name in cfg.checks.get("run", list(CHECKS))]
+    reports = [CHECKS[name](problem, cfg, samples, rng) for name in cfg.checks["run"]]
     payload = {
         "problem": problem.name,
         "samples": samples,
@@ -400,16 +375,11 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if payload["pass"] else 2
 
 
-def cmd_convergence(cfg: RunConfig, out_dir: Path, refinements: int) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem_kind = cfg.problem["kind"]
-    n = _n(cfg)
-    problem = build_problem(cfg)
-    newton_tol = float(cfg.solver.get("newton_tol", DEFAULT_NEWTON_TOL))
+def cmd_convergence(cfg: RunConfig, problem, out_dir: Path, refinements: int) -> int:
     levels = []
     for level in range(refinements + 1):
-        steps = cfg.steps * (2**level)
-        traj = implicit_euler_solve(problem, steps, newton_tol=newton_tol)
+        steps = cfg.time["steps"] * (2**level)
+        traj = implicit_euler_solve(problem, steps, **_set(cfg.solver, "newton_tol"))
         audit = energy_balance_audit(problem, traj)
         entry = {
             "steps": steps,
@@ -417,8 +387,8 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, refinements: int) -> int:
             "energy_defect": float(np.max(np.abs(audit))),
             "error_vs_exact": None,
         }
-        if problem_kind == "heat":
-            exact = apps.exact_heat_solution(n, steps, t1=cfg.t1)
+        if cfg.problem["kind"] == "heat":
+            exact = apps.exact_heat_solution(cfg.grid["n"], steps, t1=cfg.time["t1"])
             entry["error_vs_exact"] = float(np.max(np.abs(traj.states - exact.states)))
         levels.append(entry)
 
@@ -429,7 +399,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, refinements: int) -> int:
         return [float(np.log2(a / b)) for a, b in zip(vals, vals[1:])]
 
     payload = {
-        "problem": problem_kind,
+        "problem": cfg.problem["kind"],
         "levels": levels,
         "defect_orders": orders("energy_defect"),
         "error_orders": orders("error_vs_exact"),
@@ -472,26 +442,24 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.validate()
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = cfg.out_dir(args.out)
-    try:
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
-        if args.command == "compare":
-            return cmd_compare(cfg, out_dir)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir)
-        return cmd_convergence(cfg, out_dir, args.refinements)
+            cfg.seed = _seed(args.seed)
+        problem = build_problem(cfg)
+        if (args.command == "solve" and cfg.solver["method"] == "continuation"
+                and problem.lambda_flag != 0):
+            raise ConfigError("solver.method continuation needs a potential-free core "
+                              "problem (problem.kind heat_core)")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    out_dir = Path(args.out or os.environ.get("EVOMIN_OUT") or cfg.output["directory"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        if args.command == "convergence":
+            return cmd_convergence(cfg, problem, out_dir, args.refinements)
+        command = {"solve": cmd_solve, "compare": cmd_compare, "check": cmd_check}
+        return command[args.command](cfg, problem, out_dir)
     except (ValueError, StepFailure, ConjugateFailure, OperatorEvaluationError) as exc:
-        # a failure of the run itself: the config parsed, and build_problem
-        # turns its own ValueErrors into ConfigError
+        # a failure of the run itself: the config resolved and the problem was built
         print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -7,10 +8,14 @@ import yaml
 
 from evomin import cli
 from evomin.cli import ConfigError, RunConfig, main
+from evomin.continuation import default_schedule
+from evomin.minimize import MinimizeOptions, verify_equivalence
 from evomin.operator import OperatorEvaluationError
+from evomin.oracle import implicit_euler_solve
 from evomin.potential import ConjugateFailure
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "evomin" / "schemas"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def schema(name):
@@ -136,9 +141,13 @@ def test_non_numeric_option_is_a_config_error(tmp_path, capsys, section, key):
 
 
 def test_builder_value_error_is_a_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, problem={"kind": "navier_stokes"}, grid={"k": 7})
-    assert main(["solve", "--config", str(cfg)]) == 1
-    assert "config error" in capsys.readouterr().err
+    # an odd NS grid, and continuation on heat, which is not a potential-free core problem
+    for overrides in ({"problem": {"kind": "navier_stokes"}, "grid": {"k": 7}},
+                      {"solver": {"method": "continuation"}}):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_failure_mid_run_exits_two(tmp_path, capsys):
@@ -455,13 +464,21 @@ def test_check_growth_designed_failure(tmp_path):
     ("check", {"checks": {"c0": 0.0}}),
     ("check", {"checks": {"c0": -1.0}}),
     ("check", {"seed": -1}),
+    ("compare", {"compare": {"j_tol": 0.0}}),
+    ("compare", {"compare": {"g_tol": -1e-8}}),
+    ("compare", {"compare": {"state_tol": -1.0}}),
+    ("compare", {"compare": {"residual_tol": 0.0}}),
+    ("solve", {"output": {"directory": None}}),
+    ("solve", {"problem": {"kind": "navier_stokes", "initial": 3}}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
         "eps-negative-list", "eps-increasing-list", "damping-list", "section-list",
         "solver-gtol", "grid-N", "compare-state-tolerance", "time-T1", "heat-q",
         "seed-bool", "steps-bool", "j-tol-bool", "timing-string", "formats-unknown",
         "formats-string", "formats-empty", "max-iterations-zero", "max-iterations-negative",
-        "c0-zero", "c0-negative", "seed-negative"])
+        "c0-zero", "c0-negative", "seed-negative", "compare-j-tol-zero",
+        "compare-g-tol-negative", "compare-state-tol-negative", "compare-residual-tol-zero",
+        "directory-null", "initial-number"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):
@@ -486,3 +503,44 @@ def test_eps_schedule_out_of_range_is_a_config_error(tmp_path, capsys):
                        solver={"method": "continuation", "eps_schedule": {"start": -1.0}})
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "config error: solver.eps_schedule" in capsys.readouterr().err
+
+
+def test_a_key_left_out_takes_its_one_default():
+    # steps without a time section and with one; t1 for every kind; kind without a problem
+    assert RunConfig.from_dict({"time": {"t1": 0.2}}).time["steps"] == 50
+    bare = RunConfig.from_dict({"problem": {"kind": "scalar_decay"}})
+    timed = RunConfig.from_dict({"problem": {"kind": "scalar_decay"}, "time": {"steps": 4}})
+    assert cli.build_problem(bare).horizon == cli.build_problem(timed).horizon == (0.0, 0.1)
+    assert RunConfig.from_dict({"problem": {}}) == RunConfig.from_dict({})
+    assert RunConfig.from_dict({"problem": {}}).problem["kind"] == "heat"
+
+
+def _library_default(section, key):
+    """The default that the library itself gives an option whose OPTIONS default is None."""
+    if section == "compare":
+        return inspect.signature(verify_equivalence).parameters[key].default
+    if key == "newton_tol":
+        return inspect.signature(implicit_euler_solve).parameters[key].default
+    return getattr(MinimizeOptions(), key)
+
+
+def test_readme_config_format_shows_every_option_and_its_default():
+    text = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+    shown = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+    resolved = RunConfig.from_dict({"problem": {"kind": "heat"}})
+    assert set(shown) == {*cli.OPTIONS, "seed"}
+    assert shown["seed"] == resolved.seed
+    for section, options in cli.OPTIONS.items():
+        # output.workers is read by nothing and left out of the example on purpose
+        assert set(shown[section]) == set(options) - {"workers"}, section
+        if section == "problem":
+            continue                # examples, not defaults
+        for key, value in shown[section].items():
+            expected = getattr(resolved, section)[key]
+            if key == "eps_schedule":
+                value = default_schedule(**value)
+            if expected is None:
+                expected = _library_default(section, key)
+            # list values resolve to tuples
+            assert (tuple(value) if isinstance(value, list) else value) == expected, \
+                f"{section}.{key}"
