@@ -139,10 +139,8 @@ def build_scalar_decay(t1: float = 1.0, u0: float = 1.0) -> ProblemSpec:
 
 def build_anticoercive_fixture(t1: float = 1.0) -> ProblemSpec:
     """Lambda(u) = -u^3 against Psi = u^4/4: the positivity condition fails."""
-    triple = EvolutionTriple(
-        dim=1, mass=np.ones(1), xnorm=XNorm(kind="power", matrix=np.ones(1), q=4.0)
-    )
-    potential = Potential.pointwise_power(q=4.0, dim=1)
+    triple = EvolutionTriple(dim=1, mass=np.ones(1), xnorm=XNorm(np.ones(1), q=4.0))
+    potential = Potential.composed_power(np.ones(1), q=4.0)
     minus_cube = PointwiseMap(lambda v: -v**3, lambda v: -3.0 * v**2)
     lam_op = term_operator(1, [minus_cube.term()])
     return ProblemSpec(
@@ -179,7 +177,7 @@ def build_parabolic_divergence(
     triple = EvolutionTriple(
         dim=n,
         mass=np.full(n, h),
-        xnorm=XNorm(kind="power", matrix=h ** (1.0 / q) * g_mat, q=q),
+        xnorm=XNorm(h ** (1.0 / q) * g_mat, q=q),
     )
     modulation = None if time_scale is None else (lambda t, c=time_scale: 1.0 + c * t)
     potential = Potential.composed_power(g_mat, q=q, scale=h, modulation=modulation)
@@ -226,7 +224,7 @@ def build_parabolic_nondivergence(
     triple = EvolutionTriple(
         dim=n,
         mass=h * (g_mat.T @ g_mat + np.eye(n)),
-        xnorm=XNorm(kind="power", matrix=h ** (1.0 / q) * lap, q=q),
+        xnorm=XNorm(h ** (1.0 / q) * lap, q=q),
     )
     potential = Potential.composed_power(lap, q=q, scale=h)
     terms = _terms((gamma, lap, lap))
@@ -247,7 +245,7 @@ def _two_field_problem(name: str, x_nodes: np.ndarray, mass: np.ndarray, gx: np.
     terms of the (map, inner, outer) specs(e_u, e_v), with e_u, e_v the rows
     that select u and v.  v starts at zero unless initial_v is given."""
     n, dim = len(x_nodes), 2 * len(x_nodes)
-    triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(kind="power", matrix=gx, q=2.0))
+    triple = EvolutionTriple(dim=dim, mass=mass, xnorm=XNorm(gx, q=2.0))
     potential = Potential.quadratic(psi_weight * mass)
     e_u, e_v = np.eye(dim)[:n], np.eye(dim)[n:]
     lam_op = term_operator(dim, _terms(*specs(e_u, e_v)), linear=linear)
@@ -584,7 +582,7 @@ def build_navier_stokes_2d(
     triple = EvolutionTriple(
         dim=n,
         mass=basis.mass_diag,
-        xnorm=XNorm(kind="power", matrix=np.sqrt(basis.stiff_diag), q=2.0),
+        xnorm=XNorm(np.sqrt(basis.stiff_diag), q=2.0),
     )
     potential = Potential.quadratic(viscosity * basis.stiff_diag)
     f_dual = np.zeros(n) if forcing is None else basis.project_velocity(
@@ -634,7 +632,7 @@ def build_heat_core(n: int, t1: float = 0.1,
     mass = np.full(n, h)
     triple = EvolutionTriple(
         dim=n, mass=mass,
-        xnorm=XNorm(kind="power", matrix=np.sqrt(h) * g_mat, q=2.0),
+        xnorm=XNorm(np.sqrt(h) * g_mat, q=2.0),
     )
     lam_op = linear_operator(h * (g_mat.T @ g_mat))
     return _dirichlet_problem("heat_core", n, triple, Potential.quadratic(mass), lam_op,

@@ -42,14 +42,16 @@ class ConfigError(Exception):
 # -- rules: each turns the raw YAML value of option `what` into the value a command reads
 
 def _number(cast: type = float, least: float | None = None, positive: bool = False):
-    """A number (not a boolean) of type cast; when asked, >= least or positive."""
+    """A finite number (not a boolean) of type cast; when asked, >= least or positive."""
     def rule(what: str, raw):
         try:
             if isinstance(raw, bool):
                 raise TypeError
             value = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{what} must be a finite number, got {raw!r}")
         if cast is int and type(raw) is not int:
             raise ConfigError(f"{what} must be an integer, got {raw!r}")
         if positive and not value > 0:
@@ -68,12 +70,12 @@ def _one_of(*choices):
     return rule
 
 
-def _list_of(*choices, empty: bool = False):
-    """A list drawn from choices, read as a tuple; non-empty unless empty is allowed."""
+def _list_of(*choices):
+    """A non-empty list drawn from choices, read as a tuple."""
     def rule(what: str, raw) -> tuple:
-        if not (isinstance(raw, list) and (raw or empty) and all(v in choices for v in raw)):
-            raise ConfigError(f"{what} must be a {'' if empty else 'non-empty '}list drawn "
-                              f"from {choices}, got {raw!r}")
+        if not (isinstance(raw, list) and raw and all(v in choices for v in raw)):
+            raise ConfigError(f"{what} must be a non-empty list drawn from {choices}, "
+                              f"got {raw!r}")
         return tuple(raw)
     return rule
 
@@ -193,7 +195,7 @@ OPTIONS = {
                 "state_tol": (_number(positive=True), None),
                 "residual_tol": (_number(positive=True), None),
                 "perturb": (_number(), 0.0)},
-    "checks": {"run": (_list_of(*CHECKS, empty=True), tuple(CHECKS)),
+    "checks": {"run": (_list_of(*CHECKS), tuple(CHECKS)),
                "samples": (_number(int, least=0), 1000),
                "c0": (_number(positive=True), 10.0)},
     "output": {"directory": (_typed(str, "a string"), "out"),

@@ -25,11 +25,11 @@ once per Newton iteration:
   GMRES on the matrix-free action h -> lin h + dt DLambda(u) h,
   preconditioned by Jacobi, which inverts lin exactly (Jacobian-free
   Newton-Krylov, Knoll & Keyes, J. Comput. Phys. 2004).  That diagonal is
-  positive (validated masses and quadratic diagonals, a pointwise power's
-  at least HESS_REGULARIZATION), and this path forms no dim x dim matrix
-  unless it falls back.  GMRES stops at the relative residual
-  KRYLOV_RTOL, after restarts of KRYLOV_RESTART inner iterations and at
-  most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or
+  positive (validated masses and quadratic diagonals, a composed power's
+  with a 1-D G at least a positive multiple of HESS_REGULARIZATION), and
+  this path forms no dim x dim matrix unless it falls back.  GMRES stops
+  at the relative residual KRYLOV_RTOL, after restarts of KRYLOV_RESTART
+  inner iterations and at most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or
   strongly non-normal DLambda), that Newton iteration and the rest of the
   step take the dense LU direction, which adds triple.dense of the same
   D^2Psi evaluation.

@@ -1,10 +1,10 @@
 """Convex time-dependent potentials, their gradients and Legendre conjugates.
 
 Built-in kinds carry closed-form conjugates where available (quadratic
-forms, componentwise powers, quadratic composed forms); everything else
-falls back to a damped Newton solve of  DPsi_t(z) = y.  Time dependence
-is restricted to a positive scalar modulation a(t) multiplying a fixed
-convex base.
+forms, quadratic composed forms, composed powers with a diagonal G);
+everything else falls back to a damped Newton solve of  DPsi_t(z) = y.
+Time dependence is restricted to a positive scalar modulation a(t)
+multiplying a fixed convex base.
 
 The Newton solve starts from z = y unless the caller passes a `start`,
 typically the maximizers of a nearby trajectory: the minimizer hands each
@@ -12,10 +12,10 @@ trial point the maximizers of its current iterate.  A warm solve that
 fails is repeated from z = y, so a start can change the iteration count
 and the last bits of z*, never whether the solve succeeds.
 
-A 1-D quadratic matrix declares a diagonal: its formulas are elementwise,
-with the bits of the dense ones; a 2-D matrix is used as given.  It and
-the pointwise power are the kinds whose hess_matrix answers 1-D, the
-diagonal of D^2Psi (triple.dense gives the matrix).
+A 1-D quadratic matrix or composed-power image G declares a diagonal: its
+formulas are elementwise, with the bits of the dense ones; a 2-D matrix is
+used as given.  With a 1-D matrix hess_matrix answers 1-D, the diagonal of
+D^2Psi (triple.dense gives the matrix).
 """
 
 from __future__ import annotations
@@ -48,11 +48,21 @@ class ConjugateFailure(RuntimeError):
         self.row = row
 
 
+def _hessian_factor(hess: np.ndarray):
+    """What the conjugate solves D^2Psi z = y with: 1/sqrt of a 1-D hess's
+    entries, cho_factor of a 2-D one; a LinAlgError unless hess is SPD."""
+    if hess.ndim == 2:
+        return cho_factor(hess)
+    if not np.all(np.isfinite(hess) & (hess > 0.0)):
+        raise np.linalg.LinAlgError(
+            "diagonal quadratic potential must have positive finite entries")
+    return 1.0 / np.sqrt(hess)
+
+
 class Potential:
     """Convex potential Psi_t(x) = a(t) * Psi_base(x) with Psi_base(0) = 0.
 
-    Construct through the classmethods: quadratic, pointwise_power,
-    composed_power, custom.
+    Construct through the classmethods: quadratic, composed_power, custom.
 
     psi, grad, conjugate, conjugate_argmax and duality_gap take one state or
     an (M, dim) stack of rows; on a stack, t is one time per row (or one
@@ -66,35 +76,29 @@ class Potential:
         self.dim = dim
         self.modulation = modulation
         self.params = params
-        self._chol = None
-        self._inv_sqrt = None
-        # D^2Psi_t when it is one matrix at every t and x (1-D: its diagonal):
-        # an unmodulated quadratic or q = 2 composed power; None otherwise
-        self.constant_hessian = None
+        # D^2Psi_base when it is one matrix at every x (1-D: its diagonal), for a
+        # quadratic or a q = 2 composed power, and the factor its conjugate uses
+        self._hessian = self._factor = None
+        # a power with a 1-D G: its conjugate has a closed form at every q
+        self._diagonal_power = kind == "composed_power" and params["matrix"].ndim == 1
         if kind == "quadratic":
-            a_mat = params["matrix"]
-            if a_mat.ndim == 1:
-                if not np.all(np.isfinite(a_mat) & (a_mat > 0.0)):
-                    raise np.linalg.LinAlgError(
-                        "diagonal quadratic potential must have positive finite entries")
-                self._inv_sqrt = 1.0 / np.sqrt(a_mat)
-            else:
-                self._chol = cho_factor(a_mat)
-            if modulation is None:
-                self.constant_hessian = a_mat
+            self._hessian = params["matrix"]
         elif kind == "composed_power" and params["q"] == 2.0:
             g = params["matrix"]
-            gram = params["scale"] * (g.T @ g)
-            try:
-                self._chol = cho_factor(gram)
-            except np.linalg.LinAlgError:
-                self._chol = None  # conjugate will report failure on use
-            if modulation is None:
-                self.constant_hessian = gram
+            self._hessian = params["scale"] * (g * g if g.ndim == 1 else g.T @ g)
         elif kind == "custom":
             at_zero = float(params["psi"](np.zeros(dim)))
             if abs(at_zero) > 1e-12:
                 raise ValueError(f"potential must vanish at the origin, got {at_zero}")
+        if self._hessian is not None:
+            try:
+                self._factor = _hessian_factor(self._hessian)
+            except np.linalg.LinAlgError:
+                if kind == "quadratic":
+                    raise
+                # a singular composed quadratic fails on use, in conjugate_argmax
+        # D^2Psi_t when it is one matrix at every t and x: the unmodulated base Hessian
+        self.constant_hessian = self._hessian if modulation is None else None
 
     # -- constructors ------------------------------------------------------
 
@@ -111,28 +115,19 @@ class Potential:
         return cls("quadratic", matrix.shape[0], modulation, matrix=matrix)
 
     @classmethod
-    def pointwise_power(cls, q: float, dim: int, weight=None, modulation=None) -> "Potential":
-        """Psi(x) = sum_i w_i |x_i|^q / q with q >= 2."""
-        if not q >= 2.0:
-            raise ValueError("pointwise power needs q >= 2")
-        w = np.ones(dim) if weight is None else np.broadcast_to(
-            np.asarray(weight, dtype=float), (dim,)
-        ).copy()
-        if not np.all(w > 0.0):
-            raise ValueError("weights must be positive")
-        return cls("pointwise_power", dim, modulation, q=float(q), weight=w)
-
-    @classmethod
     def composed_power(cls, matrix: np.ndarray, q: float, scale: float = 1.0,
                        modulation=None) -> "Potential":
-        """Psi(x) = scale * ||G x||_q^q / q with q >= 2 and scale > 0."""
+        """Psi(x) = scale * ||G x||_q^q / q with q >= 2 and scale > 0; a 1-D G is
+        the diagonal matrix of its entries, which must be positive and finite."""
         if not q >= 2.0:
             raise ValueError("composed power needs q >= 2")
         scale = float(scale)
         if not (np.isfinite(scale) and scale > 0.0):
             raise ValueError(f"composed power scale must be positive and finite, got {scale}")
         matrix = np.asarray(matrix, dtype=float)
-        return cls("composed_power", matrix.shape[1], modulation,
+        if matrix.ndim == 1 and not np.all(np.isfinite(matrix) & (matrix > 0.0)):
+            raise ValueError("a 1-D G must have positive finite entries")
+        return cls("composed_power", matrix.shape[-1], modulation,
                    matrix=matrix, q=float(q), scale=scale)
 
     @classmethod
@@ -161,12 +156,9 @@ class Potential:
         if self.kind == "quadratic":
             ax = times_matrix(xs, self.params["matrix"])
             out = 0.5 * a * np.einsum("ij,ij->i", ax, xs)
-        elif self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            out = a * np.sum(w * np.abs(xs) ** q, axis=1) / q
         elif self.kind == "composed_power":
             q = self.params["q"]
-            gx = xs @ self.params["matrix"].T
+            gx = times_matrix(xs, self.params["matrix"].T)
             out = a * self.params["scale"] * np.sum(np.abs(gx) ** q, axis=1) / q
         else:
             out = a * np.array([float(self.params["psi"](row)) for row in xs])
@@ -186,15 +178,14 @@ class Potential:
     def conjugate_value(self, t, y: np.ndarray, z: np.ndarray):
         """Psi*_t(y) from its maximizer z = DPsi*_t(y), without a second solve.
 
-        Closed forms where the kind has one (1/2 <z,y> for the quadratic
-        kinds, <z,y>/q* for powers), else <z,y> - Psi_t(z).  One value per
-        row on a stack.
+        Closed forms where the kind has one (1/2 <z,y> with a base Hessian,
+        <z,y>/q* for a power with a 1-D G), else <z,y> - Psi_t(z).  One value
+        per row on a stack.
         """
         pair = np.einsum("...i,...i->...", z, y)
-        if self.kind == "quadratic" or (self.kind == "composed_power"
-                                        and self.params["q"] == 2.0):
+        if self._hessian is not None:
             return 0.5 * pair
-        if self.kind == "pointwise_power":
+        if self._diagonal_power:
             q = self.params["q"]
             return pair / (q / (q - 1.0))
         return pair - self.psi(t, z)
@@ -209,20 +200,17 @@ class Potential:
         """
         ys = self._rows(y)
         a = self._a_rows(t, len(ys))[:, None]
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            zs = np.sign(ys) * (np.abs(ys) / (a * w)) ** (1.0 / (q - 1.0))
-        elif self._inv_sqrt is not None:
-            # cho_solve((diag(sqrt(d)), False), ys.T).T bit for bit: the two
-            # triangular solves of LAPACK's potrs, as OpenBLAS runs them,
-            # multiply by the inverted diagonal
-            r = self._inv_sqrt
-            zs = ys * r * r / a
-        elif self.kind == "quadratic" or (self.kind == "composed_power"
-                                          and self.params["q"] == 2.0):
-            if self._chol is None:
+        if self._hessian is not None:
+            r = self._factor
+            if r is None:
                 raise ConjugateFailure("composed quadratic has singular G^T G", np.inf, row=0)
-            zs = cho_solve(self._chol, ys.T).T / a
+            # a 1-D Hessian: cho_solve((diag(sqrt(d)), False), ys.T).T bit for bit,
+            # the two triangular solves of LAPACK's potrs, as OpenBLAS runs them,
+            # multiply by the inverted diagonal
+            zs = ys * r * r / a if self._hessian.ndim == 1 else cho_solve(r, ys.T).T / a
+        elif self._diagonal_power:
+            q, s, g = self.params["q"], self.params["scale"], self.params["matrix"]
+            zs = np.sign(ys) * (np.abs(ys) / (a * s * g)) ** (1.0 / (q - 1.0)) / g
         else:
             zs = None
             if start is not None:
@@ -248,19 +236,20 @@ class Potential:
         """a * DPsi_base on checked rows, a the column of per-row modulations."""
         if self.kind == "quadratic":
             return a * times_matrix(xs, self.params["matrix"].T)
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            return a * (w * np.abs(xs) ** (q - 1.0) * np.sign(xs))
         if self.kind == "composed_power":
             q, g = self.params["q"], self.params["matrix"]
-            gx = xs @ g.T
-            return a * (self.params["scale"] * ((np.abs(gx) ** (q - 1.0) * np.sign(gx)) @ g))
+            gx = times_matrix(xs, g.T)
+            dphi = np.abs(gx) ** (q - 1.0) * np.sign(gx)
+            return a * (self.params["scale"] * times_matrix(dphi, g))
         return a * np.array([np.asarray(self.params["grad"](x), dtype=float) for x in xs])
 
     def _composed_hess_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """The (M, dim, dim) Hessians of the composed power at rows xs."""
+        """The (M, dim, dim) Hessians of the composed power at rows xs; with a
+        1-D G, the (M, dim) diagonals, with the bits of np.diag(G)'s."""
         q, g = self.params["q"], self.params["matrix"]
-        d = (q - 1.0) * np.abs(xs @ g.T) ** (q - 2.0) + HESS_REGULARIZATION
+        d = (q - 1.0) * np.abs(times_matrix(xs, g.T)) ** (q - 2.0) + HESS_REGULARIZATION
+        if g.ndim == 1:
+            return ((a * self.params["scale"]) * (g * d)) * g
         return ((a * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g
 
     def _newton_argmax_batch(self, t, ys: np.ndarray, start=None) -> np.ndarray:
@@ -325,15 +314,12 @@ class Potential:
 
     def hess_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
         """D^2 Psi_t(x) at one state in its declared structure: 1-D (the diagonal)
-        for a quadratic with a 1-D matrix and for the pointwise power, a dense
-        matrix otherwise; finite differences for custom kinds."""
+        for a quadratic or composed power with a 1-D matrix, a dense matrix
+        otherwise; finite differences for custom kinds."""
         x = self._rows(x, stack=False)[0]
         a = self._a_rows(t, 1)[0]
         if self.kind == "quadratic":
             return a * self.params["matrix"]
-        if self.kind == "pointwise_power":
-            q, w = self.params["q"], self.params["weight"]
-            return a * (w * (q - 1.0) * np.abs(x) ** (q - 2.0) + HESS_REGULARIZATION)
         if self.kind == "composed_power":
             return self._composed_hess_rows(np.array([[a]]), x[None])[0]
         if self.params.get("hess_action") is not None:

@@ -30,28 +30,19 @@ _SPD_TOL = 1e-12
 
 @dataclass(frozen=True)
 class XNorm:
-    """Descriptor of the X-norm.
+    """Descriptor of the X-norm ||G x||_q with exponent q >= 2.
 
-    kind="euclidean" uses the plain 2-norm of the coefficients (q = 2).
-    kind="power" uses ||G x||_q for a linear image G (a 1-D G is diagonal)
-    and exponent q >= 2; any mesh scaling is folded into G.  q is the
-    exponent of the norm in either kind.
+    G is a linear image of the coefficients (a 1-D G is diagonal, None the
+    identity); any mesh scaling is folded into G.
     """
 
-    kind: str = "euclidean"
     matrix: Optional[np.ndarray] = None
     q: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "power"):
-            raise ValueError(f"unknown X-norm kind {self.kind!r}")
-        if self.kind == "euclidean" and self.q != 2.0:
-            raise ValueError(f"the euclidean norm has exponent q = 2, got {self.q}")
-        if self.kind == "power":
-            if self.matrix is None:
-                raise ValueError("power norm needs a matrix G")
-            if not self.q >= 2.0:
-                raise ValueError("power norm exponent must satisfy q >= 2")
+        if not self.q >= 2.0:
+            raise ValueError(f"X-norm exponent must satisfy q >= 2, got {self.q}")
+        if self.matrix is not None:
             object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
 
 
@@ -61,7 +52,7 @@ class EvolutionTriple:
 
     mass   -- SPD matrix of the H inner product and of the inclusion
               I : X -> X* (1-D: diagonal).
-    xnorm  -- descriptor of the X-norm; a power norm's G has dim columns.
+    xnorm  -- descriptor of the X-norm; its G, when given, has dim columns.
     """
 
     dim: int
@@ -85,7 +76,7 @@ class EvolutionTriple:
             raise ValueError("mass matrix must be positive definite")
         object.__setattr__(self, "mass", np.ascontiguousarray(mass))
         g = self.xnorm.matrix
-        if self.xnorm.kind == "power" and not (
+        if g is not None and not (
                 g.shape == (self.dim,) or (g.ndim == 2 and g.shape[1] == self.dim)):
             raise ValueError(f"X-norm image G must be of shape ({self.dim},) or "
                              f"(rows, {self.dim}), got {g.shape}")
@@ -129,13 +120,11 @@ class EvolutionTriple:
 
     def x_norm(self, x: np.ndarray):
         """||x||_X of one state, or one norm per row of an (M, dim) stack."""
-        x = self._check(x)
-        if self.xnorm.kind == "euclidean":
-            out = np.linalg.norm(x, axis=-1)
-        else:
-            q = self.xnorm.q
-            out = np.sum(np.abs(times_matrix(x, self.xnorm.matrix.T)) ** q, axis=-1) ** (1.0 / q)
-        return float(out) if x.ndim == 1 else out
+        x, g, q = self._check(x), self.xnorm.matrix, self.xnorm.q
+        gx = x if g is None else times_matrix(x, g.T)
+        # an array's root even for one state: numpy roots a scalar by pow, an array by sqrt
+        out = np.sum(np.abs(gx) ** q, axis=-1, keepdims=True) ** (1.0 / q)
+        return float(out[0]) if x.ndim == 1 else out[:, 0]
 
     def t_norm_sq(self, x: np.ndarray):
         """|x|_H^2 = <x, I x> of one state, or one value per row of an (M, dim) stack."""

@@ -79,7 +79,7 @@ def random_trajectory(problem, steps, rng, scale=0.5):
 
 def reference_growth(problem, samples, c0, rng):
     potential, triple, horizon = problem.potential, problem.triple, problem.horizon
-    q = triple.xnorm.q if triple.xnorm.kind == "power" else 2.0
+    q = triple.xnorm.q
     xs = sample_states(rng, triple.dim, samples)
     ts = rng.uniform(horizon[0], horizon[1], size=samples)
     bad, c_needed, cbar = [], 0.0, 0.0
@@ -100,7 +100,7 @@ def reference_growth(problem, samples, c0, rng):
 
 def reference_monotonicity(problem, samples, rng, big=1e6):
     tri, lam = problem.triple, int(problem.lambda_flag)
-    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+    q = tri.xnorm.q
     xs = sample_states(rng, tri.dim, samples)
     hs = sample_states(rng, tri.dim, samples)
     ts = rng.uniform(problem.horizon[0], problem.horizon[1], size=samples)
@@ -122,7 +122,7 @@ def reference_monotonicity(problem, samples, rng, big=1e6):
 
 def reference_coercivity(problem, samples, rng, safety=10.0, alpha_floor=1e-8):
     tri = problem.triple
-    q = tri.xnorm.q if tri.xnorm.kind == "power" else 2.0
+    q = tri.xnorm.q
     xs = sample_states(rng, tri.dim, samples)
     ts = rng.uniform(problem.horizon[0], problem.horizon[1], size=samples)
     lhs, a, b = np.empty(samples), np.empty(samples), np.empty(samples)

@@ -53,8 +53,8 @@ def test_criterion_01_fenchel_young_suite(rng):
     t0 = time.perf_counter()
     kinds = {
         "quadratic": Potential.quadratic(_spd(rng, 4)),
-        "pointwise_power": Potential.pointwise_power(q=3.0, dim=4,
-                                                     weight=rng.uniform(0.5, 2.0, 4)),
+        "pointwise_power": Potential.composed_power(rng.uniform(0.5, 2.0, 4) ** (1 / 3.0),
+                                                    q=3.0),
         "composed_power_q2": Potential.composed_power(
             rng.standard_normal((6, 4)) + 3 * np.eye(6, 4), q=2.0),
         "composed_power_q4": Potential.composed_power(np.eye(4) * 1.3, q=4.0),

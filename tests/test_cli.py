@@ -470,6 +470,15 @@ def test_check_growth_designed_failure(tmp_path):
     ("compare", {"compare": {"residual_tol": 0.0}}),
     ("solve", {"output": {"directory": None}}),
     ("solve", {"problem": {"kind": "navier_stokes", "initial": 3}}),
+    ("solve", {"solver": {"method": "euler", "newton_tol": float("inf")}}),
+    ("check", {"checks": {"c0": float("inf")}}),
+    ("solve", {"time": {"t1": float("inf")}}),
+    ("compare", {"compare": {"perturb": float("nan")}}),
+    ("solve", {"problem": {"kind": "hyperbolic", "damping": float("nan")}}),
+    ("solve", {"problem": {"kind": "parabolic_divergence", "reaction": float("inf")}}),
+    ("solve", {"problem": {"kind": "heat_core"},
+               "solver": {"method": "continuation", "eps_schedule": [float("nan")]}}),
+    ("check", {"checks": {"run": []}}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
         "eps-negative-list", "eps-increasing-list", "damping-list", "section-list",
@@ -478,7 +487,8 @@ def test_check_growth_designed_failure(tmp_path):
         "formats-string", "formats-empty", "max-iterations-zero", "max-iterations-negative",
         "c0-zero", "c0-negative", "seed-negative", "compare-j-tol-zero",
         "compare-g-tol-negative", "compare-state-tol-negative", "compare-residual-tol-zero",
-        "directory-null", "initial-number"])
+        "directory-null", "initial-number", "newton-tol-inf", "c0-inf", "t1-inf",
+        "perturb-nan", "damping-nan", "reaction-inf", "eps-nan-list", "run-empty"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):

@@ -17,7 +17,7 @@ def grid_sup_conjugate(psi, y, lo=-50.0, hi=50.0, num=400001):
 def test_eval_psi_examples():
     quad = Potential.quadratic(np.eye(1))
     assert quad.psi(0.0, np.array([3.0])) == pytest.approx(4.5)
-    pw = Potential.pointwise_power(q=4.0, dim=1)
+    pw = Potential.composed_power(np.ones(1), q=4.0)
     assert pw.psi(0.0, np.array([2.0])) == pytest.approx(4.0)
     comp = Potential.composed_power(np.eye(2), q=3.0)
     assert comp.psi(0.0, np.zeros(2)) == 0.0
@@ -26,7 +26,7 @@ def test_eval_psi_examples():
 def test_grad_psi_examples():
     quad = Potential.quadratic(np.diag([2.0]))
     assert quad.grad(0.0, np.array([3.0])) == pytest.approx([6.0])
-    pw = Potential.pointwise_power(q=4.0, dim=1)
+    pw = Potential.composed_power(np.ones(1), q=4.0)
     assert pw.grad(0.0, np.array([2.0])) == pytest.approx([8.0])
     assert np.allclose(pw.grad(0.0, np.zeros(1)), 0.0)
 
@@ -34,7 +34,7 @@ def test_grad_psi_examples():
 def test_conjugate_examples():
     quad = Potential.quadratic(np.eye(1))
     assert quad.conjugate(0.0, np.array([3.0])) == pytest.approx(4.5)
-    pw = Potential.pointwise_power(q=4.0, dim=1)
+    pw = Potential.composed_power(np.ones(1), q=4.0)
     # (3/4) * 8^{4/3} = 12
     assert pw.conjugate(0.0, np.array([8.0])) == pytest.approx(12.0)
     assert pw.conjugate(0.0, np.zeros(1)) == pytest.approx(0.0)
@@ -47,11 +47,11 @@ def test_conjugate_against_grid_sup_oracle():
     assert got == pytest.approx(9.0, abs=1e-9)           # y^2 / (2*2)
     assert got == pytest.approx(
         grid_sup_conjugate(lambda z: z * z, 6.0), abs=1e-6)
-    pw = Potential.pointwise_power(q=4.0, dim=1)
+    pw = Potential.composed_power(np.ones(1), q=4.0)
     got = pw.conjugate(0.0, np.array([8.0]))
     assert got == pytest.approx(grid_sup_conjugate(lambda z: np.abs(z) ** 4 / 4, 8.0),
                                 abs=1e-6)
-    weighted = Potential.pointwise_power(q=3.0, dim=1, weight=np.array([2.0]))
+    weighted = Potential.composed_power(np.ones(1), q=3.0, scale=2.0)
     got = weighted.conjugate(0.0, np.array([5.0]))
     assert got == pytest.approx(
         grid_sup_conjugate(lambda z: 2.0 * np.abs(z) ** 3 / 3, 5.0), abs=1e-6)
@@ -60,13 +60,13 @@ def test_conjugate_against_grid_sup_oracle():
 def test_legendre_argmax_examples():
     quad = Potential.quadratic(np.diag([2.0]))
     assert quad.conjugate_argmax(0.0, np.array([6.0])) == pytest.approx([3.0])
-    pw = Potential.pointwise_power(q=4.0, dim=1)
+    pw = Potential.composed_power(np.ones(1), q=4.0)
     assert pw.conjugate_argmax(0.0, np.array([8.0])) == pytest.approx([2.0])
     assert np.allclose(pw.conjugate_argmax(0.0, np.zeros(1)), 0.0)
 
 
 def test_duality_gap_examples():
-    pw = Potential.pointwise_power(q=4.0, dim=1)
+    pw = Potential.composed_power(np.ones(1), q=4.0)
     assert pw.duality_gap(0.0, np.array([2.0]), np.array([8.0])) == pytest.approx(0.0, abs=1e-12)
     assert pw.duality_gap(0.0, np.array([1.0]), np.array([8.0])) == pytest.approx(4.25)
     assert pw.duality_gap(0.0, np.zeros(1), np.zeros(1)) == pytest.approx(0.0)
@@ -74,7 +74,7 @@ def test_duality_gap_examples():
 
 @pytest.mark.parametrize("make", [
     lambda rng: Potential.quadratic(_spd(rng, 4)),
-    lambda rng: Potential.pointwise_power(q=3.0, dim=4, weight=rng.uniform(0.5, 2.0, 4)),
+    lambda rng: Potential.composed_power(rng.uniform(0.5, 2.0, 4) ** (1 / 3.0), q=3.0),
     lambda rng: Potential.composed_power(rng.standard_normal((6, 4)) + np.eye(6, 4) * 3,
                                          q=2.0, scale=0.7),
     lambda rng: Potential.composed_power(np.eye(4) * 1.5, q=4.0),
@@ -88,7 +88,7 @@ def test_fenchel_young_inequality(make, rng):
 
 @pytest.mark.parametrize("make", [
     lambda rng: Potential.quadratic(_spd(rng, 5)),
-    lambda rng: Potential.pointwise_power(q=2.5, dim=5),
+    lambda rng: Potential.composed_power(np.ones(5), q=2.5),
     lambda rng: Potential.composed_power(rng.standard_normal((7, 5)) + np.eye(7, 5) * 3,
                                          q=2.0),
     lambda rng: Potential.composed_power(np.eye(5), q=4.0, scale=2.0),
@@ -104,7 +104,7 @@ def test_conjugate_inversion(make, rng):
 def test_gradient_matches_finite_differences(rng):
     pots = [
         Potential.quadratic(_spd(rng, 4)),
-        Potential.pointwise_power(q=3.0, dim=4),
+        Potential.composed_power(np.ones(4), q=3.0),
         Potential.composed_power(rng.standard_normal((6, 4)) + 3 * np.eye(6, 4), q=4.0),
         Potential.custom(lambda x: float(np.sum(np.cosh(x) - 1.0)),
                          lambda x: np.sinh(x), dim=4),
@@ -185,12 +185,13 @@ def test_composed_power_scale_must_be_positive_and_finite(q, scale):
 
 def test_nan_exponent_rejected_by_pointwise_power():
     with pytest.raises(ValueError, match="q >= 2"):
-        Potential.pointwise_power(q=np.nan, dim=2)
+        Potential.composed_power(np.ones(2), q=np.nan)
 
 
-def test_nan_weight_rejected_by_pointwise_power():
-    with pytest.raises(ValueError, match="weights must be positive"):
-        Potential.pointwise_power(q=4.0, dim=2, weight=[np.nan, 1.0])
+def test_one_dimensional_g_must_be_positive_and_finite():
+    for g in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="1-D G must have positive finite entries"):
+            Potential.composed_power(np.array(g), q=4.0)
 
 
 def test_nan_exponent_rejected_by_composed_power():
@@ -254,14 +255,14 @@ def _growth_problem(potential, triple):
 
 def test_check_growth_pass_and_fail(rng):
     tri = EvolutionTriple(dim=3, mass=np.eye(3))      # euclidean X-norm, q = 2
-    pot = Potential.pointwise_power(q=2.0, dim=3)   # Psi = |x|^2/2 in the X norm
+    pot = Potential.composed_power(np.ones(3), q=2.0)   # Psi = |x|^2/2 in the X norm
     rep = check_growth(_growth_problem(pot, tri), 500, c0=1.0, rng=rng)
     assert rep.passed
     assert rep.fitted_constants["c0_min"] == pytest.approx(2.0, rel=1e-2)
 
     # q = 4 growth against the q = 2 of the X-norm must be falsified at large
     # radii: at |x| = 10, x^4/4 > x^2 + c0
-    pot4 = Potential.pointwise_power(q=4.0, dim=3)
+    pot4 = Potential.composed_power(np.ones(3), q=4.0)
     rep = check_growth(_growth_problem(pot4, tri), 500, c0=1.0, rng=rng)
     assert not rep.passed
 
@@ -270,9 +271,8 @@ def test_check_growth_pass_and_fail(rng):
 
 
 def test_check_growth_gradient_bound(rng):
-    tri = EvolutionTriple(dim=2, mass=np.eye(2),
-                          xnorm=XNorm(kind="power", matrix=np.eye(2), q=4.0))
-    pot = Potential.pointwise_power(q=4.0, dim=2)
+    tri = EvolutionTriple(dim=2, mass=np.eye(2), xnorm=XNorm(np.eye(2), q=4.0))
+    pot = Potential.composed_power(np.ones(2), q=4.0)
     rep = check_growth(_growth_problem(pot, tri), 400, c0=4.0, rng=rng)
     assert rep.passed
     # |DPsi(x)| <= Cbar (|x|^3 + 1) holds with a modest constant
@@ -280,7 +280,7 @@ def test_check_growth_gradient_bound(rng):
 
 
 def test_scaled_potential():
-    pot = Potential.pointwise_power(q=4.0, dim=1)
+    pot = Potential.composed_power(np.ones(1), q=4.0)
     scaled = pot.scaled(0.5)
     x = np.array([2.0])
     assert scaled.psi(0.0, x) == pytest.approx(2.0)
@@ -371,7 +371,7 @@ def test_closed_form_kinds_ignore_the_start(rng):
     ys = rng.standard_normal((3, 2))
     start = rng.standard_normal((3, 2))
     for pot in (Potential.quadratic(np.diag([2.0, 3.0])),
-                Potential.pointwise_power(q=4.0, dim=2),
+                Potential.composed_power(np.ones(2), q=4.0),
                 Potential.composed_power(np.eye(2), q=2.0)):
         assert np.array_equal(pot.conjugate_argmax(0.0, ys, start=start),
                               pot.conjugate_argmax(0.0, ys))
@@ -383,7 +383,7 @@ def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
     modulation = (lambda t: 1.0 + 2.0 * t)
     pot = {
         "quadratic": Potential.quadratic(g.T @ g + np.eye(4), modulation=modulation),
-        "pointwise_power": Potential.pointwise_power(3.0, 4, modulation=modulation),
+        "pointwise_power": Potential.composed_power(np.ones(4), 3.0, modulation=modulation),
         "composed_power": Potential.composed_power(g, q=4.0, scale=0.3, modulation=modulation),
         "custom": Potential.custom(lambda x: float(np.sum(np.cosh(x) - 1.0)), np.sinh, 4,
                                    modulation=modulation),
@@ -409,8 +409,8 @@ def test_hess_diagonal_reads_the_hessian_bitwise(rng):
     kinds = [
         Potential.quadratic(d),
         Potential.quadratic(d, modulation=modulation),
-        Potential.pointwise_power(q=3.5, dim=n, weight=d),
-        Potential.pointwise_power(q=4.0, dim=n, modulation=modulation),
+        Potential.composed_power(d ** (1 / 3.5), q=3.5),
+        Potential.composed_power(np.ones(n), q=4.0, modulation=modulation),
     ]
     for pot in kinds:
         for t in (0.0, 0.3):
@@ -425,7 +425,7 @@ def test_hess_diagonal_reads_the_hessian_bitwise(rng):
 def test_pointwise_power_hessian_is_the_closed_form(rng):
     n, q = 7, 3.5
     w = rng.uniform(0.5, 2.0, n)
-    pot = Potential.pointwise_power(q=q, dim=n, weight=w, modulation=lambda t: 2.0 + t)
+    pot = Potential.composed_power(w ** (1 / q), q=q, modulation=lambda t: 2.0 + t)
     x = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
     want = 2.5 * w * (q - 1.0) * np.abs(x) ** (q - 2.0)
     hess = pot.hess_matrix(0.5, x)

@@ -28,17 +28,23 @@ def test_apply_inclusions_examples():
 def test_x_norm_euclidean_and_power():
     tri = EvolutionTriple(dim=2, mass=np.eye(2))
     assert tri.x_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-    tri = EvolutionTriple(dim=2, mass=np.eye(2),
-                          xnorm=XNorm(kind="power", matrix=np.eye(2), q=4.0))
+    # states whose squared norm has a C pow(s, 0.5) one bit off sqrt(s): one
+    # state reads as its row of a stack, and no G gives np.linalg.norm's bits
+    xs = np.array([[-0.32, 0.608], [-0.317, -0.638], [1.17, 1.181], [-1.156, 0.385]])
+    assert np.array_equal([tri.x_norm(x) for x in xs], tri.x_norm(xs))
+    assert np.array_equal(tri.x_norm(xs), np.linalg.norm(xs, axis=-1))
+    tri = EvolutionTriple(dim=2, mass=np.eye(2), xnorm=XNorm(np.eye(2), q=4.0))
     assert tri.x_norm(np.zeros(2)) == 0.0
 
 
-def test_euclidean_norm_has_exponent_two():
-    assert XNorm().q == 2.0
-    for q in (3.0, 4.0, 1.0):
-        with pytest.raises(ValueError, match="exponent"):
-            XNorm(kind="euclidean", q=q)
-    assert XNorm(kind="power", matrix=np.eye(2), q=3.0).q == 3.0
+def test_x_norm_exponent_must_be_at_least_two():
+    assert XNorm().q == 2.0 and XNorm().matrix is None
+    for q in (1.0, 1.999, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="q >= 2"):
+            XNorm(q=q)
+    # the identity G takes any exponent q >= 2
+    tri = EvolutionTriple(dim=2, mass=np.eye(2), xnorm=XNorm(q=3.0))
+    assert tri.x_norm(np.array([1.0, 2.0])) == pytest.approx(9.0 ** (1 / 3.0), rel=1e-15)
 
 
 def test_x_norm_image_must_match_dim():
@@ -46,14 +52,14 @@ def test_x_norm_image_must_match_dim():
     for g in (np.array([2.0]), np.ones(4), np.ones((3, 2)), np.ones((3, 4)), np.array(2.0),
               np.ones((1, 3, 3))):
         with pytest.raises(ValueError, match="X-norm image"):
-            EvolutionTriple(dim=3, mass=np.ones(3), xnorm=XNorm(kind="power", matrix=g, q=2.0))
+            EvolutionTriple(dim=3, mass=np.ones(3), xnorm=XNorm(g, q=2.0))
     for g in (np.ones(3), np.ones((1, 3)), np.ones((5, 3))):
-        EvolutionTriple(dim=3, mass=np.ones(3), xnorm=XNorm(kind="power", matrix=g, q=2.0))
+        EvolutionTriple(dim=3, mass=np.ones(3), xnorm=XNorm(g, q=2.0))
 
 
 def test_x_norm_degenerate_image_is_flagged():
     g = np.array([[1.0, -1.0]])
-    xnorm = XNorm(kind="power", matrix=g, q=2.0)
+    xnorm = XNorm(g, q=2.0)
     tri = EvolutionTriple(dim=2, mass=np.eye(2), xnorm=xnorm)
     assert tri.x_norm(np.array([2.0, 2.0])) == 0.0
 
@@ -125,7 +131,7 @@ def test_inclusion_is_the_mass_bitwise(rng):
 
 def test_power_norm_rejects_a_nan_exponent():
     with pytest.raises(ValueError, match="q >= 2"):
-        XNorm(kind="power", matrix=np.ones(2), q=np.nan)
+        XNorm(np.ones(2), q=np.nan)
 
 
 @pytest.mark.parametrize("entries", [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0], [1.0, 1e-13, 1.0],
@@ -198,15 +204,21 @@ def _diagonals(name, rng):
 
 @pytest.mark.parametrize("name", ["navier_stokes_k8", "uniform", "scalar", "random"])
 def test_vector_diagonal_is_the_dense_diagonal_bitwise(rng, name):
-    # a 1-D input declares the diagonal matrix np.diag(vector): every
-    # evaluation gives the bits of the dense form, on one state and on stacks
+    # a 1-D input declares the diagonal matrix np.diag(vector), and an X-norm
+    # without G the identity: every evaluation gives the bits of the dense
+    # form, on one state and on stacks
     mass, g, quad = _diagonals(name, rng)
     n = len(mass)
-    vec_tri = EvolutionTriple(dim=n, mass=mass, xnorm=XNorm(kind="power", matrix=g, q=3.0))
-    mat_tri = EvolutionTriple(dim=n, mass=np.diag(mass),
-                              xnorm=XNorm(kind="power", matrix=np.diag(g), q=3.0))
-    vec_pot = Potential.quadratic(quad, modulation=lambda t: 1.0 + t)
-    mat_pot = Potential.quadratic(np.diag(quad), modulation=lambda t: 1.0 + t)
+    vec_tri = EvolutionTriple(dim=n, mass=mass, xnorm=XNorm(g, q=3.0))
+    mat_tri = EvolutionTriple(dim=n, mass=np.diag(mass), xnorm=XNorm(np.diag(g), q=3.0))
+    id_tri = EvolutionTriple(dim=n, mass=mass, xnorm=XNorm(None))
+    eye_tri = EvolutionTriple(dim=n, mass=mass, xnorm=XNorm(np.eye(n)))
+    modulation = (lambda t: 1.0 + t)
+    pots = [(Potential.quadratic(quad, modulation=modulation),
+             Potential.quadratic(np.diag(quad), modulation=modulation))]
+    pots += [(Potential.composed_power(g, q, scale=0.7, modulation=modulation),
+              Potential.composed_power(np.diag(g), q, scale=0.7, modulation=modulation))
+             for q in (2.0, 3.0)]
     assert vec_tri.mass.ndim == 1 and mat_tri.mass.ndim == 2
     assert np.array_equal(vec_tri.inclusion_matrix, mat_tri.inclusion_matrix)
     xs = rng.standard_normal((6, n))
@@ -214,12 +226,19 @@ def test_vector_diagonal_is_the_dense_diagonal_bitwise(rng, name):
     for x, t in ((xs, ts), (xs[0], 0.3)):
         for method in ("apply_i", "t_norm_sq", "x_norm"):
             assert np.array_equal(getattr(vec_tri, method)(x), getattr(mat_tri, method)(x))
-        for method in ("psi", "grad"):
-            assert np.array_equal(getattr(vec_pot, method)(t, x),
-                                  getattr(mat_pot, method)(t, x))
+        assert np.array_equal(id_tri.x_norm(x), eye_tri.x_norm(x))
+        for vec_pot, mat_pot in pots:
+            for method in ("psi", "grad"):
+                assert np.array_equal(getattr(vec_pot, method)(t, x),
+                                      getattr(mat_pot, method)(t, x))
+            # the maximizer for y = DPsi(x) is x (a 2-D G at q != 2 takes the
+            # Newton solve, whose absolute tolerance is no yardstick here)
+            got = vec_pot.conjugate_argmax(t, mat_pot.grad(t, x))
+            assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
     x, w = xs[0], xs[1]
     assert vec_tri.h_inner(x, w) == mat_tri.h_inner(x, w)
     assert np.array_equal(vec_tri.apply_t_adjoint(x), mat_tri.apply_t_adjoint(x))
-    vec_hess, mat_hess = vec_pot.hess_matrix(0.3, x), mat_pot.hess_matrix(0.3, x)
-    assert vec_hess.ndim == 1 and mat_hess.ndim == 2
-    assert np.array_equal(dense(vec_hess), mat_hess)
+    for vec_pot, mat_pot in pots:
+        vec_hess, mat_hess = vec_pot.hess_matrix(0.3, x), mat_pot.hess_matrix(0.3, x)
+        assert vec_hess.ndim == 1 and mat_hess.ndim == 2
+        assert np.array_equal(dense(vec_hess), mat_hess)
