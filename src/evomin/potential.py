@@ -212,13 +212,11 @@ class Potential:
             q, s, g = self.params["q"], self.params["scale"], self.params["matrix"]
             zs = np.sign(ys) * (np.abs(ys) / (a * s * g)) ** (1.0 / (q - 1.0)) / g
         else:
-            zs = None
-            if start is not None:
-                try:
-                    zs = self._newton_argmax_batch(t, ys, self._rows(np.reshape(start, ys.shape)))
-                except ConjugateFailure:
-                    pass
-            if zs is None:
+            try:
+                zs = self._newton_argmax_batch(t, ys, start)
+            except ConjugateFailure:
+                if start is None:
+                    raise
                 zs = self._newton_argmax_batch(t, ys)
         return zs if np.ndim(y) == 2 else zs[0]
 
@@ -243,25 +241,40 @@ class Potential:
             return a * (self.params["scale"] * times_matrix(dphi, g))
         return a * np.array([np.asarray(self.params["grad"](x), dtype=float) for x in xs])
 
-    def _composed_hess_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """The (M, dim, dim) Hessians of the composed power at rows xs; with a
-        1-D G, the (M, dim) diagonals, with the bits of np.diag(G)'s."""
-        q, g = self.params["q"], self.params["matrix"]
-        d = (q - 1.0) * np.abs(times_matrix(xs, g.T)) ** (q - 2.0) + HESS_REGULARIZATION
-        if g.ndim == 1:
-            return ((a * self.params["scale"]) * (g * d)) * g
-        return ((a * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g
+    def _hess_rows(self, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """a * D^2Psi_base on checked rows: (M, dim, dim), or the (M, dim)
+        diagonals for a 1-D matrix; finite differences for custom kinds
+        without a hess_action."""
+        if self.kind == "quadratic":
+            return np.multiply.outer(a[:, 0], self.params["matrix"])
+        if self.kind == "composed_power":
+            q, g = self.params["q"], self.params["matrix"]
+            d = (q - 1.0) * np.abs(times_matrix(xs, g.T)) ** (q - 2.0) + HESS_REGULARIZATION
+            if g.ndim == 1:
+                return ((a * self.params["scale"]) * (g * d)) * g
+            return ((a * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g
+        act, eye = self.params["hess_action"], np.eye(self.dim)
+        out = []
+        for ak, x in zip(a[:, 0], xs):
+            if act is not None:
+                cols = np.array([act(x, e) for e in eye], dtype=float).T
+            else:
+                # forward differences of the gradient
+                step = 1e-7 * (1.0 + float(np.linalg.norm(x)))
+                g = self._grad_rows(1.0, np.vstack([x, x + step * eye]))
+                cols = ((g[1:] - g[0]) / step).T
+            out.append(ak * cols)
+        return np.array(out)
 
     def _newton_argmax_batch(self, t, ys: np.ndarray, start=None) -> np.ndarray:
         """Damped Newton for DPsi_t(z) = y on all rows at once, from z = start
-        (z = y when start is None).
+        (shaped like ys; z = y when start is None).
 
         Each row backtracks on its own until its residual decreases; a
         failure names the first failing row.
         """
-        ts = row_times(t, len(ys))
-        a = self._a_rows(ts, len(ys))[:, None]
-        zs = ys.copy() if start is None else start.copy()
+        a = self._a_rows(t, len(ys))[:, None]
+        zs = (ys if start is None else self._rows(np.reshape(start, ys.shape))).copy()
         res = self._grad_rows(a, zs) - ys
         rnorm = np.max(np.abs(res), axis=1)
         for _ in range(NEWTON_MAX_ITER):
@@ -269,39 +282,29 @@ class Potential:
             if not active.size:
                 return zs
             za, ya, aa = zs[active], ys[active], a[active]
-            if self.kind == "composed_power":
-                hess = self._composed_hess_rows(aa, za)
-            else:
-                hess = np.array([self.hess_matrix(tk, z) for tk, z in zip(ts[active], za)])
             try:
-                step = np.linalg.solve(hess, -res[active][:, :, None])[:, :, 0]
+                step = np.linalg.solve(self._hess_rows(aa, za), -res[active][:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 raise ConjugateFailure("singular Hessian in conjugate Newton",
                                        float(rnorm[active[0]]), row=int(active[0]))
-            alpha = np.ones(len(active))
-            best = za.copy()
-            rbest = rnorm[active].copy()
-            res_best = res[active]
-            improved = np.zeros(len(active), dtype=bool)
+            # every row still to improve has the step 2^-k; an improved row is
+            # written back at once and ignored by the later trials
+            alpha, todo = 1.0, np.ones(len(active), dtype=bool)
             for _ in range(NEWTON_MAX_HALVINGS):
-                trial = za + alpha[:, None] * step
+                trial = za + alpha * step
                 rt = self._grad_rows(aa, trial) - ya
                 rn = np.max(np.abs(rt), axis=1)
-                gain = ~improved & (rn < rbest)
-                best[gain] = trial[gain]
-                rbest[gain] = rn[gain]
-                res_best[gain] = rt[gain]
-                improved |= gain
-                if improved.all():
+                gain = todo & (rn < rnorm[active])
+                rows = active[gain]
+                zs[rows], res[rows], rnorm[rows] = trial[gain], rt[gain], rn[gain]
+                todo &= ~gain
+                if not todo.any():
                     break
-                alpha[~improved] *= 0.5
+                alpha *= 0.5
             else:
-                row = int(active[np.argmin(improved)])
+                row = int(active[np.argmax(todo)])
                 raise ConjugateFailure("conjugate Newton line search stalled",
                                        float(rnorm[row]), row=row)
-            zs[active] = best
-            res[active] = res_best
-            rnorm[active] = rbest
         if np.max(rnorm) < NEWTON_TOL:
             return zs
         row = int(np.argmax(rnorm >= NEWTON_TOL))
@@ -315,25 +318,8 @@ class Potential:
     def hess_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
         """D^2 Psi_t(x) at one state in its declared structure: 1-D (the diagonal)
         for a quadratic or composed power with a 1-D matrix, a dense matrix
-        otherwise; finite differences for custom kinds."""
-        x = self._rows(x, stack=False)[0]
-        a = self._a_rows(t, 1)[0]
-        if self.kind == "quadratic":
-            return a * self.params["matrix"]
-        if self.kind == "composed_power":
-            return self._composed_hess_rows(np.array([[a]]), x[None])[0]
-        if self.params.get("hess_action") is not None:
-            act = self.params["hess_action"]
-            cols = np.empty((self.dim, self.dim))
-            eye = np.eye(self.dim)
-            for i in range(self.dim):
-                cols[:, i] = act(x, eye[i])
-            return a * cols
-        # forward differences of the gradient
-        step = 1e-7 * (1.0 + float(np.linalg.norm(x)))
-        g = self._grad_rows(1.0, np.vstack([x, x + step * np.eye(self.dim)]))
-        cols = ((g[1:] - g[0]) / step).T
-        return a * cols
+        otherwise; finite differences for custom kinds without a hess_action."""
+        return self._hess_rows(self._a_rows(t, 1)[:, None], self._rows(x, stack=False))[0]
 
     def scaled(self, factor: float) -> "Potential":
         """A new potential factor * Psi_t (factor > 0 and finite)."""

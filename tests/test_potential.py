@@ -392,10 +392,9 @@ def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
         x = rng.standard_normal(4)
         assert np.array_equal(pot.grad(0.4, x), pot.grad(0.4, x[None])[0])
         assert np.array_equal(pot.psi(0.4, x), pot.psi(0.4, x[None])[0])
-        if kind == "composed_power":
-            # the Hessian the conjugate's Newton solve uses on its rows
-            row = pot._composed_hess_rows(pot._a_rows(0.4, 1)[:, None], x[None])[0]
-            assert np.array_equal(pot.hess_matrix(0.4, x), row)
+        # the Hessian the conjugate's Newton solve uses on its rows
+        row = pot._hess_rows(pot._a_rows(0.4, 1)[:, None], x[None])[0]
+        assert np.array_equal(pot.hess_matrix(0.4, x), row)
 
 
 # -- diagonal Hessians and the diagonal quadratic ---------------------------------

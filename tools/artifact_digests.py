@@ -4,9 +4,11 @@
 
 imports evomin from the given source directory and runs `evomin.cli.main`
 in-process on every case: each problem kind through `solve` (ben and
-euler), `compare`, `check` and `convergence`, plus continuation on
-heat_core, nonzero-coupling hyperbolic and Schrodinger, Navier-Stokes at
-k = 24 and heat_core at n = 320.  Each output line is
+euler), `compare`, `check` and `convergence`, also for nonzero-coupling
+hyperbolic and Schrodinger, a q = 4 parabolic_divergence (whose energy
+solves the conjugate by Newton) and Navier-Stokes from a random start;
+plus continuation on heat_core, Navier-Stokes at k = 24 and heat_core at
+n = 320.  Each output line is
 
     <case> exit=<code> <sha256>
 
@@ -57,6 +59,9 @@ COMMANDS = {
 COUPLED = {
     "hyperbolic-nonlinear": {"kind": "hyperbolic", "damping": 0.1, "nonlinearity": 0.5},
     "schrodinger-coupled": {"kind": "schrodinger", "couplings": [0.5, 0.25]},
+    "parabolic_divergence-q4": {"kind": "parabolic_divergence", "q": 4.0, "reaction": -0.5,
+                                "flux": 0.5, "gamma": 1.0},
+    "navier_stokes-random": {"kind": "navier_stokes", "initial": "random"},
 }
 
 
