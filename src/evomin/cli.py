@@ -42,10 +42,11 @@ class ConfigError(Exception):
 # -- rules: each turns the raw YAML value of option `what` into the value a command reads
 
 def _number(cast: type = float, least: float | None = None, positive: bool = False):
-    """A finite number (not a boolean) of type cast; when asked, >= least or positive."""
+    """A finite number (not a boolean or a string) of type cast; when asked, >= least
+    or positive.  An integer option given a numeric string says it wants an integer."""
     def rule(what: str, raw):
         try:
-            if isinstance(raw, bool):
+            if isinstance(raw, bool) or (isinstance(raw, str) and cast is not int):
                 raise TypeError
             value = float(raw)
         except (TypeError, ValueError, OverflowError):
@@ -289,15 +290,11 @@ def cmd_solve(cfg: RunConfig, problem, out_dir: Path) -> int:
         trace_csv = trace_to_csv(res)
         ok = res.converged
     elif method == "euler":
-        try:
-            counter: dict = {}
-            traj = implicit_euler_solve(problem, steps, counter=counter, **newton)
-            iterations = counter.get("newton_iters", 0)
-            # GMRES inner iterations and LU fallbacks; both 0 on the dense LU path
-            counts = {key: counter.get(key, 0) for key in ("krylov_iters", "krylov_fallbacks")}
-        except StepFailure as exc:
-            print(f"solve failed: {exc}", file=sys.stderr)
-            return 2
+        counter: dict = {}
+        traj = implicit_euler_solve(problem, steps, counter=counter, **newton)
+        iterations = counter.get("newton_iters", 0)
+        # GMRES inner iterations and LU fallbacks; both 0 on the dense LU path
+        counts = {key: counter.get(key, 0) for key in ("krylov_iters", "krylov_fallbacks")}
     else:  # continuation
         reg = Potential.quadratic(problem.triple.mass)
         res = continuation_solve(problem, reg, cfg.solver["eps_schedule"], steps, **newton)

@@ -2,7 +2,9 @@
 
 Built-in kinds carry closed-form conjugates where available (quadratic
 forms, quadratic composed forms, composed powers with a diagonal G);
-everything else falls back to a damped Newton solve of  DPsi_t(z) = y.
+everything else falls back to a damped Newton solve of  DPsi_t(z) = y,
+which stops a row at |DPsi_t(z) - y|_inf < NEWTON_TOL * max(1, |y|_inf) and
+takes its direction from _hess_rows, the one place D^2Psi is written.
 Time dependence is restricted to a positive scalar modulation a(t)
 multiplying a fixed convex base.
 
@@ -14,8 +16,8 @@ and the last bits of z*, never whether the solve succeeds.
 
 A 1-D quadratic matrix or composed-power image G declares a diagonal: its
 formulas are elementwise, with the bits of the dense ones; a 2-D matrix is
-used as given.  With a 1-D matrix hess_matrix answers 1-D, the diagonal of
-D^2Psi (triple.dense gives the matrix).
+used as given.  With a 1-D matrix hess_matrix, the row of one of
+_hess_rows, answers 1-D, the diagonal of D^2Psi (triple.dense gives the matrix).
 """
 
 from __future__ import annotations
@@ -270,6 +272,7 @@ class Potential:
         """Damped Newton for DPsi_t(z) = y on all rows at once, from z = start
         (shaped like ys; z = y when start is None).
 
+        A row stops once |DPsi_t(z) - y|_inf < NEWTON_TOL * max(1, |y|_inf).
         Each row backtracks on its own until its residual decreases; a
         failure names the first failing row.
         """
@@ -277,8 +280,10 @@ class Potential:
         zs = (ys if start is None else self._rows(np.reshape(start, ys.shape))).copy()
         res = self._grad_rows(a, zs) - ys
         rnorm = np.max(np.abs(res), axis=1)
+        # the size of the equation's own terms: at a solution DPsi_t(z) = y
+        tol = NEWTON_TOL * np.maximum(1.0, np.max(np.abs(ys), axis=1))
         for _ in range(NEWTON_MAX_ITER):
-            active = np.flatnonzero(rnorm >= NEWTON_TOL)
+            active = np.flatnonzero(rnorm >= tol)
             if not active.size:
                 return zs
             za, ya, aa = zs[active], ys[active], a[active]
@@ -305,13 +310,11 @@ class Potential:
                 row = int(active[np.argmax(todo)])
                 raise ConjugateFailure("conjugate Newton line search stalled",
                                        float(rnorm[row]), row=row)
-        if np.max(rnorm) < NEWTON_TOL:
+        if np.all(rnorm < tol):
             return zs
-        row = int(np.argmax(rnorm >= NEWTON_TOL))
-        raise ConjugateFailure(
-            f"conjugate Newton did not reach {NEWTON_TOL} in {NEWTON_MAX_ITER} iterations",
-            float(rnorm[row]), row=row,
-        )
+        row = int(np.argmax(rnorm >= tol))
+        raise ConjugateFailure(f"conjugate Newton did not reach {tol[row]:.3g} in "
+                               f"{NEWTON_MAX_ITER} iterations", float(rnorm[row]), row=row)
 
     # -- second derivative ----------------------------------------------------
 

@@ -151,13 +151,15 @@ def test_builder_value_error_is_a_config_error(tmp_path, capsys):
 
 
 def test_failure_mid_run_exits_two(tmp_path, capsys):
-    # the minimizer converges; the oracle cannot reach an unattainable Newton
-    # tolerance and raises StepFailure, a numerical failure, not a config error
-    cfg = write_config(tmp_path, solver={"method": "ben", "newton_tol": 1e-300})
-    assert main(["compare", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "StepFailure" in err
-    assert "config error" not in err
+    # the oracle cannot reach an unattainable Newton tolerance and raises
+    # StepFailure, a numerical failure, not a config error: after the minimizer
+    # converges in compare, at the first step of solve with method euler
+    for command, method in (("compare", "ben"), ("solve", "euler")):
+        cfg = write_config(tmp_path, solver={"method": method, "newton_tol": 1e-300})
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} failed: StepFailure: " in err
+        assert "config error" not in err
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad state"), ConjugateFailure("no maximizer", 1.0),
@@ -360,6 +362,15 @@ def test_nonzero_t0_is_a_config_error(tmp_path, capsys):
     RunConfig.from_dict({"problem": {"kind": "heat"}, "time": {"steps": 5}})
 
 
+@pytest.mark.parametrize("section,key,text", [("time", "t1", "0.2"), ("checks", "c0", " 1e3 ")])
+def test_numeric_string_is_not_a_number(tmp_path, capsys, section, key, text):
+    cfg = write_config(tmp_path, **{section: {key: text}})
+    assert yaml.safe_load(cfg.read_text())[section][key] == text
+    assert main(["check", "--config", str(cfg)]) == 1
+    assert f"config error: {section}.{key} must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,section,key,text", [
     ("solve", "solver", "max_iterations", "1e5"),      # YAML reads 1e5 as a string
     ("solve", "solver", "max_iterations", "2.7"),
@@ -479,6 +490,8 @@ def test_check_growth_designed_failure(tmp_path):
     ("solve", {"problem": {"kind": "heat_core"},
                "solver": {"method": "continuation", "eps_schedule": [float("nan")]}}),
     ("check", {"checks": {"run": []}}),
+    ("solve", {"time": {"t1": "0.2"}}),
+    ("check", {"checks": {"c0": " 1e3 "}}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
         "eps-negative-list", "eps-increasing-list", "damping-list", "section-list",
@@ -488,7 +501,8 @@ def test_check_growth_designed_failure(tmp_path):
         "c0-zero", "c0-negative", "seed-negative", "compare-j-tol-zero",
         "compare-g-tol-negative", "compare-state-tol-negative", "compare-residual-tol-zero",
         "directory-null", "initial-number", "newton-tol-inf", "c0-inf", "t1-inf",
-        "perturb-nan", "damping-nan", "reaction-inf", "eps-nan-list", "run-empty"])
+        "perturb-nan", "damping-nan", "reaction-inf", "eps-nan-list", "run-empty",
+        "t1-string", "c0-string"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):

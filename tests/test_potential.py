@@ -325,13 +325,27 @@ def test_warm_and_cold_conjugate_argmax_agree(rng, kind):
     nearby = pot.conjugate_argmax(ts, ys + 0.1 * rng.standard_normal(ys.shape))
     cold = pot.conjugate_argmax(ts, ys)
     warm = pot.conjugate_argmax(ts, ys, start=nearby)
+    # the stop rule: |DPsi_t(z) - y|_inf < NEWTON_TOL * max(1, |y|_inf) on each row
+    tol = NEWTON_TOL * np.maximum(1.0, np.max(np.abs(ys), axis=1))
     for z in (cold, warm):
-        assert np.max(np.abs(pot.grad(ts, z) - ys)) < NEWTON_TOL
+        assert np.all(np.max(np.abs(pot.grad(ts, z) - ys), axis=1) < tol)
     assert np.max(np.abs(warm - cold)) < 1e-10
     # a start that already solves the equation is returned as it is
     assert np.array_equal(pot.conjugate_argmax(ts, ys, start=cold), cold)
     one = pot.conjugate_argmax(0.5, ys[0], start=nearby[0])
-    assert np.max(np.abs(pot.grad(0.5, one) - ys[0])) < NEWTON_TOL
+    assert np.max(np.abs(pot.grad(0.5, one) - ys[0])) < tol[0]
+
+
+def test_conjugate_newton_stop_scales_with_y():
+    # |y|_inf = 1.25e4: round-off in DPsi(z) is above an absolute 1e-12, where
+    # an absolute stop stalled in the line search with z already exact
+    from evomin.applications import build_parabolic_divergence
+
+    pot = build_parabolic_divergence(8, q=4.0).potential
+    x = np.random.default_rng(8).standard_normal(8)
+    y = pot.grad(0.0, x)
+    assert np.max(np.abs(y)) > 1e4
+    assert np.max(np.abs(pot.conjugate_argmax(0.0, y) - x)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(NEWTON_KINDS))
