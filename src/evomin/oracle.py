@@ -14,12 +14,17 @@ stiffness a diagonal preconditioner cannot see, while its LU is exact
 and D^2Psi(lam u) = potential.hess_matrix are both 1-D, which declares the
 linear part lin = I + dt lam D^2Psi(lam u) of the step Jacobian diagonal
 and decides whether a diagonal preconditioner can work.  D^2Psi is read
-once per Newton iteration:
+at most once per Newton iteration:
 
 * below KRYLOV_MIN_DIM unknowns, when Lambda is declared linear (heat_core,
   whose stiff Laplacian sits in DLambda), or when lin is not declared
   diagonal, the step Jacobian I + dt (DLambda + lam D^2Psi) is assembled
-  dense and LU-factorized, and a pivot below PIVOT_FLOOR is a step failure;
+  dense and LU-factorized, and a pivot below PIVOT_FLOOR is a step failure.
+  A step Jacobian declared constant (Lambda declared linear, and lam = 0 or
+  Potential.constant_hessian set) is assembled, pivot-checked and factored
+  once per implicit_euler_solve, at the first Newton iteration that needs
+  it; later iterations of every step solve with its factors and read no
+  D^2Psi;
 * from KRYLOV_MIN_DIM up with a Lambda not declared linear and a declared
   diagonal lin (Navier-Stokes), the Newton direction comes from restarted
   GMRES on the matrix-free action h -> lin h + dt DLambda(u) h,
@@ -98,11 +103,16 @@ def _step_residual(problem: ProblemSpec, u: np.ndarray, iu_prev: np.ndarray,
 
 
 def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray],
-                  f: np.ndarray, t: float, dt: float, step_index: int) -> np.ndarray:
+                  f: np.ndarray, t: float, dt: float, step_index: int,
+                  factors: Optional[list] = None) -> np.ndarray:
     """Exact Newton direction from the dense LU of the step Jacobian.
 
     hess is D^2Psi(lam u) as hess_matrix declares it, None when lam = 0.
+    factors, a list, holds the LU of a step Jacobian declared constant: the
+    first call fills it and later calls only solve with it.
     """
+    if factors:
+        return lu_solve(factors[0], -f)
     jac = problem.triple.inclusion_matrix + dt * problem.lambda_op.jacobian_matrix(t, u)
     if hess is not None:
         jac = jac + dt * dense(hess)
@@ -112,6 +122,8 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
             f"singular Jacobian at step {step_index} (pivot below {PIVOT_FLOOR})",
             step_index, float(np.max(np.abs(f))) / dt,
         )
+    if factors is not None:
+        factors.append((lu, piv))
     return lu_solve((lu, piv), -f)
 
 
@@ -148,6 +160,7 @@ def newton_solve_step(
     init: Optional[np.ndarray] = None,
     step_index: int = 0,
     counter: Optional[dict] = None,
+    _factors: Optional[list] = None,
 ) -> np.ndarray:
     """Solve one implicit-Euler step to a scaled residual below newton_tol.
 
@@ -186,7 +199,8 @@ def newton_solve_step(
     for _ in range(MAX_NEWTON_ITER):
         if fnorm < tol:
             break
-        hess = problem.potential.hess_matrix(t, lam * u) if lam else None
+        # cached factors were the LU's only use of D^2Psi
+        hess = problem.potential.hess_matrix(t, lam * u) if lam and not _factors else None
         direction = None
         if not lu_only:
             if mass.ndim == 1 and (hess is None or hess.ndim == 1):
@@ -195,7 +209,7 @@ def newton_solve_step(
                 inner += count
             lu_only = direction is None
         if direction is None:
-            direction = _lu_direction(problem, u, hess, f, t, dt, step_index)
+            direction = _lu_direction(problem, u, hess, f, t, dt, step_index, _factors)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             u_new = u + alpha * direction
@@ -243,6 +257,10 @@ def implicit_euler_solve(
     """
     if steps < 1:
         raise ValueError("need at least one time step")
+    # a step Jacobian declared constant is factored once, on first use
+    constant = problem.lambda_op.linear is not None and (
+        not problem.lambda_flag or problem.potential.constant_hessian is not None)
+    factors = [] if constant else None
     t0, t1 = problem.horizon
     dt = (t1 - t0) / steps
     states = np.empty((steps + 1, problem.dim))
@@ -256,5 +274,6 @@ def implicit_euler_solve(
         states[k] = newton_solve_step(
             problem, states[k - 1], t, dt,
             newton_tol=newton_tol, init=init, step_index=k, counter=counter,
+            _factors=factors,
         )
     return Trajectory(states, t0, t1, problem.initial.copy())

@@ -80,10 +80,16 @@ def test_solve_continuation_method(tmp_path):
     assert len(lines) == 9
 
 
-def test_malformed_config_exits_one(tmp_path):
+def test_malformed_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem: [not, a, mapping\n")
     assert main(["solve", "--config", str(bad)]) == 1
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("problem: {kind: heat\n")
+    capsys.readouterr()
+    assert main(["solve", "--config", str(broken), "--out", str(tmp_path / "out")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     missing = tmp_path / "nope.yaml"
     assert main(["solve", "--config", str(missing)]) == 1
     wrong = write_config(tmp_path, problem={"kind": "unknown_kind"})
@@ -542,9 +548,42 @@ def _library_default(section, key):
     return getattr(MinimizeOptions(), key)
 
 
-def test_readme_config_format_shows_every_option_and_its_default():
+def _readme_config() -> str:
+    """The example config of README's Config format section."""
     text = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
-    shown = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+    return text.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+EVERY_SECTION = """\
+problem: {kind: schrodinger, couplings: [0.2, -0.1]}
+grid: {n: 10, k: 8}
+time: {t0: 0, t1: 0.25, steps: 7}
+solver: {method: continuation, j_tol: 1.0e-11, g_tol: 2.0e-9, max_iterations: 500,
+         newton_tol: 1.0e-13, eps_schedule: [1.0, 0.5, 0.125]}
+compare: {j_tol: 1.0e-9, g_tol: 1.0e-7, state_tol: 1.0e-4, residual_tol: 1.0e-5,
+          perturb: -0.01}
+checks: {run: [growth, coercivity], samples: 20, c0: 3}
+output: {directory: "some dir/out", formats: [json], timing: true, workers: ~}
+seed: 12
+"""
+
+
+@pytest.mark.parametrize("which", ["readme", "every_section"])
+def test_config_file_resolves_as_its_safe_load_does(tmp_path, which):
+    # from_file parses with libyaml where PyYAML has it: the same resolver and
+    # constructor as yaml.safe_load, so the same resolved config
+    text = EVERY_SECTION
+    if which == "readme":
+        # its problem section lists every family's keys; heat takes none of them
+        head, tail = _readme_config().split("  # family parameters:\n", 1)
+        text = head + tail[tail.index("grid:"):]
+    path = tmp_path / "run.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert RunConfig.from_file(path) == RunConfig.from_dict(yaml.safe_load(text))
+
+
+def test_readme_config_format_shows_every_option_and_its_default():
+    shown = yaml.safe_load(_readme_config())
     resolved = RunConfig.from_dict({"problem": {"kind": "heat"}})
     assert set(shown) == {*cli.OPTIONS, "seed"}
     assert shown["seed"] == resolved.seed

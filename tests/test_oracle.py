@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -23,6 +24,10 @@ from evomin.applications import (
     build_heat_core,
     build_hyperbolic,
     build_navier_stokes_2d,
+    build_parabolic_divergence,
+    build_parabolic_nondivergence,
+    build_scalar_decay,
+    build_schrodinger,
     exact_heat_solution,
 )
 from evomin import potential as potential_module
@@ -96,6 +101,19 @@ def test_first_order_accuracy_against_exact_heat():
         errors.append(np.max(np.abs(traj.states - exact.states)))
     for a, b in zip(errors, errors[1:]):
         assert 1.7 <= a / b <= 2.3
+
+
+@pytest.mark.filterwarnings("ignore:Diagonal number 1 is exactly zero")
+def test_singular_step_jacobian_fails_the_step():
+    # lam = 0 and Lambda(u) = -u / dt with dt = 1/2: the step Jacobian
+    # I + dt DLambda is exactly zero, so its one pivot is below PIVOT_FLOOR
+    p = ProblemSpec(triple=EvolutionTriple(dim=1, mass=np.ones(1)),
+                    potential=Potential.quadratic(np.ones(1)),
+                    lambda_op=linear_operator([[-2.0]]), lambda_flag=0,
+                    horizon=(0.0, 0.5), initial=np.array([1.0]))
+    with pytest.raises(StepFailure, match="singular Jacobian at step 1") as err:
+        implicit_euler_solve(p, 1)
+    assert err.value.step == 1 and err.value.residual == 2.0
 
 
 def test_step_failure_signals_blowup():
@@ -244,10 +262,11 @@ def test_declared_linear_operator_takes_the_lu_path():
 def test_one_hessian_evaluation_per_newton_iteration(path, monkeypatch):
     # D^2Psi(lam u) is read once per Newton iteration, whichever direction the
     # iteration takes: GMRES reads its diagonal, the LU its dense form, and a
-    # GMRES miss falls back to the LU on the same evaluation
+    # GMRES miss falls back to the LU on the same evaluation (the LU case is a
+    # q = 4 power, whose step Jacobian is not declared constant)
     p, steps = {
         "gmres": (build_navier_stokes_2d(24, initial="random", t1=0.2), 2),
-        "lu": (build_heat(8), 3),
+        "lu": (build_parabolic_divergence(8, q=4.0), 3),
         "gmres_then_lu": (_stiff_hand_built_problem(lambda_flag=1), 1),
     }[path]
     assert p.lambda_flag == 1
@@ -266,6 +285,51 @@ def test_one_hessian_evaluation_per_newton_iteration(path, monkeypatch):
     if path != "lu":
         assert counter["krylov_iters"] > 0
         assert counter["krylov_fallbacks"] == (path == "gmres_then_lu")
+
+
+# Lambda declared linear with lam = 0 or a constant D^2Psi: one step Jacobian
+CONSTANT_JACOBIAN = {
+    "heat": lambda: build_heat(8),
+    "heat_core": lambda: build_heat_core(8),
+    "scalar_decay": build_scalar_decay,
+    "hyperbolic": lambda: build_hyperbolic(8),
+    "schrodinger": lambda: build_schrodinger(8),
+    "parabolic_nondivergence": lambda: build_parabolic_nondivergence(8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONSTANT_JACOBIAN))
+def test_constant_step_jacobian_is_factored_once_per_solve(family, monkeypatch):
+    # the first Newton iteration that needs a direction factors the Jacobian,
+    # and every later iteration of every step solves with those factors and
+    # reads no D^2Psi; a solve whose every step starts converged factors none
+    p = CONSTANT_JACOBIAN[family]()
+    factored, hessians = [], []
+    factor, read = oracle.lu_factor, Potential.hess_matrix
+    monkeypatch.setattr(oracle, "lu_factor", lambda a: factored.append(a) or factor(a))
+    monkeypatch.setattr(Potential, "hess_matrix",
+                        lambda self, t, x: hessians.append(t) or read(self, t, x))
+    counter = {}
+    implicit_euler_solve(p, 8, counter=counter)
+    assert counter["newton_iters"] >= 8
+    assert len(factored) == 1 and len(hessians) <= 1
+    factored.clear()
+    counter = {}
+    implicit_euler_solve(dataclasses.replace(p, initial=np.zeros(p.dim)), 8, counter=counter)
+    assert factored == [] and counter["newton_iters"] == 0
+
+
+@pytest.mark.parametrize("family", sorted(CONSTANT_JACOBIAN))
+def test_cached_factors_give_the_bits_of_per_step_solves(family):
+    # newton_solve_step called on its own factors its Jacobian each time;
+    # the solve's one factorization is of the very same matrix
+    p = CONSTANT_JACOBIAN[family]()
+    traj = implicit_euler_solve(p, 8)
+    states = [p.initial]
+    for k in range(1, 9):
+        states.append(newton_solve_step(p, states[-1], traj.t0 + k * traj.dt, traj.dt,
+                                        step_index=k))
+    assert np.array_equal(traj.states, np.array(states))
 
 
 def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
