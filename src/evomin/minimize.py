@@ -1,12 +1,24 @@
 """Trajectory-space minimization of the energy.
 
-Limited-memory BFGS with Armijo backtracking over the free states
-u_1..u_M (u_0 carries the initial datum and never moves).  When J is
-exactly quadratic (Lambda declared zero, D^2Psi one constant matrix A), the
-initial inverse Hessian of the two-loop recursion is J's exact inverse
-Hessian, a backward and a forward sweep in time (see _inverse_hessian), and
-the first step is the exact Newton step; otherwise it is the usual scaled
-identity.  The line search halves the step until Armijo holds; it ends
+A descent method with Armijo backtracking on J over the free states
+u_1..u_M (u_0 carries the initial datum and never moves).  Zero energy is
+the implicit-Euler system r(u) = 0, so J serves as the merit function of
+Newton's method on r: unless the problem declares its step Jacobian
+constant (ProblemSpec.constant_step_jacobian), each iteration first tries
+the space-time Newton direction d = -B^-1 r, B the block lower bidiagonal
+Jacobian of r, one dense solve per step in one forward sweep (see
+_newton_direction).  It makes no Lambda evaluation of its own: r is the
+accepted iterate's breakdown residual plus DPsi, and B is assembled from
+DLambda and D^2Psi, so an operator blow-up still lands in a trial point,
+where the line search rejects it.  When a block is exactly singular, d is
+not finite or d is not a descent direction for J, limited-memory BFGS
+stands in; its pairs are updated at every accepted step, so the fallback
+starts warm.  A problem whose step Jacobian is declared constant takes
+L-BFGS from the start.  When J is exactly quadratic there (Lambda declared
+zero, D^2Psi one constant matrix A), the initial inverse Hessian of the
+two-loop recursion is J's exact inverse Hessian, a backward and a forward
+sweep in time (see _inverse_hessian), and the first step is the exact
+Newton step; otherwise it is the usual scaled identity.  The line search halves the step until Armijo holds; it ends
 without a step, a floor exit, once a trial's predicted decrease
 alpha * -<d, g> is round-off or after MAX_BACKTRACKS halvings.  A
 positive-J stationary point is reported, never silently accepted: under
@@ -77,6 +89,8 @@ class SolveResult:
     iterations: int = 0
     status: str = STATUS_ERROR
     message: str = ""
+    newton_directions: int = 0      # iterations that took the space-time Newton direction
+    lbfgs_fallbacks: int = 0        # iterations where it failed and L-BFGS stood in
 
     @property
     def converged(self) -> bool:
@@ -117,13 +131,14 @@ def minimize(
     def f_and_g(z, start=None):
         t = unpack(z)
         bd = energy_breakdown(problem, t, start)
-        return bd.total, energy_gradient(problem, t, bd).ravel(), bd.argmax
+        return bd.total, energy_gradient(problem, t, bd).ravel(), bd
 
     z = traj.states[1:].ravel().copy()
     result = SolveResult(trajectory=traj)
     # failures at the start point (conjugate solve, operator blow-up) propagate;
     # only trial points inside the line search may fail recoverably
-    j, g, zstar = f_and_g(z)
+    j, g, bd = f_and_g(z)
+    newton = not problem.constant_step_jacobian
 
     s_list: deque = deque(maxlen=HISTORY)
     y_list: deque = deque(maxlen=HISTORY)
@@ -149,7 +164,12 @@ def minimize(
             result.status = exit_status(j, gnorm)
             break
 
-        direction = _lbfgs_direction(g, s_list, y_list, gamma, h0)
+        direction = _newton_direction(problem, z.reshape(m, n), bd) if newton else None
+        if direction is not None and direction @ g < 0.0:
+            result.newton_directions += 1
+        else:               # no Newton direction, or not a descent one
+            result.lbfgs_fallbacks += newton
+            direction = _lbfgs_direction(g, s_list, y_list, gamma, h0)
         dg = float(direction @ g)
         if not np.isfinite(dg) or dg >= 0.0:
             s_list.clear()
@@ -168,7 +188,7 @@ def minimize(
             try:
                 # every trial's conjugate solve starts from the maximizers of
                 # the accepted iterate, never from those of a rejected trial
-                j_new, g_new, zstar_new = f_and_g(z_new, zstar)
+                j_new, g_new, bd_new = f_and_g(z_new, bd.argmax)
             except (ConjugateFailure, OperatorEvaluationError):
                 # the conjugate has no maximizer or the operator blew up at
                 # this trial point: a rejected trial, not an error
@@ -189,7 +209,7 @@ def minimize(
             s_list.append(s)
             y_list.append(y)
             gamma = sy / float(y @ y)
-        z, j, g, zstar = z_new, j_new, g_new, zstar_new
+        z, j, g, bd = z_new, j_new, g_new, bd_new
         result.step_sizes.append(alpha)
     else:
         result.status = STATUS_CAP
@@ -230,6 +250,34 @@ def _lbfgs_direction(g, s_list, y_list, gamma, h0=None):
         b = rho * float(y @ q)
         q += (a - b) * s
     return q
+
+
+def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
+    """The space-time Newton direction d = -B^-1 r at the free states u_1..u_M,
+    or None when a block C_k is exactly singular or d is not finite.
+
+    r stacks the implicit-Euler residuals r_k = R_k + DPsi(lam u_k), R_k the
+    breakdown's residual rows, so no Lambda is evaluated here.  B, r's
+    Jacobian, is block lower bidiagonal: C_k = I/dt + DLambda(u_k) +
+    lam D^2Psi(lam u_k) on the diagonal and -I/dt below it, and one forward
+    sweep solves B d = -r: d_k = C_k^-1 (-r_k + (I/dt) d_{k-1}).
+    """
+    lam, dt, tri = problem.lambda_flag, bd.dt, problem.triple
+    r = bd.residuals
+    if lam:
+        r = r + problem.potential.grad(bd.times, lam * states)
+    i_dt = tri.inclusion_matrix / dt
+    d = np.empty_like(r)
+    prev = np.zeros(problem.dim)
+    for k, (t, u) in enumerate(zip(bd.times, states)):
+        c = i_dt + problem.lambda_op.jacobian_matrix(t, u)
+        if lam:
+            c = c + dense(problem.potential.hess_matrix(t, lam * u))
+        try:
+            prev = d[k] = np.linalg.solve(c, tri.apply_i(prev) / dt - r[k])
+        except np.linalg.LinAlgError:
+            return None
+    return d.ravel() if np.all(np.isfinite(d)) else None
 
 
 def _inverse_hessian(problem: ProblemSpec, m: int, dt: float):

@@ -20,11 +20,11 @@ at most once per Newton iteration:
   whose stiff Laplacian sits in DLambda), or when lin is not declared
   diagonal, the step Jacobian I + dt (DLambda + lam D^2Psi) is assembled
   dense and LU-factorized, and a pivot below PIVOT_FLOOR is a step failure.
-  A step Jacobian declared constant (Lambda declared linear, and lam = 0 or
-  Potential.constant_hessian set) is assembled, pivot-checked and factored
-  once per implicit_euler_solve, at the first Newton iteration that needs
-  it; later iterations of every step solve with its factors and read no
-  D^2Psi;
+  A step Jacobian declared constant (ProblemSpec.constant_step_jacobian:
+  Lambda declared linear, and lam = 0 or Potential.constant_hessian set) is
+  assembled, pivot-checked and factored once per implicit_euler_solve, at
+  the first Newton iteration that needs it; later iterations of every step
+  solve with its factors and read no D^2Psi;
 * from KRYLOV_MIN_DIM up with a Lambda not declared linear and a declared
   diagonal lin (Navier-Stokes), the Newton direction comes from restarted
   GMRES on the matrix-free action h -> lin h + dt DLambda(u) h,
@@ -60,10 +60,11 @@ correspondence between zero energy and discrete solutions.
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .problem import ProblemSpec
 from .trajectory import Trajectory
@@ -116,7 +117,10 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
     jac = problem.triple.inclusion_matrix + dt * problem.lambda_op.jacobian_matrix(t, u)
     if hess is not None:
         jac = jac + dt * dense(hess)
-    lu, piv = lu_factor(jac)
+    with warnings.catch_warnings():
+        # scipy warns of an exactly zero pivot; the PIVOT_FLOOR test below is the verdict
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(jac)
     if float(np.min(np.abs(np.diag(lu)))) < PIVOT_FLOOR:
         raise StepFailure(
             f"singular Jacobian at step {step_index} (pivot below {PIVOT_FLOOR})",
@@ -258,9 +262,7 @@ def implicit_euler_solve(
     if steps < 1:
         raise ValueError("need at least one time step")
     # a step Jacobian declared constant is factored once, on first use
-    constant = problem.lambda_op.linear is not None and (
-        not problem.lambda_flag or problem.potential.constant_hessian is not None)
-    factors = [] if constant else None
+    factors = [] if problem.constant_step_jacobian else None
     t0, t1 = problem.horizon
     dt = (t1 - t0) / steps
     states = np.empty((steps + 1, problem.dim))

@@ -54,6 +54,14 @@ class ProblemSpec:
         return self.triple.dim
 
     @property
+    def constant_step_jacobian(self) -> bool:
+        """Whether the step Jacobian I/dt + DLambda + lam D^2Psi(lam u) is declared
+        one matrix for every state and time: Lambda declared linear
+        (OperatorLambda.linear), and lam = 0 or Potential.constant_hessian set."""
+        return self.lambda_op.linear is not None and (
+            not self.lambda_flag or self.potential.constant_hessian is not None)
+
+    @property
     def name(self) -> str:
         return self.metadata.get("name", "problem")
 
