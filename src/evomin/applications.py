@@ -479,7 +479,9 @@ class StreamFunctionBasis:
 
         so the whole matrix is one gather over mode differences and sums.
         No FFT enters: this is exactly the Galerkin truncation, assembled
-        in O(dim^2).
+        in O(dim^2).  An (M, dim) stack answers (M, dim, dim), one state at
+        a time into one array: a gather over the whole stack gives the same
+        bits but is slower.
         """
         if self._kernel_cache is None:
             m1 = self.modes[:, 0]
@@ -496,23 +498,26 @@ class StreamFunctionBasis:
         area = (2.0 * np.pi) ** 2
         two_k = 2 * self.kmax
         size = 2 * two_k + 1
-        centered = np.zeros((size, size), dtype=complex)
-        c = 0.5 * (x[: self.nmodes] - 1j * x[self.nmodes:])
-        centered[self.modes[:, 0] + two_k, self.modes[:, 1] + two_k] = c
-        centered[-self.modes[:, 0] + two_k, -self.modes[:, 1] + two_k] = np.conj(c)
-        p_ij = centered[dxm, dym]              # psihat at nu_i - mu_j
-        q_ij = centered[sxm, sym]              # psihat at nu_i + mu_j
         n_i = self.msq[:, None]
-        kp = area * s_ij * (2.0 * d_ij - n_i) * p_ij
-        km = area * s_ij * (2.0 * d_ij + n_i) * q_ij
-        da = 0.5 * (kp + km)                   # response to a unit cos amplitude
-        db = 0.5j * (km - kp)                  # response to a unit sin amplitude
-        jac = np.empty((self.dim, self.dim))
-        jac[: self.nmodes, : self.nmodes] = da.real
-        jac[self.nmodes:, : self.nmodes] = -da.imag
-        jac[: self.nmodes, self.nmodes:] = db.real
-        jac[self.nmodes:, self.nmodes:] = -db.imag
-        return jac
+        nm = self.nmodes
+        xs = np.reshape(x, (-1, self.dim))
+        jac = np.empty((len(xs), self.dim, self.dim))
+        for row, out in zip(xs, jac):
+            centered = np.zeros((size, size), dtype=complex)
+            c = 0.5 * (row[:nm] - 1j * row[nm:])
+            centered[self.modes[:, 0] + two_k, self.modes[:, 1] + two_k] = c
+            centered[-self.modes[:, 0] + two_k, -self.modes[:, 1] + two_k] = np.conj(c)
+            p_ij = centered[dxm, dym]              # psihat at nu_i - mu_j
+            q_ij = centered[sxm, sym]              # psihat at nu_i + mu_j
+            kp = area * s_ij * (2.0 * d_ij - n_i) * p_ij
+            km = area * s_ij * (2.0 * d_ij + n_i) * q_ij
+            da = 0.5 * (kp + km)                   # response to a unit cos amplitude
+            db = 0.5j * (km - kp)                  # response to a unit sin amplitude
+            out[:nm, :nm] = da.real
+            out[nm:, :nm] = -da.imag
+            out[:nm, nm:] = db.real
+            out[nm:, nm:] = -db.imag
+        return jac if np.ndim(x) == 2 else jac[0]
 
     def divergence_max(self, x: np.ndarray) -> float:
         z = self._spectral(x)

@@ -29,7 +29,8 @@ from .checks import check_coercivity, check_growth, check_monotonicity
 from .continuation import (checked_schedule, continuation_solve, continuation_to_csv,
                            default_schedule)
 from .energy import breakdown_to_csv, energy_balance_audit, energy_breakdown
-from .minimize import MinimizeOptions, minimize, trace_to_csv, verify_equivalence
+from .minimize import (TRACE_CSV_HEADER, MinimizeOptions, minimize, trace_to_csv,
+                       verify_equivalence)
 from .operator import OperatorEvaluationError
 from .oracle import StepFailure, implicit_euler_solve
 from .potential import ConjugateFailure, Potential
@@ -282,7 +283,7 @@ def cmd_solve(cfg: RunConfig, problem, out_dir: Path) -> int:
     t_start = time.perf_counter()
     status = "completed"
     iterations = 0
-    trace_csv = "iter,J,grad_norm,step_size\n"
+    trace_csv = TRACE_CSV_HEADER        # no minimizer iterations: the header alone
     cont_csv = None
     counts = {}
     ok = True

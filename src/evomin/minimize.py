@@ -10,11 +10,11 @@ Jacobian of r, one dense solve per step in one forward sweep (see
 _newton_direction).  It makes no Lambda evaluation of its own: r is the
 accepted iterate's breakdown residual plus DPsi, and B is assembled from
 DLambda and D^2Psi, so an operator blow-up still lands in a trial point,
-where the line search rejects it.  When a block is exactly singular, d is
-not finite or d is not a descent direction for J, limited-memory BFGS
-stands in; its pairs are updated at every accepted step, so the fallback
-starts warm.  A problem whose step Jacobian is declared constant takes
-L-BFGS from the start.  When J is exactly quadratic there (Lambda declared
+where the line search rejects it.  When DLambda is not finite at the
+iterate, a block is exactly singular, d is not finite or d is not a descent
+direction for J, limited-memory BFGS stands in; its pairs are updated at
+every accepted step, so the fallback starts warm.  A problem whose step
+Jacobian is declared constant takes L-BFGS from the start.  When J is exactly quadratic there (Lambda declared
 zero, D^2Psi one constant matrix A), the initial inverse Hessian of the
 two-loop recursion is J's exact inverse Hessian, a backward and a forward
 sweep in time (see _inverse_hessian), and the first step is the exact
@@ -62,6 +62,7 @@ MAX_BACKTRACKS = 50     # step halvings before the line search gives up
 ROUNDOFF = 1e-18        # a decrease below ROUNDOFF * (1 + |J|) is round-off
 J_FLOOR = 1e-15         # J <= J_FLOOR * max(1, |J(init)|) is zero to working precision
 G_FLOOR = 1e-7          # a floor exit above max(g_tol, G_FLOOR) in |g|_inf is an error
+TRACE_CSV_HEADER = "iter,J,grad_norm,step_size\n"    # trace_to_csv's columns
 
 
 @dataclass
@@ -254,25 +255,35 @@ def _lbfgs_direction(g, s_list, y_list, gamma, h0=None):
 
 def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
     """The space-time Newton direction d = -B^-1 r at the free states u_1..u_M,
-    or None when a block C_k is exactly singular or d is not finite.
+    or None when DLambda is not finite there, a block C_k is exactly singular
+    or d is not finite.
 
     r stacks the implicit-Euler residuals r_k = R_k + DPsi(lam u_k), R_k the
     breakdown's residual rows, so no Lambda is evaluated here.  B, r's
     Jacobian, is block lower bidiagonal: C_k = I/dt + DLambda(u_k) +
     lam D^2Psi(lam u_k) on the diagonal and -I/dt below it, and one forward
-    sweep solves B d = -r: d_k = C_k^-1 (-r_k + (I/dt) d_{k-1}).
+    sweep solves B d = -r: d_k = C_k^-1 (-r_k + (I/dt) d_{k-1}).  All M
+    blocks come from one DLambda and one D^2Psi call on the stacked states.
     """
     lam, dt, tri = problem.lambda_flag, bd.dt, problem.triple
     r = bd.residuals
     if lam:
         r = r + problem.potential.grad(bd.times, lam * states)
-    i_dt = tri.inclusion_matrix / dt
+    try:
+        jac = problem.lambda_op.jacobian_matrix(bd.times, states)
+    except OperatorEvaluationError:
+        return None
+    blocks = tri.inclusion_matrix / dt + jac
+    if lam:
+        hess = problem.potential.hess_matrix(bd.times, lam * states)
+        if hess.ndim == 2:          # one diagonal per step
+            diagonal = np.arange(problem.dim)
+            blocks[:, diagonal, diagonal] += hess
+        else:
+            blocks += hess
     d = np.empty_like(r)
     prev = np.zeros(problem.dim)
-    for k, (t, u) in enumerate(zip(bd.times, states)):
-        c = i_dt + problem.lambda_op.jacobian_matrix(t, u)
-        if lam:
-            c = c + dense(problem.potential.hess_matrix(t, lam * u))
+    for k, c in enumerate(blocks):
         try:
             prev = d[k] = np.linalg.solve(c, tri.apply_i(prev) / dt - r[k])
         except np.linalg.LinAlgError:
@@ -365,7 +376,7 @@ def verify_equivalence(
 
 def trace_to_csv(result: SolveResult) -> str:
     buf = io.StringIO()
-    buf.write("iter,J,grad_norm,step_size\n")
+    buf.write(TRACE_CSV_HEADER)
     for i, (j, gn) in enumerate(zip(result.j_history, result.grad_norm_history)):
         step = result.step_sizes[i] if i < len(result.step_sizes) else float("nan")
         buf.write(f"{i},{j:.17g},{gn:.17g},{step:.17g}\n")

@@ -39,15 +39,17 @@ class OperatorLambda:
     eval(t, x)              -> dual vector Lambda_t(x)
     dderiv(t, x, h)         -> dual vector DLambda_t(x) . h
     dderiv_adjoint(t, x, v) -> DLambda_t(x)^T v
-    jacobian(t, x)          -> dense matrix of DLambda_t(x), for one state
+    jacobian(t, x)          -> dense matrix of DLambda_t(x)
     linear                  -- the matrix L when Lambda_t(x) = L x is declared
                                (a zero matrix declares Lambda = 0); None when
                                Lambda is not declared linear
 
-    eval, dderiv and dderiv_adjoint take one state, or times of shape (M,)
-    with rows x, h, v of shape (M, dim), and return the matching rows.
-    Calling the operator, dlambda or dlambda_adjoint on a stack with a
-    shared scalar time broadcasts the time over the rows.
+    Every callable takes one state, or times of shape (M,) with rows x, h, v
+    of shape (M, dim), and returns the matching rows; the Jacobian answers
+    (dim, dim) for one state and (M, dim, dim) for a stack.  Calling the
+    operator, dlambda, dlambda_adjoint or jacobian_matrix on a stack with a
+    shared scalar time broadcasts the time over the rows, and each checks
+    the answer's shape and that it is finite row by row.
 
     The callables need not be written by hand: term_operator derives eval,
     dderiv and dderiv_adjoint from one description as a linear part plus
@@ -72,17 +74,17 @@ class OperatorLambda:
     def dlambda_adjoint(self, t, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._evaluate(self.dderiv_adjoint, " adjoint", t, x, v)
 
-    def jacobian_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.jacobian(t, x), dtype=float)
+    def jacobian_matrix(self, t, x: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.jacobian, " Jacobian", t, x, block=(self.dim,))
 
-    def _evaluate(self, fn, what: str, t, x: np.ndarray, *args) -> np.ndarray:
+    def _evaluate(self, fn, what: str, t, x: np.ndarray, *args, block=()) -> np.ndarray:
         """fn(t, x, *args) on one state or an (M, dim) stack, checked for its shape
-        and finite row by row."""
+        (x's, then block) and finite row by row."""
         stack = np.ndim(x) == 2
         if stack:
             t = row_times(t, len(x))
         out = np.asarray(fn(t, x, *args), dtype=float)
-        if out.shape != np.shape(x):
+        if out.shape != np.shape(x) + block:
             raise ValueError(f"operator{what} returned shape {out.shape} "
                              f"for a state of shape {np.shape(x)}")
         bad = ~np.isfinite(out.reshape(len(x) if stack else 1, -1)).all(axis=1)
@@ -128,8 +130,10 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
     and the dense Jacobian is DLambda applied to the rows of the identity.
 
     Everything is written in row form (M @ x as x @ M.T), so the callables
-    take one state or an (M, dim) stack alike.  With no terms Lambda is
-    declared linear, OperatorLambda.linear = scale * L (zero when L is None).
+    take one state or an (M, dim) stack alike; the Jacobian broadcasts each
+    state x[..., None, :] over the identity's rows, one block per state.
+    With no terms Lambda is declared linear, OperatorLambda.linear = scale * L
+    (zero when L is None).
     """
     terms = tuple(terms)
     if linear is not None:
@@ -142,7 +146,10 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
         return scale * out
 
     def lam_dderiv(t, x, h):
-        out = np.zeros_like(h) if linear is None else h @ linear.T
+        # h's shape, or one block per state when the Jacobian passes the identity
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(h)))
+        if linear is not None:
+            out += h @ linear.T
         for term in terms:
             args, dirs = term.args(x), term.args(h)
             inner = term.partials[0](*args) * dirs[0]
@@ -161,12 +168,15 @@ def term_operator(dim: int, terms=(), linear: Optional[np.ndarray] = None,
                 out += w if b is None else w @ b
         return scale * out
 
+    def lam_jacobian(t, x):
+        # row i of a block is DLambda e_i: the block is its transpose
+        return np.swapaxes(lam_dderiv(t, x[..., None, :], np.eye(dim)), -1, -2)
+
     declared = None
     if not terms:
         declared = np.zeros((dim, dim)) if linear is None else scale * linear
     return OperatorLambda(dim=dim, eval=lam_eval, dderiv=lam_dderiv,
-                          dderiv_adjoint=lam_adjoint,
-                          jacobian=lambda t, x: lam_dderiv(t, x, np.eye(dim)).T,
+                          dderiv_adjoint=lam_adjoint, jacobian=lam_jacobian,
                           linear=declared)
 
 

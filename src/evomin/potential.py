@@ -16,8 +16,9 @@ and the last bits of z*, never whether the solve succeeds.
 
 A 1-D quadratic matrix or composed-power image G declares a diagonal: its
 formulas are elementwise, with the bits of the dense ones; a 2-D matrix is
-used as given.  With a 1-D matrix hess_matrix, the row of one of
-_hess_rows, answers 1-D, the diagonal of D^2Psi (triple.dense gives the matrix).
+used as given.  With a 1-D matrix hess_matrix, the rows of _hess_rows,
+answers the diagonal of D^2Psi, one row per state (triple.dense gives the
+matrix of one).
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ class Potential:
 
     Construct through the classmethods: quadratic, composed_power, custom.
 
-    psi, grad, conjugate, conjugate_argmax and duality_gap take one state or
-    an (M, dim) stack of rows; on a stack, t is one time per row (or one
-    shared time).  Every formula is written once, in row form: one state is
-    evaluated as a stack of one row, and custom kinds call their callbacks
-    row by row.
+    psi, grad, hess_matrix, conjugate, conjugate_argmax and duality_gap
+    take one state or an (M, dim) stack of rows; on a stack, t is one time
+    per row (or one shared time).  Every formula is written once, in row
+    form: one state is evaluated as a stack of one row, and custom kinds
+    call their callbacks row by row.
     """
 
     def __init__(self, kind, dim, modulation=None, **params):
@@ -318,11 +319,15 @@ class Potential:
 
     # -- second derivative ----------------------------------------------------
 
-    def hess_matrix(self, t: float, x: np.ndarray) -> np.ndarray:
-        """D^2 Psi_t(x) at one state in its declared structure: 1-D (the diagonal)
-        for a quadratic or composed power with a 1-D matrix, a dense matrix
-        otherwise; finite differences for custom kinds without a hess_action."""
-        return self._hess_rows(self._a_rows(t, 1)[:, None], self._rows(x, stack=False))[0]
+    def hess_matrix(self, t, x: np.ndarray) -> np.ndarray:
+        """D^2 Psi_t(x) in its declared structure: 1-D (the diagonal) for a
+        quadratic or composed power with a 1-D matrix, a dense matrix
+        otherwise; on an (M, dim) stack one answer per row, (M, dim) or
+        (M, dim, dim).  Finite differences for custom kinds without a
+        hess_action."""
+        xs = self._rows(x)
+        out = self._hess_rows(self._a_rows(t, len(xs))[:, None], xs)
+        return out if np.ndim(x) == 2 else out[0]
 
     def scaled(self, factor: float) -> "Potential":
         """A new potential factor * Psi_t (factor > 0 and finite)."""
@@ -335,15 +340,14 @@ class Potential:
             modulation = (lambda t, f=factor, b=base: f * b(t))
         return Potential(self.kind, self.dim, modulation, **self.params)
 
-    def _rows(self, x, stack: bool = True) -> np.ndarray:
-        """x as checked rows: an (M, dim) stack as it is (unless stack is False),
-        one state as one row."""
+    def _rows(self, x) -> np.ndarray:
+        """x as checked rows: an (M, dim) stack as it is, one state as one row."""
         xs = np.asarray(x, dtype=float)
         if xs.ndim < 2:
             xs = xs.reshape(1, -1)
-        if xs.ndim != 2 or xs.shape[1] != self.dim or (not stack and np.ndim(x) > 1):
-            raise ValueError(f"expected {'rows or ' if stack else ''}one state of length "
-                             f"{self.dim}, got shape {np.shape(x)}")
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected rows or one state of length {self.dim}, "
+                             f"got shape {np.shape(x)}")
         if not np.all(np.isfinite(xs)):
             raise ValueError("potential input must be finite")
         return xs

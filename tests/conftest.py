@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from evomin import (
     EvolutionTriple,
+    OperatorLambda,
     Potential,
     ProblemSpec,
     Trajectory,
@@ -24,6 +27,17 @@ def scalar_problem(lam=1, t1=1.0, u0=1.0):
     pot = Potential.quadratic(np.eye(1))
     return ProblemSpec(triple=triple, potential=pot, lambda_op=linear_operator(np.eye(1)),
                        lambda_flag=lam, horizon=(0.0, t1), initial=np.array([u0]))
+
+
+def scalar_problem_with_jacobian(value):
+    """scalar_problem with a hand-built Lambda(u) = u that declares the Jacobian
+    [[value]], wrong unless value is 1: the certificate reads no Jacobian, so
+    only the Newton directions see it."""
+    p = scalar_problem()
+    op = OperatorLambda(dim=1, eval=lambda t, x: x.copy(), dderiv=lambda t, x, h: h.copy(),
+                        dderiv_adjoint=lambda t, x, v: v.copy(),
+                        jacobian=lambda t, x: np.full(np.shape(x) + (1,), value))
+    return dataclasses.replace(p, lambda_op=op)
 
 
 def zero_lambda_problem(lam=1, t1=1.0, u0=1.0):

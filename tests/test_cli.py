@@ -3,9 +3,11 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 
+from conftest import scalar_problem_with_jacobian
 from evomin import cli
 from evomin.cli import ConfigError, RunConfig, main
 from evomin.continuation import default_schedule
@@ -186,6 +188,19 @@ def test_numerical_failures_exit_two_and_name_themselves(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert type(exc).__name__ in err and str(exc) in err
     assert "config error" not in err
+
+
+@pytest.mark.parametrize("command,method", [("compare", "ben"), ("solve", "euler")])
+def test_nonfinite_operator_jacobian_exits_two_and_names_the_time(
+        tmp_path, capsys, monkeypatch, command, method):
+    # the minimizer takes L-BFGS where DLambda is not finite, but the oracle's
+    # LU needs DLambda: an operator error, not a library message
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: scalar_problem_with_jacobian(np.nan))
+    cfg = write_config(tmp_path, solver={"method": method})
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{command} failed: OperatorEvaluationError: operator Jacobian returned "
+            "a non-finite value at t=") in err
 
 
 def test_compare_powerlaw_byte_identical(tmp_path):

@@ -249,7 +249,7 @@ def test_operator_failure_carries_step_index(nan):
     bad = np.nan if nan else np.inf
     op = OperatorLambda(dim=1, eval=lambda t, x: np.where(x > 1.5, bad, x),
                         dderiv=lambda t, x, h: h, dderiv_adjoint=lambda t, x, v: v,
-                        jacobian=lambda t, x: np.eye(1))
+                        jacobian=lambda t, x: np.ones(np.shape(x) + (1,)))
     p = ProblemSpec(triple=EvolutionTriple(dim=1, mass=np.eye(1)),
                     potential=Potential.quadratic(np.eye(1)), lambda_op=op, lambda_flag=1,
                     horizon=(0.0, 1.0), initial=np.array([0.0]))
@@ -306,7 +306,7 @@ def test_scaling_invariance(rng):
     op = OperatorLambda(dim=1, eval=lambda t, x: c * x,
                         dderiv=lambda t, x, h: c * h,
                         dderiv_adjoint=lambda t, x, v: c * v,
-                        jacobian=lambda t, x: c * np.eye(1))
+                        jacobian=lambda t, x: np.full(np.shape(x) + (1,), c))
     p2 = ProblemSpec(triple=tri, potential=pot, lambda_op=op, lambda_flag=1,
                      horizon=(0.0, 1.0), initial=np.array([1.0]))
     for _ in range(20):

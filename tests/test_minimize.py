@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_trajectory, scalar_problem, zero_lambda_problem, zero_operator
+from conftest import (
+    random_trajectory,
+    scalar_problem,
+    scalar_problem_with_jacobian,
+    zero_lambda_problem,
+    zero_operator,
+)
 from evomin import (
     EvolutionTriple,
     MinimizeOptions,
@@ -189,7 +195,7 @@ def test_programming_error_in_a_trial_point_propagates():
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
                         dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.eye(1))
+                        jacobian=lambda t, x: np.ones(np.shape(x) + (1,)))
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     with pytest.raises(TypeError, match="broken operator"):
@@ -210,7 +216,7 @@ def test_operator_blow_up_in_a_trial_point_is_a_rejected_trial():
     p = scalar_problem()
     op = OperatorLambda(dim=1, eval=eval_, dderiv=lambda t, x, h: h.copy(),
                         dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.eye(1))
+                        jacobian=lambda t, x: np.ones(np.shape(x) + (1,)))
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     res = minimize(p, steps=3)
@@ -254,9 +260,9 @@ def test_trial_solves_start_from_the_accepted_iterate(monkeypatch):
     # the package exports the function minimize under the module's name
     monkeypatch.setattr(importlib.import_module("evomin.minimize"), "energy_breakdown",
                         recording)
-    p = build_parabolic_divergence(8, q=4.0, theta=PointwiseMap.linear(-0.9304),
-                                   xi=PointwiseMap.saturated_cubic(0.2450),
-                                   gamma=PointwiseMap.arctan(0.5600), t1=0.1)
+    p = build_parabolic_divergence(8, q=4.0, theta=PointwiseMap.linear(-1.2884),
+                                   xi=PointwiseMap.saturated_cubic(0.3904),
+                                   gamma=PointwiseMap.arctan(0.2912), t1=0.1)
     res = minimize(p, steps=4)
     assert res.converged
     assert len(calls) > res.iterations + 1          # some trials were rejected
@@ -323,7 +329,7 @@ def test_error_status_when_the_line_search_rejects_every_trial(evaluations):
     op = OperatorLambda(dim=1, eval=lambda t, x: np.where(np.all(x == 1.0), x, np.inf),
                         dderiv=lambda t, x, h: h.copy(),
                         dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.eye(1))
+                        jacobian=lambda t, x: np.ones(np.shape(x) + (1,)))
     p = type(p)(triple=p.triple, potential=p.potential, lambda_op=op, lambda_flag=1,
                 horizon=p.horizon, initial=p.initial)
     res = minimize(p, steps=3)
@@ -357,12 +363,12 @@ def test_round_off_floor_exit_inside_the_line_search_on_a_power_law_panel_input(
     # floor exit ends the run
     from evomin.applications import PointwiseMap, build_parabolic_divergence
 
-    p = build_parabolic_divergence(8, q=4.0, theta=PointwiseMap.linear(-0.9304),
-                                   xi=PointwiseMap.saturated_cubic(0.2450),
-                                   gamma=PointwiseMap.arctan(0.5600), t1=0.1)
+    p = build_parabolic_divergence(8, q=4.0, theta=PointwiseMap.linear(-1.2884),
+                                   xi=PointwiseMap.saturated_cubic(0.3904),
+                                   gamma=PointwiseMap.arctan(0.2912), t1=0.1)
     res = minimize(p, steps=4, opts=MinimizeOptions(require_gradient=True))
     assert res.status == "converged-zero-energy"
-    assert (res.iterations, len(evaluations)) == (9, 19)
+    assert (res.iterations, len(evaluations)) == (6, 12)
     assert len(res.step_sizes) == res.iterations
     assert res.grad_norm_history[-1] > 1e-9        # above g_tol: a floor exit
     assert min(res.step_sizes) > 2.0**-38
@@ -499,7 +505,7 @@ def _hand_built_zero_lambda():
     op = OperatorLambda(dim=8, eval=lambda t, x: np.zeros_like(x),
                         dderiv=lambda t, x, h: np.zeros_like(h),
                         dderiv_adjoint=lambda t, x, v: np.zeros_like(v),
-                        jacobian=lambda t, x: np.zeros((8, 8)))
+                        jacobian=lambda t, x: np.zeros(np.shape(x) + (8,)))
     return dataclasses.replace(p, lambda_op=op)
 
 
@@ -556,23 +562,13 @@ def test_newton_direction_solves_the_linearized_residual(build, rng):
     assert errors[0] / errors[1] == pytest.approx(100.0, rel=0.1)
 
 
-def _scalar_decay_with_jacobian(value):
-    """scalar_problem with a hand-built Lambda(u) = u that declares the wrong
-    Jacobian [[value]]: the certificate reads no Jacobian, so only the
-    direction sees it."""
-    p = scalar_problem()
-    op = OperatorLambda(dim=1, eval=lambda t, x: x.copy(), dderiv=lambda t, x, h: h.copy(),
-                        dderiv_adjoint=lambda t, x, v: v.copy(),
-                        jacobian=lambda t, x: np.array([[value]]))
-    return dataclasses.replace(p, lambda_op=op)
-
-
 @pytest.mark.parametrize("steps,value", [
     (4, -5.0),      # C_k = 1/dt + value + 1 = 0: np.linalg.solve raises
     (3, -9.0),      # C_k = -(1/dt + 2), the true block's negative: <d, g> > 0
-], ids=["singular", "ascent"])
+    (3, np.nan),    # DLambda is not finite: jacobian_matrix raises
+], ids=["singular", "ascent", "nonfinite"])
 def test_newton_direction_falls_back_to_lbfgs(steps, value):
-    p = _scalar_decay_with_jacobian(value)
+    p = scalar_problem_with_jacobian(value)
     assert not p.constant_step_jacobian
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -585,6 +581,27 @@ def test_newton_direction_falls_back_to_lbfgs(steps, value):
     lbfgs = minimize(scalar_problem(), steps=steps)
     assert res.iterations == lbfgs.iterations
     assert np.allclose(res.trajectory.states, lbfgs.trajectory.states, rtol=0.0, atol=1e-12)
+
+
+def test_newton_direction_reads_each_second_derivative_once(monkeypatch):
+    # every direction assembles its M blocks from one DLambda and one D^2Psi
+    # call on the stacked states
+    p = build_parabolic_divergence(8, q=4.0)
+    calls = []
+
+    def counted(name, read):
+        def wrapper(self, t, x):
+            calls.append((name, np.shape(t), np.shape(x)))
+            return read(self, t, x)
+        return wrapper
+
+    monkeypatch.setattr(OperatorLambda, "jacobian_matrix",
+                        counted("jacobian", OperatorLambda.jacobian_matrix))
+    monkeypatch.setattr(Potential, "hess_matrix", counted("hessian", Potential.hess_matrix))
+    res = minimize(p, steps=6)
+    assert res.converged and res.lbfgs_fallbacks == 0 and res.newton_directions > 0
+    stack = ((6,), (6, 8))
+    assert calls == [("jacobian", *stack), ("hessian", *stack)] * res.newton_directions
 
 
 def test_newton_iterations_do_not_grow_with_the_step_count():

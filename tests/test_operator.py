@@ -158,7 +158,8 @@ def test_term_operator_declares_a_linear_lambda_only_without_terms(rng):
     assert term_operator(4, [PointwiseMap.arctan(1.0).term()], linear=mat).linear is None
     x = rng.standard_normal(4)
     hand = OperatorLambda(dim=4, eval=lambda t, x: x @ mat.T, dderiv=lambda t, x, h: h @ mat.T,
-                          dderiv_adjoint=lambda t, x, v: v @ mat, jacobian=lambda t, x: mat)
+                          dderiv_adjoint=lambda t, x, v: v @ mat,
+                          jacobian=lambda t, x: np.broadcast_to(mat, np.shape(x) + (4,)))
     assert hand.linear is None and np.array_equal(hand(0.0, x), linear_operator(mat)(0.0, x))
 
 

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import pointwise_operator, rotation_problem, scalar_problem
+from conftest import (
+    pointwise_operator,
+    rotation_problem,
+    scalar_problem,
+    scalar_problem_with_jacobian,
+)
 from evomin import (
     EvolutionTriple,
     OperatorLambda,
@@ -33,7 +38,7 @@ from evomin.applications import (
 )
 from evomin import potential as potential_module
 from evomin import triple as triple_module
-from evomin.operator import linear_operator
+from evomin.operator import OperatorEvaluationError, linear_operator
 from evomin.oracle import DEFAULT_NEWTON_TOL, StepFailure
 
 
@@ -117,6 +122,14 @@ def test_singular_step_jacobian_fails_the_step():
         warnings.simplefilter("error")
         implicit_euler_solve(p, 1)
     assert err.value.step == 1 and err.value.residual == 2.0
+
+
+def test_nonfinite_step_jacobian_is_an_operator_error():
+    # a hand-built DLambda that is not finite: the oracle names the time
+    # instead of handing the matrix to the LU
+    with pytest.raises(OperatorEvaluationError,
+                       match=r"operator Jacobian returned a non-finite value at t=0\.5$"):
+        implicit_euler_solve(scalar_problem_with_jacobian(np.nan), 2)
 
 
 def test_step_failure_signals_blowup():
@@ -223,7 +236,8 @@ def _stiff_hand_built_problem(lambda_flag):
     lap = (n + 1) ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     tri = EvolutionTriple(dim=n, mass=np.ones(n))
     op = OperatorLambda(dim=n, eval=lambda t, x: x @ lap.T, dderiv=lambda t, x, h: h @ lap.T,
-                        dderiv_adjoint=lambda t, x, v: v @ lap, jacobian=lambda t, x: lap)
+                        dderiv_adjoint=lambda t, x, v: v @ lap,
+                        jacobian=lambda t, x: np.broadcast_to(lap, np.shape(x) + (n,)))
     x = np.linspace(0.0, 1.0, n + 2)[1:-1]
     return ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(n)), lambda_op=op,
                        lambda_flag=lambda_flag, horizon=(0.0, 1.0),
@@ -342,7 +356,7 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
     op = OperatorLambda(dim=4, eval=lambda t, x: 3.0 * x,
                         dderiv=lambda t, x, h: -3.0 * h,
                         dderiv_adjoint=lambda t, x, v: -3.0 * v,
-                        jacobian=lambda t, x: -3.0 * np.eye(4))
+                        jacobian=lambda t, x: np.broadcast_to(-3.0 * np.eye(4), np.shape(x) + (4,)))
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(4)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.array([1.0, -2.0, 0.5, 3.0]))
     with pytest.raises(StepFailure, match="line search stalled") as err:

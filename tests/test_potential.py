@@ -220,7 +220,9 @@ def test_one_state_reads_check_their_input_and_the_modulation():
     for matrix in (np.ones(2), np.eye(2)):
         pot = Potential.quadratic(matrix, modulation=lambda t: 1.0 - t)
         assert np.array_equal(pot.hess_matrix(0.5, np.zeros(2)), 0.5 * matrix)
-        for bad in (np.zeros((1, 2)), np.zeros(3), np.array([np.nan, 0.0])):
+        # a (1, 2) input is a stack of one row
+        assert np.array_equal(pot.hess_matrix(0.5, np.zeros((1, 2))), [0.5 * matrix])
+        for bad in (np.zeros((1, 1, 2)), np.zeros(3), np.array([np.nan, 0.0])):
             with pytest.raises(ValueError):
                 pot.hess_matrix(0.5, bad)
         for t in (1.0, 2.0, np.inf):
@@ -409,6 +411,34 @@ def test_single_state_calls_are_the_row_forms_on_one_row(rng, kind):
         # the Hessian the conjugate's Newton solve uses on its rows
         row = pot._hess_rows(pot._a_rows(0.4, 1)[:, None], x[None])[0]
         assert np.array_equal(pot.hess_matrix(0.4, x), row)
+
+
+@pytest.mark.parametrize("kind,diagonal", [
+    ("quadratic_diagonal", True), ("quadratic", False), ("pointwise_power", True),
+    ("composed_power", False), ("custom_action", False), ("custom_differences", False),
+])
+def test_stacked_hessian_matches_per_row_calls(rng, kind, diagonal):
+    n, rows = 4, 5
+    g = rng.standard_normal((5, n))
+    modulation = (lambda t: 1.0 + 2.0 * t)
+    pot = {
+        "quadratic_diagonal": Potential.quadratic(np.arange(1.0, n + 1.0), modulation=modulation),
+        "quadratic": Potential.quadratic(g.T @ g + np.eye(n), modulation=modulation),
+        "pointwise_power": Potential.composed_power(np.ones(n), 3.0, modulation=modulation),
+        "composed_power": Potential.composed_power(g, q=4.0, scale=0.3, modulation=modulation),
+        "custom_action": Potential.custom(lambda x: float(np.sum(np.cosh(x) - 1.0)), np.sinh, n,
+                                          hess_action=lambda x, h: np.cosh(x) * h,
+                                          modulation=modulation),
+        "custom_differences": Potential.custom(lambda x: float(np.sum(np.cosh(x) - 1.0)),
+                                               np.sinh, n, modulation=modulation),
+    }[kind]
+    ts = np.linspace(0.0, 1.0, rows)
+    xs = rng.standard_normal((rows, n))
+    for t in (ts, 0.4):
+        stacked = pot.hess_matrix(t, xs)
+        per_row = np.array([pot.hess_matrix(tk, x) for tk, x in zip(np.broadcast_to(t, rows), xs)])
+        assert stacked.shape == per_row.shape == ((rows, n) if diagonal else (rows, n, n))
+        assert np.max(np.abs(stacked - per_row)) <= 1e-13 * np.max(np.abs(per_row))
 
 
 # -- diagonal Hessians and the diagonal quadratic ---------------------------------

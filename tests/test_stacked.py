@@ -121,6 +121,21 @@ def test_stacked_dlambda_matches_single_state_calls(name, rng):
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
+def test_stacked_jacobian_matches_single_state_calls_bit_for_bit(name, rng):
+    problem = BUILDERS[name]()
+    op, n = problem.lambda_op, problem.dim
+    times = np.sort(rng.uniform(*problem.horizon, ROWS))
+    xs = rng.standard_normal((ROWS, n))
+    stacked = op.jacobian_matrix(times, xs)
+    assert stacked.shape == (ROWS, n, n)
+    for t, x, block in zip(times, xs, stacked):
+        assert np.array_equal(block, op.jacobian_matrix(t, x))
+    shared = op.jacobian_matrix(times[0], xs)
+    for x, block in zip(xs, shared):
+        assert np.array_equal(block, op.jacobian_matrix(times[0], x))
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_derivative_callables_agree_with_jacobian(name, rng):
     problem = BUILDERS[name]()
     op = problem.lambda_op
@@ -144,7 +159,7 @@ def test_dlambda_names_the_first_nonfinite_row(nan):
     op = OperatorLambda(dim=2, eval=lambda t, x: x.copy(),
                         dderiv=lambda t, x, h: slope(x) * h,
                         dderiv_adjoint=lambda t, x, v: slope(x) * v,
-                        jacobian=lambda t, x: np.diag(slope(x)))
+                        jacobian=lambda t, x: np.apply_along_axis(np.diag, -1, slope(x)))
     xs = np.zeros((ROWS, 2))
     xs[3, 1] = xs[4, 0] = 2.0
     with pytest.raises(OperatorEvaluationError, match="derivative") as err:
@@ -160,6 +175,26 @@ def test_dlambda_names_the_first_nonfinite_row(nan):
     with pytest.raises(OperatorEvaluationError, match="adjoint") as err:
         op.dlambda_adjoint(0.5, xs[3], np.ones(2))
     assert err.value.row is None
+    # and so is the Jacobian
+    with pytest.raises(OperatorEvaluationError, match="Jacobian") as err:
+        op.jacobian_matrix(np.linspace(0.0, 1.0, ROWS), xs)
+    assert err.value.row == 3
+    with pytest.raises(OperatorEvaluationError, match="Jacobian") as err:
+        op.jacobian_matrix(0.5, xs[3])
+    assert err.value.row is None
+
+
+def test_jacobian_of_the_wrong_shape_is_a_value_error():
+    # a Jacobian that answers one (dim, dim) matrix whatever it is given
+    op = OperatorLambda(dim=2, eval=lambda t, x: x.copy(), dderiv=lambda t, x, h: h.copy(),
+                        dderiv_adjoint=lambda t, x, v: v.copy(),
+                        jacobian=lambda t, x: np.eye(2))
+    assert np.array_equal(op.jacobian_matrix(0.5, np.zeros(2)), np.eye(2))
+    with pytest.raises(ValueError, match=r"Jacobian returned shape \(2, 2\) for a state "
+                                         r"of shape \(3, 2\)"):
+        op.jacobian_matrix(np.zeros(3), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="Jacobian returned shape"):
+        op.jacobian_matrix(0.5, np.zeros(3))
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
@@ -188,7 +223,8 @@ def test_absent_terms_give_exact_zeros(name, rng):
     hs = rng.standard_normal((ROWS, n))
     outs = [(op(times, xs), (ROWS, n)),
             (op.dlambda(times, xs, hs), (ROWS, n)),
-            (op.dlambda_adjoint(times, xs, hs), (ROWS, n))]
+            (op.dlambda_adjoint(times, xs, hs), (ROWS, n)),
+            (op.jacobian_matrix(times, xs), (ROWS, n, n))]
     for t, x, h in zip(times, xs, hs):
         outs += [(op(t, x), (n,)), (op.dlambda(t, x, h), (n,)),
                  (op.dlambda_adjoint(t, x, h), (n,)), (op.jacobian_matrix(t, x), (n, n))]

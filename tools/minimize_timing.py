@@ -8,9 +8,10 @@ L-BFGS fallbacks of the Newton direction ("-" where the tree does not
 count them) and the best of three wall times of `minimize(problem,
 steps=M)` with the default options; the problem is built outside the
 timed call.  The cases are the four `powerlaw_compare` panel inputs
-(q = 4 parabolic_divergence, n = 8, t1 = 0.1) at M = 4 and at M = 64, and
-Navier-Stokes from a random start (k = 16, seed 3, viscosity 0.1, t1 = 1)
-at M = 20.  Run it on two source trees to compare them.
+(q = 4 parabolic_divergence, t1 = 0.1) at n = 8 with M = 4 and M = 64 and
+at n = 32 with M = 50, and Navier-Stokes from a random start (k = 16,
+seed 3, viscosity 0.1, t1 = 1) at M = 20.  Run it on two source trees to
+compare them.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ REPEATS = 3
 def cases(applications):
     """(label, problem, M) for every case, in a fixed order."""
     out = []
-    for steps in (4, 64):
+    for n, steps in ((8, 4), (8, 64), (32, 50)):
         for reaction, flux, gamma in PANEL:
             problem = applications.build_parabolic_divergence(
-                8, q=4.0, theta=applications.PointwiseMap.linear(reaction),
+                n, q=4.0, theta=applications.PointwiseMap.linear(reaction),
                 xi=applications.PointwiseMap.saturated_cubic(flux),
                 gamma=applications.PointwiseMap.arctan(gamma), t1=0.1)
-            out.append((f"q4 reaction={reaction} n=8", problem, steps))
+            out.append((f"q4 reaction={reaction} n={n}", problem, steps))
     ns = applications.build_navier_stokes_2d(16, viscosity=0.1, t1=1.0, initial="random",
                                              seed=3)
     out.append(("navier_stokes random k=16", ns, 20))
