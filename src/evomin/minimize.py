@@ -270,10 +270,10 @@ def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
     if lam:
         r = r + problem.potential.grad(bd.times, lam * states)
     try:
-        jac = problem.lambda_op.jacobian_matrix(bd.times, states)
+        blocks = problem.lambda_op.jacobian_matrix(bd.times, states)
     except OperatorEvaluationError:
         return None
-    blocks = tri.inclusion_matrix / dt + jac
+    blocks += tri.inclusion_matrix / dt
     if lam:
         hess = problem.potential.hess_matrix(bd.times, lam * states)
         if hess.ndim == 2:          # one diagonal per step
