@@ -270,7 +270,9 @@ def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
     if lam:
         r = r + problem.potential.grad(bd.times, lam * states)
     try:
-        blocks = problem.lambda_op.jacobian_matrix(bd.times, states)
+        # a read-only answer (a constant broadcast over the states) is copied
+        blocks = np.require(problem.lambda_op.jacobian_matrix(bd.times, states),
+                            requirements="W")
     except OperatorEvaluationError:
         return None
     blocks += tri.inclusion_matrix / dt

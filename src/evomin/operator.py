@@ -39,8 +39,9 @@ class OperatorLambda:
     eval(t, x)              -> dual vector Lambda_t(x)
     dderiv(t, x, h)         -> dual vector DLambda_t(x) . h
     dderiv_adjoint(t, x, v) -> DLambda_t(x)^T v
-    jacobian(t, x)          -> dense matrix of DLambda_t(x), a new writable
-                               array: the Newton direction adds to it in place
+    jacobian(t, x)          -> dense matrix of DLambda_t(x); the Newton
+                               direction adds to a writable answer in place,
+                               so a writable answer must not be shared
     linear                  -- the matrix L when Lambda_t(x) = L x is declared
                                (a zero matrix declares Lambda = 0); None when
                                Lambda is not declared linear

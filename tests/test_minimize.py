@@ -583,6 +583,18 @@ def test_newton_direction_falls_back_to_lbfgs(steps, value):
     assert np.allclose(res.trajectory.states, lbfgs.trajectory.states, rtol=0.0, atol=1e-12)
 
 
+def test_newton_direction_copies_a_read_only_jacobian():
+    # a constant Jacobian broadcast over the states is read-only: the direction
+    # adds I/dt to a copy and leaves the operator's matrix as it was
+    jac = np.eye(1)
+    op = OperatorLambda(dim=1, eval=lambda t, x: x.copy(), dderiv=lambda t, x, h: h.copy(),
+                        dderiv_adjoint=lambda t, x, v: v.copy(),
+                        jacobian=lambda t, x: np.broadcast_to(jac, np.shape(x) + (1,)))
+    res = minimize(dataclasses.replace(scalar_problem(), lambda_op=op), steps=3)
+    assert res.converged and res.newton_directions > 0 and res.lbfgs_fallbacks == 0
+    assert np.array_equal(jac, np.eye(1))
+
+
 def test_newton_direction_reads_each_second_derivative_once(monkeypatch):
     # every direction assembles its M blocks from one DLambda and one D^2Psi
     # call on the stacked states

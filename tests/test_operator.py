@@ -159,7 +159,7 @@ def test_term_operator_declares_a_linear_lambda_only_without_terms(rng):
     x = rng.standard_normal(4)
     hand = OperatorLambda(dim=4, eval=lambda t, x: x @ mat.T, dderiv=lambda t, x, h: h @ mat.T,
                           dderiv_adjoint=lambda t, x, v: v @ mat,
-                          jacobian=lambda t, x: np.tile(mat, np.shape(x)[:-1] + (1, 1)))
+                          jacobian=lambda t, x: np.broadcast_to(mat, np.shape(x) + (4,)))
     assert hand.linear is None and np.array_equal(hand(0.0, x), linear_operator(mat)(0.0, x))
 
 

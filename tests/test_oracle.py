@@ -237,7 +237,7 @@ def _stiff_hand_built_problem(lambda_flag):
     tri = EvolutionTriple(dim=n, mass=np.ones(n))
     op = OperatorLambda(dim=n, eval=lambda t, x: x @ lap.T, dderiv=lambda t, x, h: h @ lap.T,
                         dderiv_adjoint=lambda t, x, v: v @ lap,
-                        jacobian=lambda t, x: np.tile(lap, np.shape(x)[:-1] + (1, 1)))
+                        jacobian=lambda t, x: np.broadcast_to(lap, np.shape(x) + (n,)))
     x = np.linspace(0.0, 1.0, n + 2)[1:-1]
     return ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(n)), lambda_op=op,
                        lambda_flag=lambda_flag, horizon=(0.0, 1.0),
@@ -356,7 +356,7 @@ def test_krylov_path_wrong_derivative_fails_the_step(krylov_everywhere):
     op = OperatorLambda(dim=4, eval=lambda t, x: 3.0 * x,
                         dderiv=lambda t, x, h: -3.0 * h,
                         dderiv_adjoint=lambda t, x, v: -3.0 * v,
-                        jacobian=lambda t, x: np.tile(-3.0 * np.eye(4), np.shape(x)[:-1] + (1, 1)))
+                        jacobian=lambda t, x: np.broadcast_to(-3.0 * np.eye(4), np.shape(x) + (4,)))
     p = ProblemSpec(triple=tri, potential=Potential.quadratic(np.ones(4)), lambda_op=op,
                     lambda_flag=0, horizon=(0.0, 1.0), initial=np.array([1.0, -2.0, 0.5, 3.0]))
     with pytest.raises(StepFailure, match="line search stalled") as err:
