@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .operator import OperatorLambda, Term, linear_operator, term_operator
 from .potential import Potential
@@ -272,6 +271,8 @@ def build_hyperbolic(
     is exactly skew; the potential is a small multiple of the squared
     H-norm so the variational energy stays finite off solutions.
     """
+    from scipy.linalg import block_diag  # scipy.linalg loads on use (see oracle)
+
     h, x_nodes, g_mat = _grid(n)
     stiff = h * (g_mat.T @ g_mat)
     lap = -(g_mat.T @ g_mat)
@@ -302,6 +303,8 @@ def build_schrodinger(
     couplings = (c_theta, c_xi).  Both components live in the W^{1,2}
     geometry (stiffness + mass); the skew coupling pairs to zero exactly.
     """
+    from scipy.linalg import block_diag  # scipy.linalg loads on use (see oracle)
+
     h, x_nodes, g_mat = _grid(n)
     lap = -(g_mat.T @ g_mat)
     w_mat = h * (g_mat.T @ g_mat + np.eye(n))   # stiffness + mass

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .energy import energy_breakdown, energy_gradient
 from .operator import OperatorEvaluationError
@@ -312,6 +311,8 @@ def _inverse_hessian(problem: ProblemSpec, m: int, dt: float):
     linear, a = problem.lambda_op.linear, problem.potential.constant_hessian
     if linear is None or np.any(linear) or a is None:
         return None
+    from scipy.linalg import cho_factor, cho_solve  # loads on use (see oracle)
+
     n = problem.dim
     i_dt = problem.triple.inclusion_matrix / dt
     factor = cho_factor(i_dt + problem.lambda_flag * dense(a))

@@ -27,28 +27,39 @@ at most once per Newton iteration:
   solve with its factors and read no D^2Psi;
 * from KRYLOV_MIN_DIM up with a Lambda not declared linear and a declared
   diagonal lin (Navier-Stokes), the Newton direction comes from restarted
-  GMRES on the matrix-free action h -> lin h + dt DLambda(u) h,
-  preconditioned by Jacobi, which inverts lin exactly (Jacobian-free
-  Newton-Krylov, Knoll & Keyes, J. Comput. Phys. 2004).  That diagonal is
-  positive (validated masses and quadratic diagonals, a composed power's
-  with a 1-D G at least a positive multiple of HESS_REGULARIZATION), and
-  this path forms no dim x dim matrix unless it falls back.  GMRES stops
-  at the relative residual KRYLOV_RTOL, after restarts of KRYLOV_RESTART
-  inner iterations and at most KRYLOV_MAXITER restarts.  When it misses KRYLOV_RTOL (a stiff or
-  strongly non-normal DLambda), that Newton iteration and the rest of the
-  step take the dense LU direction, which adds triple.dense of the same
-  D^2Psi evaluation.
+  GMRES on the matrix-free action J h = D h + dt DLambda(u) h with
+  D = diag(lin) (Jacobian-free Newton-Krylov, Knoll & Keyes, J. Comput.
+  Phys. 2004).  D is positive (validated masses and quadratic diagonals, a
+  composed power's with a 1-D G at least a positive multiple of
+  HESS_REGULARIZATION), and this path forms no dim x dim matrix unless it
+  falls back.  The preconditioner sits on the right: GMRES solves
+  (J D^-1) y = -f and the direction is d = D^-1 y, so GMRES minimizes the
+  true linear residual |f + J d|_2.  The GMRES is a lean in-house one
+  (_gmres): CGS2 orthogonalization, scalar Givens rotations whose residual
+  estimate ends a cycle, a restart from the true residual after
+  KRYLOV_RESTART inner iterations, at most KRYLOV_MAXITER cycles, and no
+  final check.  The forcing term, the relative residual asked of GMRES,
+  is Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17 (1996) 16)
+  on the inf-norms of the Newton residuals: KRYLOV_ETA_MAX at a step's
+  first iteration, then eta_k = KRYLOV_GAMMA (|f_k| / |f_k-1|)^2, raised
+  to KRYLOV_GAMMA eta_k-1^2 when that exceeds 0.1; GMRES gets
+  min(KRYLOV_ETA_MAX, max(eta_k, tol / (2 |f_k|))), so it never solves
+  tighter than the Newton stop needs (Kelley 1995, sec. 6.3).  When GMRES
+  misses it (a stiff or strongly non-normal DLambda), that Newton
+  iteration and the rest of the step take the dense LU direction, which
+  adds triple.dense of the same D^2Psi evaluation.
 
-The size threshold sits at the measured crossover on Navier-Stokes (10
-steps from a random start, one BLAS thread, best of 3 to 5 runs; seeds
-3, 7 and 11: LU 122-137 ms against GMRES 112-158 ms at 288 unknowns,
-183-225 against 115-179 ms at 360; seed 3: 335 against 200 ms at 440,
-1.93 s against 0.31 s at 960).  The 1D families other than heat_core
-couple neighbours in lin; forced onto GMRES with the dense lin they ran 2
-to 1800 times slower than on the LU, or failed a step the LU solves.
-heat_core at 320 unknowns and 5 steps took 11 Newton iterations, 447 GMRES
-iterations and one LU fallback on GMRES, against 5 Newton iterations and
-about 8x less time on the LU.
+KRYLOV_MIN_DIM is the measured crossover on Navier-Stokes before right
+preconditioning and forcing (LU and GMRES level at 288 to 360 unknowns, 10
+steps from a random start, one BLAS thread).  With them,
+tools/oracle_timing.py --crossover (seeds 1-3, 10 steps each) puts GMRES
+ahead from 224 unknowns (127 against 191 ms) and behind at 168 (124
+against 109 ms); the threshold has not moved yet.  The 1D families other
+than heat_core couple neighbours in lin; forced onto GMRES with the dense
+lin they ran 2 to 1800 times slower than on the LU, or failed a step the
+LU solves.  heat_core at 320 unknowns and 5 steps took 11 Newton iterations,
+447 GMRES iterations and one LU fallback on GMRES, against 5 Newton
+iterations and about 8x less time on the LU.
 
 Both paths end on the same scaled residual test and the same damped line
 search, so every returned state satisfies |r|_inf < newton_tol * scale.
@@ -60,11 +71,11 @@ correspondence between zero energy and discrete solutions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .problem import ProblemSpec
 from .trajectory import Trajectory
@@ -76,13 +87,29 @@ PIVOT_FLOOR = 1e-13
 DEFAULT_NEWTON_TOL = 1e-12
 MAX_NEWTON_ITER = 60
 MAX_HALVINGS = 60
-# Newton-Krylov path: the smallest problem that takes it, the GMRES forcing
-# term (relative residual of each inner solve), the restart length, and the
-# number of restarts before the dense LU takes over.
+# Newton-Krylov path: the smallest problem that takes it, the largest
+# forcing term (relative residual of an inner solve) and the gamma of the
+# Eisenstat-Walker rule that chooses it, the restart length, and the number
+# of restarts before the dense LU takes over.
 KRYLOV_MIN_DIM = 320
-KRYLOV_RTOL = 1e-3
+KRYLOV_ETA_MAX = 0.1
+KRYLOV_GAMMA = 0.9
 KRYLOV_RESTART = 30
 KRYLOV_MAXITER = 10
+
+
+# scipy.linalg is imported on first use: the Newton-Krylov path never needs
+# it, and its import costs about 0.2 s and 20 MB of resident memory
+def lu_factor(a: np.ndarray):
+    from scipy.linalg import lu_factor as factor
+
+    return factor(a)
+
+
+def lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    from scipy.linalg import lu_solve as solve
+
+    return solve(factors, b)
 
 
 class StepFailure(RuntimeError):
@@ -117,6 +144,8 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
     jac = problem.triple.inclusion_matrix + dt * problem.lambda_op.jacobian_matrix(t, u)
     if hess is not None:
         jac = jac + dt * dense(hess)
+    from scipy.linalg import LinAlgWarning
+
     with warnings.catch_warnings():
         # scipy warns of an exactly zero pivot; the PIVOT_FLOOR test below is the verdict
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -131,28 +160,73 @@ def _lu_direction(problem: ProblemSpec, u: np.ndarray, hess: Optional[np.ndarray
     return lu_solve((lu, piv), -f)
 
 
-def _krylov_direction(problem: ProblemSpec, u: np.ndarray, diag: np.ndarray,
-                      f: np.ndarray, t: float, dt: float) -> tuple[Optional[np.ndarray], int]:
-    """Inexact Newton direction by Jacobi-preconditioned GMRES, and its inner iterations.
+def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple[Optional[np.ndarray], int]:
+    """Restarted GMRES for matvec(x) = b from x = 0, and its inner iterations.
 
-    The Jacobian acts matrix-free: diag h + dt DLambda(u) h, with diag the
-    diagonal of the linear part lin.  The direction is None when GMRES
-    misses the forcing term KRYLOV_RTOL.
+    Each cycle of at most KRYLOV_RESTART inner iterations orthogonalizes by
+    classical Gram-Schmidt twice (CGS2), rotates the Hessenberg columns by
+    scalar Givens rotations and reads the residual estimate from them, and
+    the next cycle starts from the true residual.  A happy breakdown (the
+    Krylov space is invariant or fills the whole space) ends the solve
+    exactly.  x is None when KRYLOV_MAXITER cycles miss |b - Ax|_2 <=
+    rtol |b|_2, or when A is singular on the Krylov space.
     """
-    # imported on first use: problems on the LU path never load scipy.sparse,
-    # whose import costs about 20 ms and 3.5 MB of resident memory
-    from scipy.sparse.linalg import LinearOperator, gmres
+    n = b.size
+    target = rtol * float(np.linalg.norm(b))
+    basis = np.empty((KRYLOV_RESTART + 1, n))
+    tri = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))
+    x, r, inner = np.zeros(n), b, 0
+    for cycle in range(KRYLOV_MAXITER):
+        if cycle:
+            r = b - matvec(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            return x, inner
+        basis[0] = r / beta
+        cs, sn, g = [], [], [beta]
+        for j in range(KRYLOV_RESTART):
+            w = matvec(basis[j])
+            inner += 1
+            v = basis[:j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            col, hn = (h + h2).tolist(), float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(zip(cs, sn)):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], hn)
+            if rho == 0.0:
+                return None, inner
+            c, s = col[j] / rho, hn / rho
+            cs.append(c)
+            sn.append(s)
+            col[j] = rho
+            tri[:j + 1, j] = col
+            g[j:] = [c * g[j], -s * g[j]]
+            done = abs(g[j + 1]) <= target or j + 1 == n
+            if done:
+                break
+            basis[j + 1] = w / hn
+        x = x + np.linalg.solve(tri[:j + 1, :j + 1], g[:j + 1]) @ basis[:j + 1]
+        if done:
+            return x, inner
+    return None, inner
 
+
+def _krylov_direction(problem: ProblemSpec, u: np.ndarray, diag: np.ndarray,
+                      f: np.ndarray, t: float, dt: float,
+                      rtol: float) -> tuple[Optional[np.ndarray], int]:
+    """Inexact Newton direction by right-Jacobi-preconditioned GMRES, and its inner iterations.
+
+    The Jacobian acts matrix-free, J h = diag h + dt DLambda(u) h with diag
+    the diagonal D of the linear part lin.  GMRES solves (J D^-1) y = -f and
+    the direction is d = D^-1 y, so it meets |f + J d|_2 <= rtol |f|_2 on
+    the true linear residual; it is None when GMRES misses that.
+    """
     op = problem.lambda_op
-    shape = (problem.dim, problem.dim)
-    jac = LinearOperator(shape, matvec=lambda h: diag * h + dt * op.dlambda(t, u, h),
-                         dtype=float)
-    jacobi = LinearOperator(shape, matvec=lambda r: r / diag, dtype=float)
-    inner = []
-    direction, info = gmres(jac, -f, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
-                            maxiter=KRYLOV_MAXITER, M=jacobi,
-                            callback=inner.append, callback_type="pr_norm")
-    return (direction if info == 0 else None), len(inner)
+    y, inner = _gmres(lambda v: v + dt * op.dlambda(t, u, v / diag), -f, rtol)
+    return (None if y is None else y / diag), inner
 
 
 def newton_solve_step(
@@ -200,6 +274,7 @@ def newton_solve_step(
     lu_only = not krylov or problem.lambda_op.linear is not None
     mass = problem.triple.mass
     iters = inner = 0
+    eta = KRYLOV_ETA_MAX
     for _ in range(MAX_NEWTON_ITER):
         if fnorm < tol:
             break
@@ -209,7 +284,9 @@ def newton_solve_step(
         if not lu_only:
             if mass.ndim == 1 and (hess is None or hess.ndim == 1):
                 diag = mass if hess is None else mass + dt * hess
-                direction, count = _krylov_direction(problem, u, diag, f, t, dt)
+                # no tighter than the Newton stop needs (Kelley 1995, sec. 6.3)
+                rtol = min(KRYLOV_ETA_MAX, max(eta, 0.5 * tol / fnorm))
+                direction, count = _krylov_direction(problem, u, diag, f, t, dt, rtol)
                 inner += count
             lu_only = direction is None
         if direction is None:
@@ -228,6 +305,11 @@ def newton_solve_step(
                 f"(residual {fnorm / dt:.3e}; dt too large or hypotheses violated)",
                 step_index, fnorm / dt,
             )
+        # Eisenstat-Walker choice 2 with their alpha = 2 and safeguard
+        # threshold 0.1 (SIAM J. Sci. Comput. 17 (1996) 16)
+        eta_prev, eta = eta, KRYLOV_GAMMA * (fnorm_new / fnorm) ** 2
+        if KRYLOV_GAMMA * eta_prev ** 2 > 0.1:
+            eta = max(eta, KRYLOV_GAMMA * eta_prev ** 2)
         u, f, fnorm = u_new, f_new, fnorm_new
         iters += 1
     else:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .operator import row_times
 from .triple import require_symmetric, times_matrix
@@ -51,10 +50,19 @@ class ConjugateFailure(RuntimeError):
         self.row = row
 
 
+def cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve, with scipy.linalg loaded on first use (see oracle)."""
+    from scipy.linalg import cho_solve as solve
+
+    return solve(factor, b)
+
+
 def _hessian_factor(hess: np.ndarray):
     """What the conjugate solves D^2Psi z = y with: 1/sqrt of a 1-D hess's
     entries, cho_factor of a 2-D one; a LinAlgError unless hess is SPD."""
     if hess.ndim == 2:
+        from scipy.linalg import cho_factor  # scipy.linalg loads on use (see oracle)
+
         return cho_factor(hess)
     if not np.all(np.isfinite(hess) & (hess > 0.0)):
         raise np.linalg.LinAlgError(
@@ -252,7 +260,9 @@ class Potential:
             return np.multiply.outer(a[:, 0], self.params["matrix"])
         if self.kind == "composed_power":
             q, g = self.params["q"], self.params["matrix"]
-            d = (q - 1.0) * np.abs(times_matrix(xs, g.T)) ** (q - 2.0) + HESS_REGULARIZATION
+            d = (q - 1.0) * np.abs(times_matrix(xs, g.T)) ** (q - 2.0)
+            if q != 2.0:
+                d += HESS_REGULARIZATION
             if g.ndim == 1:
                 return ((a * self.params["scale"]) * (g * d)) * g
             return ((a * self.params["scale"])[:, :, None] * (g.T * d[:, None, :])) @ g

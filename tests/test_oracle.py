@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,19 +113,34 @@ def test_first_order_accuracy_against_exact_heat():
         assert 1.7 <= a / b <= 2.3
 
 
+def _zero_jacobian_problem(op):
+    """lam = 0 and Lambda(u) = -u / dt with dt = 1/2: the step Jacobian
+    I + dt DLambda is exactly zero."""
+    return ProblemSpec(triple=EvolutionTriple(dim=1, mass=np.ones(1)),
+                       potential=Potential.quadratic(np.ones(1)),
+                       lambda_op=op, lambda_flag=0,
+                       horizon=(0.0, 0.5), initial=np.array([1.0]))
+
+
 def test_singular_step_jacobian_fails_the_step():
-    # lam = 0 and Lambda(u) = -u / dt with dt = 1/2: the step Jacobian
-    # I + dt DLambda is exactly zero, so its one pivot is below PIVOT_FLOOR;
-    # the step failure is the only report, with no library warning beside it
-    p = ProblemSpec(triple=EvolutionTriple(dim=1, mass=np.ones(1)),
-                    potential=Potential.quadratic(np.ones(1)),
-                    lambda_op=linear_operator([[-2.0]]), lambda_flag=0,
-                    horizon=(0.0, 0.5), initial=np.array([1.0]))
+    # the zero step Jacobian's one pivot is below PIVOT_FLOOR; the step
+    # failure is the only report, with no library warning beside it
+    p = _zero_jacobian_problem(linear_operator([[-2.0]]))
     with warnings.catch_warnings(), \
             pytest.raises(StepFailure, match="singular Jacobian at step 1") as err:
         warnings.simplefilter("error")
         implicit_euler_solve(p, 1)
     assert err.value.step == 1 and err.value.residual == 2.0
+
+
+def test_singular_step_jacobian_on_the_krylov_path(krylov_everywhere):
+    # not declared linear, the same Lambda sends the step to GMRES first,
+    # which breaks down on the zero Jacobian and gives way to the LU
+    p = _zero_jacobian_problem(dataclasses.replace(linear_operator([[-2.0]]), linear=None))
+    with warnings.catch_warnings(), \
+            pytest.raises(StepFailure, match="singular Jacobian at step 1"):
+        warnings.simplefilter("error")
+        newton_solve_step(p, p.initial, t=0.5, dt=0.5, step_index=1)
 
 
 def test_nonfinite_step_jacobian_is_an_operator_error():
@@ -244,21 +263,116 @@ def _stiff_hand_built_problem(lambda_flag):
                        initial=np.sin(np.pi * x) + x)
 
 
-def test_krylov_path_falls_back_to_lu_on_stiff_operator():
-    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian:
-    # Jacobi-preconditioned GMRES(30) cannot reach the forcing term at this
-    # stiffness, and the dense LU solves the linear step in one iteration.
-    # The operator is written by hand, so it declares no linear part and the
-    # step tries GMRES first (a declared linear Lambda goes straight to the LU)
+@pytest.fixture
+def krylov_solves(monkeypatch):
+    """Record every GMRES solve as (its arguments, direction, inner iterations)."""
+    solves = []
+    krylov = oracle._krylov_direction
+
+    def recorded(*args):
+        direction, inner = krylov(*args)
+        solves.append((args, direction, inner))
+        return direction, inner
+
+    monkeypatch.setattr(oracle, "_krylov_direction", recorded)
+    return solves
+
+
+def test_krylov_path_falls_back_to_lu_on_stiff_operator(krylov_solves):
+    # u + dt L u = u_prev with L the 1D Dirichlet Laplacian: the first GMRES
+    # solve meets the loose forcing term KRYLOV_ETA_MAX, but Jacobi-
+    # preconditioned GMRES(30) cannot reach the tighter one that follows at
+    # this stiffness; that miss costs every restart, and the dense LU then
+    # solves the linear step.  The operator is written by hand, so it declares
+    # no linear part and the step tries GMRES first (a declared linear Lambda
+    # goes straight to the LU)
     p = _stiff_hand_built_problem(lambda_flag=0)
     n, lap = p.dim, p.lambda_op.jacobian_matrix(1.0, p.initial)
     counter = {}
     u = newton_solve_step(p, p.initial, t=1.0, dt=1.0, counter=counter)
+    assert [direction is not None for _, direction, _ in krylov_solves] == [True, False]
+    assert krylov_solves[0][0][-1] == oracle.KRYLOV_ETA_MAX
+    assert krylov_solves[1][2] == oracle.KRYLOV_RESTART * oracle.KRYLOV_MAXITER
+    assert counter["krylov_iters"] == sum(inner for _, _, inner in krylov_solves)
     assert counter["krylov_fallbacks"] == 1
-    assert counter["krylov_iters"] == oracle.KRYLOV_RESTART * oracle.KRYLOV_MAXITER
-    assert counter["newton_iters"] == 1
+    assert counter["newton_iters"] == 2
     exact = np.linalg.solve(np.eye(n) + lap, p.initial)
     assert np.max(np.abs(u - exact)) < 1e-10 * np.max(np.abs(exact))
+
+
+def test_gmres_restarts_and_converges_without_fallback(krylov_solves):
+    # the stiff Laplacian step at dt = 1e-4: one solve needs more than
+    # KRYLOV_RESTART inner iterations, restarts from its true residual and
+    # still meets its forcing term, and the step converges on GMRES alone
+    p = _stiff_hand_built_problem(lambda_flag=0)
+    n, lap, dt = p.dim, p.lambda_op.jacobian_matrix(1.0, p.initial), 1e-4
+    counter = {}
+    u = newton_solve_step(p, p.initial, t=1.0, dt=dt, counter=counter)
+    assert max(inner for _, _, inner in krylov_solves) > oracle.KRYLOV_RESTART
+    assert all(direction is not None for _, direction, _ in krylov_solves)
+    assert counter["krylov_fallbacks"] == 0
+    exact = np.linalg.solve(np.eye(n) + dt * lap, p.initial)
+    assert np.max(np.abs(u - exact)) < 1e-10 * np.max(np.abs(exact))
+
+
+def test_gmres_happy_breakdown_gives_the_exact_direction(krylov_everywhere, monkeypatch):
+    # below KRYLOV_RESTART unknowns and with no forcing slack, GMRES ends on
+    # the breakdown at dim inner iterations with the exact Newton direction,
+    # so the linear step is solved in one Newton iteration; it makes one
+    # DLambda product per inner iteration and no final check
+    n = 6
+    a = np.random.default_rng(5).standard_normal((n, n))
+    products = []
+    op = OperatorLambda(dim=n, eval=lambda t, x: x @ a.T,
+                        dderiv=lambda t, x, h: products.append(h) or h @ a.T,
+                        dderiv_adjoint=lambda t, x, v: v @ a,
+                        jacobian=lambda t, x: np.broadcast_to(a, np.shape(x) + (n,)))
+    mass = np.linspace(1.0, 2.0, n)
+    p = ProblemSpec(triple=EvolutionTriple(dim=n, mass=mass),
+                    potential=Potential.quadratic(np.ones(n)), lambda_op=op, lambda_flag=0,
+                    horizon=(0.0, 1.0), initial=np.arange(1.0, n + 1.0))
+    monkeypatch.setattr(oracle, "KRYLOV_ETA_MAX", 0.0)
+    counter = {}
+    dt = 0.25
+    u = newton_solve_step(p, p.initial, t=1.0, dt=dt, counter=counter)
+    exact = np.linalg.solve(np.diag(mass) + dt * a, mass * p.initial)
+    assert np.max(np.abs(u - exact)) < 1e-13 * np.max(np.abs(exact))
+    assert counter["newton_iters"] == 1 and counter["krylov_fallbacks"] == 0
+    assert counter["krylov_iters"] == len(products) == n
+
+
+def test_krylov_direction_meets_its_forcing_term(krylov_everywhere, krylov_solves):
+    # every direction d that GMRES returns satisfies
+    # |f + (diag + dt DLambda(u)) d|_2 <= rtol |f|_2 on the true residual,
+    # with DLambda the spectral convection_jacobian
+    p = build_navier_stokes_2d(16, initial="random", seed=2, t1=0.4)
+    counter = {}
+    implicit_euler_solve(p, 2, counter=counter)
+    assert counter["krylov_fallbacks"] == 0 and len(krylov_solves) == counter["newton_iters"]
+    basis = p.metadata["_basis"]
+    for (_, u, diag, f, _, dt, rtol), d, _ in krylov_solves:
+        jac = np.diag(diag) + dt * basis.convection_jacobian(u)
+        assert np.linalg.norm(f + jac @ d) <= rtol * np.linalg.norm(f)
+        assert 0.0 < rtol <= oracle.KRYLOV_ETA_MAX
+
+
+def test_krylov_path_loads_neither_scipy_sparse_nor_linalg():
+    # the in-house GMRES replaced scipy's, so a Navier-Stokes solve on the
+    # Newton-Krylov path imports neither scipy.sparse nor, since it takes no
+    # LU, scipy.linalg
+    code = ("import sys\n"
+            "from evomin import build_navier_stokes_2d, implicit_euler_solve, oracle\n"
+            "p = build_navier_stokes_2d(24, initial='random', seed=1, t1=0.2)\n"
+            "counter = {}\n"
+            "implicit_euler_solve(p, 2, counter=counter)\n"
+            "assert p.dim >= oracle.KRYLOV_MIN_DIM and counter['krylov_iters'] > 0\n"
+            "heavy = ('scipy.sparse', 'scipy.linalg')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n")
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_declared_linear_operator_takes_the_lu_path():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from evomin import ConjugateFailure, EvolutionTriple, Potential, ProblemSpec, XNorm, check_growth
+from evomin.applications import build_heat, build_parabolic_nondivergence
 from evomin.operator import linear_operator
+from evomin.potential import HESS_REGULARIZATION
 from evomin.potential import Potential as P
 from evomin.triple import dense
 
@@ -475,6 +477,26 @@ def test_pointwise_power_hessian_is_the_closed_form(rng):
     assert hess.shape == (n,)
     assert np.allclose(hess, want, rtol=1e-12, atol=0.0)
     assert np.allclose(dense(hess), np.diag(want), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("build", [lambda: build_heat(8), lambda: build_heat(32),
+                                   lambda: build_parabolic_nondivergence(8)])
+def test_quadratic_power_hessian_is_its_constant_hessian(build, rng):
+    # a q = 2 power's D^2Psi is the declared constant at every x: no
+    # regularization is added where (q - 1)|Gx|^(q - 2) is 1 already
+    pot = build().potential
+    assert pot.kind == "composed_power" and pot.params["q"] == 2.0
+    for x in (np.zeros(pot.dim), rng.standard_normal(pot.dim)):
+        assert np.array_equal(pot.hess_matrix(0.3, x), pot.constant_hessian)
+
+
+def test_power_hessian_is_regularized_away_from_q_2():
+    # at x = 0 the q = 4 Hessian is HESS_REGULARIZATION * scale G^T G, so
+    # still positive definite
+    g = np.eye(3) - np.eye(3, k=1)
+    pot = Potential.composed_power(g, q=4.0, scale=2.0)
+    want = HESS_REGULARIZATION * ((2.0 * g.T) @ g)
+    assert np.array_equal(pot.hess_matrix(0.0, np.zeros(3)), want)
 
 
 def test_hess_diagonal_is_none_when_coupled(rng):
