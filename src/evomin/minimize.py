@@ -3,22 +3,20 @@
 A descent method with Armijo backtracking on J over the free states
 u_1..u_M (u_0 carries the initial datum and never moves).  Zero energy is
 the implicit-Euler system r(u) = 0, so J serves as the merit function of
-Newton's method on r: unless the problem declares its step Jacobian
-constant (ProblemSpec.constant_step_jacobian), each iteration first tries
-the space-time Newton direction d = -B^-1 r, B the block lower bidiagonal
-Jacobian of r, one dense solve per step in one forward sweep (see
-_newton_direction).  It makes no Lambda evaluation of its own: r is the
-accepted iterate's breakdown residual plus DPsi, and B is assembled from
-DLambda and D^2Psi, so an operator blow-up still lands in a trial point,
-where the line search rejects it.  When DLambda is not finite at the
-iterate, a block is exactly singular, d is not finite or d is not a descent
-direction for J, limited-memory BFGS stands in; its pairs are updated at
-every accepted step, so the fallback starts warm.  A problem whose step
-Jacobian is declared constant takes L-BFGS from the start.  When J is exactly quadratic there (Lambda declared
-zero, D^2Psi one constant matrix A), the initial inverse Hessian of the
-two-loop recursion is J's exact inverse Hessian, a backward and a forward
-sweep in time (see _inverse_hessian), and the first step is the exact
-Newton step; otherwise it is the usual scaled identity.  The line search halves the step until Armijo holds; it ends
+Newton's method on r: each iteration first tries the space-time Newton
+direction d = -B^-1 r, B the block lower bidiagonal Jacobian of r, in one
+forward sweep in time.  r is the accepted iterate's breakdown residual
+plus DPsi, so the direction evaluates no Lambda.  Unless the problem
+declares its step Jacobian constant (ProblemSpec.constant_step_jacobian),
+B comes from DLambda and D^2Psi at the iterate, one dense solve per step
+(see _newton_direction), and an operator blow-up still lands in a trial
+point, where the line search rejects it.  A declared-constant step with
+Lambda declared zero factors its one block once per call (see
+_factored_sweep); any other declared-constant step takes L-BFGS alone.
+When DLambda is not finite at the iterate, a block is exactly singular, d
+is not finite or d is not a descent direction for J, limited-memory BFGS
+stands in; its pairs are updated at every accepted step, so the fallback
+starts warm.  The line search halves the step until Armijo holds; it ends
 without a step, a floor exit, once a trial's predicted decrease
 alpha * -<d, g> is round-off or after MAX_BACKTRACKS halvings.  A
 positive-J stationary point is reported, never silently accepted: under
@@ -32,6 +30,7 @@ from __future__ import annotations
 import io
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +40,7 @@ from .operator import OperatorEvaluationError
 from .potential import ConjugateFailure
 from .problem import ProblemSpec
 from .trajectory import Trajectory, constant_trajectory, residual
-from .triple import dense, times_matrix
+from .triple import dense
 
 __all__ = ["MinimizeOptions", "SolveResult", "minimize", "verify_equivalence", "trace_to_csv"]
 
@@ -138,12 +137,13 @@ def minimize(
     # failures at the start point (conjugate solve, operator blow-up) propagate;
     # only trial points inside the line search may fail recoverably
     j, g, bd = f_and_g(z)
-    newton = not problem.constant_step_jacobian
+    # the Newton direction (states, bd) -> d or None; None where L-BFGS runs alone
+    newton = (_factored_sweep(problem, traj.dt) if problem.constant_step_jacobian
+              else partial(_newton_direction, problem))
 
     s_list: deque = deque(maxlen=HISTORY)
     y_list: deque = deque(maxlen=HISTORY)
     gamma = 1.0
-    h0 = _inverse_hessian(problem, m, traj.dt)
     j_floor = max(opts.j_tol, J_FLOOR * max(1.0, abs(j)))
     g_floor = max(opts.g_tol, G_FLOOR)
 
@@ -164,12 +164,12 @@ def minimize(
             result.status = exit_status(j, gnorm)
             break
 
-        direction = _newton_direction(problem, z.reshape(m, n), bd) if newton else None
+        direction = newton(z.reshape(m, n), bd) if newton else None
         if direction is not None and direction @ g < 0.0:
             result.newton_directions += 1
         else:               # no Newton direction, or not a descent one
-            result.lbfgs_fallbacks += newton
-            direction = _lbfgs_direction(g, s_list, y_list, gamma, h0)
+            result.lbfgs_fallbacks += newton is not None
+            direction = _lbfgs_direction(g, s_list, y_list, gamma)
         dg = float(direction @ g)
         if not np.isfinite(dg) or dg >= 0.0:
             s_list.clear()
@@ -226,15 +226,11 @@ def minimize(
     return result
 
 
-def _lbfgs_direction(g, s_list, y_list, gamma, h0=None):
-    """The L-BFGS two-loop direction -H g.
-
-    The initial inverse Hessian is h0 (a callable) when given, else gamma
-    times the identity, and with no pairs stored the step -g scaled to at
-    most unit length.
-    """
+def _lbfgs_direction(g, s_list, y_list, gamma):
+    """The L-BFGS two-loop direction -H g, H0 = gamma times the identity;
+    with no pairs stored the step -g scaled to at most unit length."""
     q = -g.copy()
-    if not s_list and h0 is None:
+    if not s_list:
         return q / max(1.0, np.linalg.norm(g))
     alphas = []
     rhos = [1.0 / float(s @ y) for s, y in zip(s_list, y_list)]
@@ -242,14 +238,17 @@ def _lbfgs_direction(g, s_list, y_list, gamma, h0=None):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if h0 is None:
-        q *= gamma
-    else:
-        q = h0(q)
+    q *= gamma
     for (s, y, rho), a in zip(zip(s_list, y_list, rhos), reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return q
+
+
+def _newton_residual(problem: ProblemSpec, states: np.ndarray, bd) -> np.ndarray:
+    """r_k = R_k + DPsi(lam u_k) stacked, R_k the breakdown's residual rows."""
+    lam = problem.lambda_flag
+    return bd.residuals + problem.potential.grad(bd.times, states) if lam else bd.residuals
 
 
 def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
@@ -257,17 +256,14 @@ def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
     or None when DLambda is not finite there, a block C_k is exactly singular
     or d is not finite.
 
-    r stacks the implicit-Euler residuals r_k = R_k + DPsi(lam u_k), R_k the
-    breakdown's residual rows, so no Lambda is evaluated here.  B, r's
+    r is _newton_residual's, so no Lambda is evaluated here.  B, r's
     Jacobian, is block lower bidiagonal: C_k = I/dt + DLambda(u_k) +
     lam D^2Psi(lam u_k) on the diagonal and -I/dt below it, and one forward
     sweep solves B d = -r: d_k = C_k^-1 (-r_k + (I/dt) d_{k-1}).  All M
     blocks come from one DLambda and one D^2Psi call on the stacked states.
     """
     lam, dt, tri = problem.lambda_flag, bd.dt, problem.triple
-    r = bd.residuals
-    if lam:
-        r = r + problem.potential.grad(bd.times, lam * states)
+    r = _newton_residual(problem, states, bd)
     try:
         # a read-only answer (a constant broadcast over the states) is copied
         blocks = np.require(problem.lambda_op.jacobian_matrix(bd.times, states),
@@ -292,44 +288,32 @@ def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
     return d.ravel() if np.all(np.isfinite(d)) else None
 
 
-def _inverse_hessian(problem: ProblemSpec, m: int, dt: float):
-    """v -> P^-1 v for J's exact Hessian P, or None unless J is exactly quadratic.
+def _factored_sweep(problem: ProblemSpec, dt: float):
+    """For a step Jacobian declared constant, the direction (states, bd) ->
+    d = -B^-1 r (None where d is not finite), or None unless Lambda is
+    declared zero.
 
-    J is quadratic when Lambda is declared zero and D^2Psi is one constant
-    matrix A (Potential.constant_hessian).  Step k's gap is then
-    1/2 |r_k|^2 in the A^-1 norm, r_k = C u_k - (I/dt) u_{k-1} with the SPD
-    C = I/dt + lam A, so P = dt B^T A^-1 B for B block lower bidiagonal in
-    time (C on the diagonal, -I/dt below it), and
-
-        P^-1 v = (1/dt) B^-1 A B^-T v:
-
-    a backward sweep for B^-T, a product with A, and a forward sweep for
-    B^-1.  C is Cholesky-factored once; a sweep solves with C for all M
-    rows at once and then adds K = C^-1 I/dt times the row before it,
-    step by step.
+    Every diagonal block of B is then the SPD C = I/dt + lam A, A =
+    Potential.constant_hessian, and r is affine in the states, so a full step
+    along d zeroes it.  C is Cholesky-factored once; a direction solves with
+    C for all M rows -r_k at once, then adds K = C^-1 I/dt d_{k-1} to d_k.
     """
-    linear, a = problem.lambda_op.linear, problem.potential.constant_hessian
-    if linear is None or np.any(linear) or a is None:
+    if np.any(problem.lambda_op.linear):
         return None
     from scipy.linalg import cho_factor, cho_solve  # loads on use (see oracle)
 
-    n = problem.dim
     i_dt = problem.triple.inclusion_matrix / dt
-    factor = cho_factor(i_dt + problem.lambda_flag * dense(a))
+    c = i_dt + dense(problem.potential.constant_hessian) if problem.lambda_flag else i_dt
+    factor = cho_factor(c)
     k_mat = cho_solve(factor, i_dt)
 
-    def sweep(rows, order):
-        out = cho_solve(factor, rows.T).T
-        for prev, k in zip(order, order[1:]):
-            out[k] += k_mat @ out[prev]
-        return out
+    def sweep(states, bd):
+        d = cho_solve(factor, -_newton_residual(problem, states, bd).T).T
+        for k in range(1, len(d)):
+            d[k] += k_mat @ d[k - 1]
+        return d.ravel() if np.all(np.isfinite(d)) else None
 
-    def apply(v):
-        w = sweep(v.reshape(m, n), range(m - 1, -1, -1))     # B^T w = v
-        x = sweep(times_matrix(w, a), range(m))               # B x = A w (A symmetric)
-        return x.ravel() / dt
-
-    return apply
+    return sweep
 
 
 def verify_equivalence(

@@ -49,12 +49,14 @@ at most once per Newton iteration:
   iteration and the rest of the step take the dense LU direction, which
   adds triple.dense of the same D^2Psi evaluation.
 
-KRYLOV_MIN_DIM is the measured crossover on Navier-Stokes before right
-preconditioning and forcing (LU and GMRES level at 288 to 360 unknowns, 10
-steps from a random start, one BLAS thread).  With them,
-tools/oracle_timing.py --crossover (seeds 1-3, 10 steps each) puts GMRES
-ahead from 224 unknowns (127 against 191 ms) and behind at 168 (124
-against 109 ms); the threshold has not moved yet.  The 1D families other
+KRYLOV_MIN_DIM is the measured crossover on Navier-Stokes with right
+preconditioning and forcing: tools/oracle_timing.py --crossover (seeds
+1-3, 10 steps from a random start each, one BLAS thread on a 2-CPU host)
+puts GMRES ahead from 224 unknowns (k = 16: 129 against 184 ms on the LU),
+level at 168 (k = 14: 98 against 100 ms, and 111 against 98 ms in a
+second run), and 2 to 2.6x behind at k = 8 to 12.  Before right
+preconditioning and forcing the two levelled at 288 to 360 unknowns, and
+the threshold was 320.  The 1D families other
 than heat_core couple neighbours in lin; forced onto GMRES with the dense
 lin they ran 2 to 1800 times slower than on the LU, or failed a step the
 LU solves.  heat_core at 320 unknowns and 5 steps took 11 Newton iterations,
@@ -91,7 +93,7 @@ MAX_HALVINGS = 60
 # forcing term (relative residual of an inner solve) and the gamma of the
 # Eisenstat-Walker rule that chooses it, the restart length, and the number
 # of restarts before the dense LU takes over.
-KRYLOV_MIN_DIM = 320
+KRYLOV_MIN_DIM = 200
 KRYLOV_ETA_MAX = 0.1
 KRYLOV_GAMMA = 0.9
 KRYLOV_RESTART = 30

@@ -108,7 +108,8 @@ class Potential:
                 if kind == "quadratic":
                     raise
                 # a singular composed quadratic fails on use, in conjugate_argmax
-        # D^2Psi_t when it is one matrix at every t and x: the unmodulated base Hessian
+        # D^2Psi_t when it is one matrix at every t and x: the unmodulated base
+        # Hessian (scaled declares factor times its own)
         self.constant_hessian = self._hessian if modulation is None else None
 
     # -- constructors ------------------------------------------------------
@@ -340,7 +341,8 @@ class Potential:
         return out if np.ndim(x) == 2 else out[0]
 
     def scaled(self, factor: float) -> "Potential":
-        """A new potential factor * Psi_t (factor > 0 and finite)."""
+        """A new potential factor * Psi_t (factor > 0 and finite); a constant
+        D^2Psi stays declared, scaled by factor."""
         if not (np.isfinite(factor) and factor > 0.0):
             raise ValueError(f"scale factor must be positive and finite, got {factor}")
         base = self.modulation
@@ -348,7 +350,10 @@ class Potential:
             modulation = (lambda t, f=factor: f)
         else:
             modulation = (lambda t, f=factor, b=base: f * b(t))
-        return Potential(self.kind, self.dim, modulation, **self.params)
+        out = Potential(self.kind, self.dim, modulation, **self.params)
+        if self.constant_hessian is not None:
+            out.constant_hessian = factor * self.constant_hessian
+        return out
 
     def _rows(self, x) -> np.ndarray:
         """x as checked rows: an (M, dim) stack as it is, one state as one row."""

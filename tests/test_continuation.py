@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import rotation_problem, zero_operator
+from evomin import continuation as continuation_module
+from evomin import oracle
 from evomin import (
     Potential,
     continuation_solve,
@@ -48,6 +50,27 @@ def test_single_level_equals_one_oracle_solve():
     direct = implicit_euler_solve(core.with_potential(reg.scaled(0.25), lambda_flag=1), 6)
     assert len(res.trajectories) == 1
     assert np.array_equal(res.trajectories[0].states, direct.states)
+
+
+def test_each_level_factors_its_step_jacobian_once(monkeypatch):
+    # eps * reg keeps reg's constant D^2Psi, so every level's step Jacobian is
+    # declared constant and the oracle factors it once per level
+    core = build_heat_core(8)
+    reg = Potential.quadratic(core.triple.mass)
+    factored, per_level = [], []
+    factor, solve = oracle.lu_factor, continuation_module.implicit_euler_solve
+
+    def counted(*args, **kwargs):
+        before = len(factored)
+        traj = solve(*args, **kwargs)
+        per_level.append(len(factored) - before)
+        return traj
+
+    monkeypatch.setattr(oracle, "lu_factor", lambda a: factored.append(a) or factor(a))
+    monkeypatch.setattr(continuation_module, "implicit_euler_solve", counted)
+    res = continuation_solve(core, reg, [1.0, 0.25, 0.0625], steps=8)
+    assert res.completed and all(n >= 8 for n in res.newton_iters)
+    assert per_level == [1, 1, 1]
 
 
 def test_zero_dynamics_limit_is_constant():

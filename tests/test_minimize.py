@@ -21,7 +21,6 @@ from evomin import (
     Trajectory,
     energy,
     energy_breakdown,
-    energy_gradient,
     implicit_euler_solve,
     minimize,
     verify_equivalence,
@@ -452,7 +451,7 @@ def test_floor_exit_below_the_relative_j_floor_is_zero_energy():
     assert res.grad_norm_history[-1] > 1e-9
 
 
-# -- the exact inverse Hessian as the initial L-BFGS matrix --------------------
+# -- the factored Newton sweep of an exactly quadratic energy ------------------
 
 def _diagonal_potential_flow():
     """Lambda = 0 against Psi with the 1-D (diagonal) matrix diag(1, 2, 3)."""
@@ -468,33 +467,30 @@ def _diagonal_potential_flow():
     _diagonal_potential_flow,                             # diagonal mass and A
     lambda: zero_lambda_problem(lam=0),                   # lam = 0: C = I/dt
 ], ids=["heat", "nondivergence", "diagonal", "lam0"])
-def test_inverse_hessian_inverts_the_hessian_of_a_quadratic_energy(build, rng):
-    # J is exactly quadratic, so its gradient is affine in z and a step by
-    # P^-1 v moves it by exactly v
+def test_factored_sweep_is_the_dense_newton_direction(build, rng):
+    # Lambda declared zero and one constant block: the once-factored sweep
+    # gives the per-step dense solve of B d = -r, and r is affine in the
+    # states, so a full step along d zeroes it
     p = build()
     steps = 6
+    assert p.constant_step_jacobian
     traj = random_trajectory(p, steps, rng)
-    inverse = minimize_module._inverse_hessian(p, steps, traj.dt)
-    assert inverse is not None
-
-    def grad(z):
-        t = traj.copy()
-        t.states[1:] = z.reshape(steps, p.dim)
-        return energy_gradient(p, t).ravel()
-
-    z = traj.states[1:].ravel()
-    for _ in range(3):
-        v = rng.standard_normal(z.size)
-        moved = grad(z + inverse(v)) - grad(z)
-        assert np.linalg.norm(moved - v) <= 1e-8 * np.linalg.norm(v)
+    bd = energy_breakdown(p, traj)
+    d = minimize_module._factored_sweep(p, traj.dt)(traj.states[1:], bd)
+    reference = minimize_module._newton_direction(p, traj.states[1:], bd)
+    assert np.linalg.norm(d - reference) <= 1e-12 * np.linalg.norm(reference)
+    moved = traj.copy()
+    moved.states[1:] += d.reshape(steps, p.dim)
+    assert np.max(np.abs(residual(p, moved))) <= 1e-12 * np.max(np.abs(residual(p, traj)))
 
 
 def test_heat_converges_in_one_preconditioned_step():
-    # the first direction is the exact Newton step to the implicit-Euler solution
+    # the first direction, the factored sweep, is the exact Newton step to the
+    # implicit-Euler solution
     p = build_heat(32)
     res = minimize(p, steps=50, opts=MinimizeOptions(require_gradient=True))
     assert res.status == "converged-zero-energy"
-    assert res.iterations <= 3
+    assert res.iterations == res.newton_directions == 1
     report = verify_equivalence(p, res.trajectory, implicit_euler_solve(p, 50))
     assert report["pass"]
     assert report["state_discrepancy"] <= 1e-12
@@ -516,31 +512,42 @@ def _hand_built_zero_lambda():
     lambda: build_navier_stokes_2d(8),                              # declares nothing
     _hand_built_zero_lambda,                                        # declares nothing
 ], ids=["modulated", "q4", "scalar_decay", "navier_stokes", "hand_built"])
-def test_no_inverse_hessian_unless_the_energy_is_declared_quadratic(build):
-    assert minimize_module._inverse_hessian(build(), 4, 0.1) is None
+def test_no_factored_sweep_unless_lambda_is_declared_zero(build, monkeypatch):
+    # a step Jacobian not declared constant never builds the sweep, and a
+    # declared-constant one whose Lambda is not declared zero builds None
+    p = build()
+    built = []
+    real = minimize_module._factored_sweep
+    monkeypatch.setattr(minimize_module, "_factored_sweep",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    minimize(p, steps=4)
+    assert built == ([None] if p.constant_step_jacobian else [])
 
 
 # -- the space-time Newton direction -------------------------------------------
 
-@pytest.mark.parametrize("build,constant", [
-    (lambda: build_heat(8), True),                                   # Lambda = 0, constant A
-    (build_scalar_decay, True),                                      # Lambda = I
-    (lambda: zero_lambda_problem(lam=0), True),                      # lam = 0
-    (lambda: build_hyperbolic(8), True),                             # zero coupling
-    (lambda: build_parabolic_divergence(8, q=2.0, time_scale=1.0), False),  # modulated Psi
-    (lambda: build_parabolic_divergence(8, q=4.0), False),           # D^2Psi not constant
-    (lambda: build_hyperbolic(8, nonlinearity=0.5), False),          # Lambda has terms
-    (lambda: build_navier_stokes_2d(8), False),                      # declares nothing
-    (_hand_built_zero_lambda, False),                                # declares nothing
+@pytest.mark.parametrize("build,constant,newton", [
+    (lambda: build_heat(8), True, True),                             # Lambda = 0, constant A
+    (build_scalar_decay, True, False),                               # Lambda = I
+    (lambda: zero_lambda_problem(lam=0), True, True),                # Lambda = 0, lam = 0
+    (lambda: build_hyperbolic(8), True, False),                      # zero coupling
+    (lambda: build_parabolic_divergence(8, q=2.0, time_scale=1.0), False, True),  # modulated
+    (lambda: build_parabolic_divergence(8, q=4.0), False, True),     # D^2Psi not constant
+    (lambda: build_hyperbolic(8, nonlinearity=0.5), False, True),    # Lambda has terms
+    (lambda: build_navier_stokes_2d(8), False, True),                # declares nothing
+    (_hand_built_zero_lambda, False, True),                          # declares nothing
 ], ids=["heat", "scalar_decay", "lam0", "hyperbolic", "modulated", "q4",
         "hyperbolic-nonlinear", "navier_stokes", "hand_built"])
-def test_constant_step_jacobian_reads_the_declarations(build, constant):
+def test_constant_step_jacobian_reads_the_declarations(build, constant, newton):
     p = build()
     assert p.constant_step_jacobian is constant
     res = minimize(p, steps=4)
-    # only a step Jacobian not declared constant takes the Newton direction
-    assert (res.newton_directions > 0) is (not constant and res.iterations > 0)
+    # a declared-constant step Jacobian takes the Newton direction only where
+    # Lambda is declared zero, and there its one exact step ends the run
+    assert (res.newton_directions > 0) is (newton and res.iterations > 0)
     assert res.lbfgs_fallbacks == 0
+    if constant and newton:     # one direction, unless the start passes the gradient test
+        assert res.newton_directions == res.iterations == (res.grad_norm_history[0] > 1e-9)
 
 
 @pytest.mark.parametrize("build", [

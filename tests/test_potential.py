@@ -490,6 +490,24 @@ def test_quadratic_power_hessian_is_its_constant_hessian(build, rng):
         assert np.array_equal(pot.hess_matrix(0.3, x), pot.constant_hessian)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Potential.quadratic(np.array([[2.0, 0.5], [0.5, 1.0]])),
+    lambda: Potential.quadratic(np.array([1.0, 3.0])),
+    lambda: build_heat(8).potential,
+], ids=["quadratic", "diagonal", "heat"])
+def test_scaled_potential_keeps_its_constant_hessian(build, rng):
+    # factor * Psi declares factor times Psi's constant D^2Psi, the matrix its
+    # hess_matrix answers at every x; a time modulation still declares none
+    pot = build()
+    scaled = pot.scaled(0.25)
+    assert np.array_equal(scaled.constant_hessian, 0.25 * pot.constant_hessian)
+    for x in (np.zeros(pot.dim), rng.standard_normal(pot.dim)):
+        assert np.allclose(scaled.hess_matrix(0.3, x), scaled.constant_hessian,
+                           rtol=1e-15, atol=0.0)
+    modulated = Potential.quadratic(np.ones(2), modulation=lambda t: 1.0 + t)
+    assert modulated.constant_hessian is None and modulated.scaled(0.25).constant_hessian is None
+
+
 def test_power_hessian_is_regularized_away_from_q_2():
     # at x = 0 the q = 4 Hessian is HESS_REGULARIZATION * scale G^T G, so
     # still positive definite

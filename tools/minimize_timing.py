@@ -1,4 +1,4 @@
-"""Time `minimize` on the q = 4 panel inputs and on Navier-Stokes.
+"""Time `minimize` on the q = 4 panel inputs, on heat and on Navier-Stokes.
 
     python tools/minimize_timing.py --src src
 
@@ -9,9 +9,9 @@ count them) and the best of three wall times of `minimize(problem,
 steps=M)` with the default options; the problem is built outside the
 timed call.  The cases are the four `powerlaw_compare` panel inputs
 (q = 4 parabolic_divergence, t1 = 0.1) at n = 8 with M = 4 and M = 64 and
-at n = 32 with M = 50, and Navier-Stokes from a random start (k = 16,
-seed 3, viscosity 0.1, t1 = 1) at M = 20.  Run it on two source trees to
-compare them.
+at n = 32 with M = 50, heat at n = 32 and n = 1024 with M = 50, and
+Navier-Stokes from a random start (k = 16, seed 3, viscosity 0.1, t1 = 1)
+at M = 20.  Run it on two source trees to compare them.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def cases(applications):
                 xi=applications.PointwiseMap.saturated_cubic(flux),
                 gamma=applications.PointwiseMap.arctan(gamma), t1=0.1)
             out.append((f"q4 reaction={reaction} n={n}", problem, steps))
+    for n in (32, 1024):
+        out.append((f"heat n={n}", applications.build_heat(n), 50))
     ns = applications.build_navier_stokes_2d(16, viscosity=0.1, t1=1.0, initial="random",
                                              seed=3)
     out.append(("navier_stokes random k=16", ns, 20))
@@ -76,7 +78,7 @@ def main() -> None:
             best = min(best, time.perf_counter() - start)
         fallbacks = getattr(res, "lbfgs_fallbacks", "-")
         print(f"{label} | {steps} | {res.iterations} | {len(evaluations)} | {fallbacks} | "
-              f"{best:.3f}")
+              f"{best:.4f}")
 
 
 if __name__ == "__main__":
