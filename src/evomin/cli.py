@@ -188,7 +188,8 @@ OPTIONS = {
                 "flux": (_pointwise("saturated_cubic"), None),
                 "gamma": (_pointwise("arctan"), None), "damping": (_number(), None),
                 "nonlinearity": (_number(), None), "couplings": (_pair, None),
-                "viscosity": (_number(), None), "initial": (_typed(str, "a string"), None)},
+                "viscosity": (_number(positive=True), None),
+                "initial": (_typed(str, "a string"), None)},
     "grid": {"n": (_number(int), 32), "k": (_number(int), 16)},
     "time": {"t0": (_zero, 0.0), "t1": (_number(), 0.1),
              "steps": (_number(int, positive=True), 50)},

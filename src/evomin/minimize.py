@@ -5,24 +5,24 @@ u_1..u_M (u_0 carries the initial datum and never moves).  Zero energy is
 the implicit-Euler system r(u) = 0, so J serves as the merit function of
 Newton's method on r: each iteration first tries the space-time Newton
 direction d = -B^-1 r, B the block lower bidiagonal Jacobian of r, in one
-forward sweep in time.  r is the accepted iterate's breakdown residual
-plus DPsi, so the direction evaluates no Lambda.  Unless the problem
-declares its step Jacobian constant (ProblemSpec.constant_step_jacobian),
-B comes from DLambda and D^2Psi at the iterate, one dense solve per step
-(see _newton_direction), and an operator blow-up still lands in a trial
-point, where the line search rejects it.  A declared-constant step with
-Lambda declared zero factors its one block once per call (see
-_factored_sweep); any other declared-constant step takes L-BFGS alone.
-When DLambda is not finite at the iterate, a block is exactly singular, d
-is not finite or d is not a descent direction for J, limited-memory BFGS
+forward sweep in time (see _newton_direction).  r is the accepted
+iterate's breakdown residual plus DPsi, so the direction evaluates no
+Lambda.  Unless the problem declares its step Jacobian constant
+(ProblemSpec.constant_step_jacobian), each block comes from DLambda and
+D^2Psi at the iterate, and an operator blow-up still lands in a trial
+point, where the line search rejects it.  A declared-constant step
+LU-factors its one declared block once per call, but only where Lambda is
+declared zero; any other declared-constant step takes L-BFGS alone.  When
+DLambda is not finite at the iterate, a block is exactly singular, d is
+not finite or d is not a descent direction for J, limited-memory BFGS
 stands in; its pairs are updated at every accepted step, so the fallback
 starts warm.  The line search halves the step until Armijo holds; it ends
 without a step, a floor exit, once a trial's predicted decrease
-alpha * -<d, g> is round-off or after MAX_BACKTRACKS halvings.  A
-positive-J stationary point is reported, never silently accepted: under
-the growth and monotonicity hypotheses it cannot exist, so reaching one
-means a hypothesis is violated or the discretization is too coarse, and
-the status message says which checker to run.
+alpha * -<d, g> is round-off or after MAX_BACKTRACKS halvings.  A positive-J
+stationary point is reported, never silently accepted: under the growth
+and monotonicity hypotheses it cannot exist, so reaching one means a
+hypothesis is violated or the discretization is too coarse, and the status
+message says which checker to run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import io
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -137,9 +136,11 @@ def minimize(
     # failures at the start point (conjugate solve, operator blow-up) propagate;
     # only trial points inside the line search may fail recoverably
     j, g, bd = f_and_g(z)
-    # the Newton direction (states, bd) -> d or None; None where L-BFGS runs alone
-    newton = (_factored_sweep(problem, traj.dt) if problem.constant_step_jacobian
-              else partial(_newton_direction, problem))
+    # a declared-constant step takes the Newton direction only where Lambda is
+    # declared zero, and then with its one block LU-factored here
+    constant = problem.constant_step_jacobian
+    newton = not (constant and np.any(problem.lambda_op.linear))
+    lu = _declared_block_lu(problem, traj.dt) if newton and constant else None
 
     s_list: deque = deque(maxlen=HISTORY)
     y_list: deque = deque(maxlen=HISTORY)
@@ -164,17 +165,17 @@ def minimize(
             result.status = exit_status(j, gnorm)
             break
 
-        direction = newton(z.reshape(m, n), bd) if newton else None
+        direction = _newton_direction(problem, z.reshape(m, n), bd, lu) if newton else None
         if direction is not None and direction @ g < 0.0:
             result.newton_directions += 1
         else:               # no Newton direction, or not a descent one
-            result.lbfgs_fallbacks += newton is not None
+            result.lbfgs_fallbacks += newton
             direction = _lbfgs_direction(g, s_list, y_list, gamma)
         dg = float(direction @ g)
         if not np.isfinite(dg) or dg >= 0.0:
             s_list.clear()
             y_list.clear()
-            direction = -g / max(1.0, np.linalg.norm(g))
+            direction = _lbfgs_direction(g, s_list, y_list, gamma)
             dg = float(direction @ g)
 
         alpha, accepted = 1.0, False
@@ -251,7 +252,7 @@ def _newton_residual(problem: ProblemSpec, states: np.ndarray, bd) -> np.ndarray
     return bd.residuals + problem.potential.grad(bd.times, states) if lam else bd.residuals
 
 
-def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
+def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd, lu=None):
     """The space-time Newton direction d = -B^-1 r at the free states u_1..u_M,
     or None when DLambda is not finite there, a block C_k is exactly singular
     or d is not finite.
@@ -259,61 +260,57 @@ def _newton_direction(problem: ProblemSpec, states: np.ndarray, bd):
     r is _newton_residual's, so no Lambda is evaluated here.  B, r's
     Jacobian, is block lower bidiagonal: C_k = I/dt + DLambda(u_k) +
     lam D^2Psi(lam u_k) on the diagonal and -I/dt below it, and one forward
-    sweep solves B d = -r: d_k = C_k^-1 (-r_k + (I/dt) d_{k-1}).  All M
-    blocks come from one DLambda and one D^2Psi call on the stacked states.
+    sweep solves B d = -r: d_k = C_k^-1 (-r_k + (I/dt) d_{k-1}).  lu, the
+    factors of _declared_block_lu, solves every step with the one declared
+    block; without it all M blocks come from one DLambda and one D^2Psi call
+    on the stacked states and each step is a dense solve.
     """
     lam, dt, tri = problem.lambda_flag, bd.dt, problem.triple
     r = _newton_residual(problem, states, bd)
-    try:
-        # a read-only answer (a constant broadcast over the states) is copied
-        blocks = np.require(problem.lambda_op.jacobian_matrix(bd.times, states),
-                            requirements="W")
-    except OperatorEvaluationError:
-        return None
-    blocks += tri.inclusion_matrix / dt
-    if lam:
-        hess = problem.potential.hess_matrix(bd.times, lam * states)
-        if hess.ndim == 2:          # one diagonal per step
-            diagonal = np.arange(problem.dim)
-            blocks[:, diagonal, diagonal] += hess
-        else:
-            blocks += hess
+    if lu is not None:
+        from scipy.linalg.lapack import dgetrs  # scipy.linalg loads on use (see oracle)
+    else:
+        try:
+            # a read-only answer (a constant broadcast over the states) is copied
+            blocks = np.require(problem.lambda_op.jacobian_matrix(bd.times, states),
+                                requirements="W")
+        except OperatorEvaluationError:
+            return None
+        blocks += tri.inclusion_matrix / dt
+        if lam:
+            hess = problem.potential.hess_matrix(bd.times, lam * states)
+            if hess.ndim == 2:          # one diagonal per step
+                diagonal = np.arange(problem.dim)
+                blocks[:, diagonal, diagonal] += hess
+            else:
+                blocks += hess
     d = np.empty_like(r)
     prev = np.zeros(problem.dim)
-    for k, c in enumerate(blocks):
-        try:
-            prev = d[k] = np.linalg.solve(c, tri.apply_i(prev) / dt - r[k])
-        except np.linalg.LinAlgError:
-            return None
+    for k in range(len(r)):
+        rhs = tri.apply_i(prev) / dt - r[k]
+        if lu is None:
+            try:
+                prev = np.linalg.solve(blocks[k], rhs)
+            except np.linalg.LinAlgError:
+                return None
+        else:
+            prev, info = dgetrs(*lu, rhs)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of dgetrs")
+        d[k] = prev
     return d.ravel() if np.all(np.isfinite(d)) else None
 
 
-def _factored_sweep(problem: ProblemSpec, dt: float):
-    """For a step Jacobian declared constant, the direction (states, bd) ->
-    d = -B^-1 r (None where d is not finite), or None unless Lambda is
-    declared zero.
+def _declared_block_lu(problem: ProblemSpec, dt: float):
+    """The LU factors of the one diagonal block C = I/dt + L + lam A of a step
+    Jacobian declared constant, L = OperatorLambda.linear and A =
+    Potential.constant_hessian, built from the declarations alone."""
+    from scipy.linalg import lu_factor  # scipy.linalg loads on use (see oracle)
 
-    Every diagonal block of B is then the SPD C = I/dt + lam A, A =
-    Potential.constant_hessian, and r is affine in the states, so a full step
-    along d zeroes it.  C is Cholesky-factored once; a direction solves with
-    C for all M rows -r_k at once, then adds K = C^-1 I/dt d_{k-1} to d_k.
-    """
-    if np.any(problem.lambda_op.linear):
-        return None
-    from scipy.linalg import cho_factor, cho_solve  # loads on use (see oracle)
-
-    i_dt = problem.triple.inclusion_matrix / dt
-    c = i_dt + dense(problem.potential.constant_hessian) if problem.lambda_flag else i_dt
-    factor = cho_factor(c)
-    k_mat = cho_solve(factor, i_dt)
-
-    def sweep(states, bd):
-        d = cho_solve(factor, -_newton_residual(problem, states, bd).T).T
-        for k in range(1, len(d)):
-            d[k] += k_mat @ d[k - 1]
-        return d.ravel() if np.all(np.isfinite(d)) else None
-
-    return sweep
+    c = problem.triple.inclusion_matrix / dt + problem.lambda_op.linear
+    if problem.lambda_flag:
+        c += dense(problem.potential.constant_hessian)
+    return lu_factor(c)
 
 
 def verify_equivalence(

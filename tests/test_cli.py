@@ -508,6 +508,8 @@ def test_check_growth_designed_failure(tmp_path):
     ("solve", {"problem": {"kind": "heat_core"},
                "solver": {"method": "continuation", "eps_schedule": [float("nan")]}}),
     ("check", {"checks": {"run": []}}),
+    ("solve", {"problem": {"kind": "navier_stokes", "viscosity": 0}}),
+    ("solve", {"problem": {"kind": "navier_stokes", "viscosity": -0.1}}),
 ], ids=["negative-samples", "run-string", "run-unknown", "checks-q", "couplings-short",
         "couplings-scalar", "eps-start-text", "eps-unknown-key", "eps-empty-list",
         "eps-negative-list", "eps-increasing-list", "damping-list", "section-list",
@@ -517,7 +519,8 @@ def test_check_growth_designed_failure(tmp_path):
         "c0-zero", "c0-negative", "seed-negative", "compare-j-tol-zero",
         "compare-g-tol-negative", "compare-state-tol-negative", "compare-residual-tol-zero",
         "directory-null", "initial-number", "newton-tol-inf", "c0-inf", "t1-inf",
-        "perturb-nan", "damping-nan", "reaction-inf", "eps-nan-list", "run-empty"])
+        "perturb-nan", "damping-nan", "reaction-inf", "eps-nan-list", "run-empty",
+        "viscosity-zero", "viscosity-negative"])
 def test_bad_config_value_is_a_config_error_before_any_problem_is_built(
         tmp_path, capsys, monkeypatch, command, overrides):
     def no_build(cfg):

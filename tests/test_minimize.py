@@ -451,7 +451,7 @@ def test_floor_exit_below_the_relative_j_floor_is_zero_energy():
     assert res.grad_norm_history[-1] > 1e-9
 
 
-# -- the factored Newton sweep of an exactly quadratic energy ------------------
+# -- the factored Newton sweep of a declared-constant step Jacobian ------------
 
 def _diagonal_potential_flow():
     """Lambda = 0 against Psi with the 1-D (diagonal) matrix diag(1, 2, 3)."""
@@ -466,18 +466,23 @@ def _diagonal_potential_flow():
     lambda: build_parabolic_nondivergence(6),             # dense mass
     _diagonal_potential_flow,                             # diagonal mass and A
     lambda: zero_lambda_problem(lam=0),                   # lam = 0: C = I/dt
-], ids=["heat", "nondivergence", "diagonal", "lam0"])
+    build_scalar_decay,                                   # L = I
+    lambda: build_hyperbolic(8),                          # nonsymmetric L and C
+], ids=["heat", "nondivergence", "diagonal", "lam0", "scalar_decay", "hyperbolic"])
 def test_factored_sweep_is_the_dense_newton_direction(build, rng):
-    # Lambda declared zero and one constant block: the once-factored sweep
-    # gives the per-step dense solve of B d = -r, and r is affine in the
-    # states, so a full step along d zeroes it
+    # the sweep with the once-factored declared block gives the per-step dense
+    # solve of B d = -r that the same problem takes when its operator declares
+    # nothing, and r is affine in the states, so a full step along d zeroes it
     p = build()
     steps = 6
     assert p.constant_step_jacobian
+    undeclared = dataclasses.replace(p, lambda_op=dataclasses.replace(p.lambda_op, linear=None))
+    assert not undeclared.constant_step_jacobian
     traj = random_trajectory(p, steps, rng)
     bd = energy_breakdown(p, traj)
-    d = minimize_module._factored_sweep(p, traj.dt)(traj.states[1:], bd)
-    reference = minimize_module._newton_direction(p, traj.states[1:], bd)
+    lu = minimize_module._declared_block_lu(p, traj.dt)
+    d = minimize_module._newton_direction(p, traj.states[1:], bd, lu)
+    reference = minimize_module._newton_direction(undeclared, traj.states[1:], bd)
     assert np.linalg.norm(d - reference) <= 1e-12 * np.linalg.norm(reference)
     moved = traj.copy()
     moved.states[1:] += d.reshape(steps, p.dim)
@@ -505,23 +510,26 @@ def _hand_built_zero_lambda():
     return dataclasses.replace(p, lambda_op=op)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_parabolic_divergence(8, q=2.0, time_scale=1.0),   # modulated Psi
-    lambda: build_parabolic_divergence(8, q=4.0),                   # D^2Psi not constant
-    build_scalar_decay,                                             # Lambda = I
-    lambda: build_navier_stokes_2d(8),                              # declares nothing
-    _hand_built_zero_lambda,                                        # declares nothing
-], ids=["modulated", "q4", "scalar_decay", "navier_stokes", "hand_built"])
-def test_no_factored_sweep_unless_lambda_is_declared_zero(build, monkeypatch):
-    # a step Jacobian not declared constant never builds the sweep, and a
-    # declared-constant one whose Lambda is not declared zero builds None
+@pytest.mark.parametrize("build,factored", [
+    (lambda: build_heat(8), 1),                                         # Lambda = 0
+    (lambda: build_parabolic_divergence(8, q=2.0, time_scale=1.0), 0),  # modulated Psi
+    (lambda: build_parabolic_divergence(8, q=4.0), 0),                  # D^2Psi not constant
+    (build_scalar_decay, 0),                                            # Lambda = I
+    (lambda: build_navier_stokes_2d(8), 0),                             # declares nothing
+    (_hand_built_zero_lambda, 0),                                       # declares nothing
+], ids=["heat", "modulated", "q4", "scalar_decay", "navier_stokes", "hand_built"])
+def test_no_factored_sweep_unless_lambda_is_declared_zero(build, factored, monkeypatch):
+    # minimize LU-factors the declared block once where the step Jacobian is
+    # declared constant and Lambda declared zero, and nowhere else: a
+    # declared-constant scalar_decay takes L-BFGS alone
+    import scipy.linalg
+
     p = build()
-    built = []
-    real = minimize_module._factored_sweep
-    monkeypatch.setattr(minimize_module, "_factored_sweep",
-                        lambda *args: built.append(real(*args)) or built[-1])
+    calls = []
+    real = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda *args: calls.append(1) or real(*args))
     minimize(p, steps=4)
-    assert built == ([None] if p.constant_step_jacobian else [])
+    assert len(calls) == factored
 
 
 # -- the space-time Newton direction -------------------------------------------
